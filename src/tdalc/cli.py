@@ -313,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit = subs.add_parser("fit", help="fit the population distribution")
     fit.add_argument("episodes", nargs="+", help="episode CSV files")
     _add_grid_flags(fit)
-    fit.add_argument("--out", default="rho_fit.json",
-                     help="fitted distribution file (default rho_fit.json)")
+    fit.add_argument("--out", default="rho_fit.txt",
+                     help="fitted distribution, a key=value params file "
+                          "(default rho_fit.txt)")
     fit.add_argument("--log", default=None, help="iteration log (JSON lines)")
     fit.add_argument("--init", default=None,
                      help="starting distribution file; default seeds from "

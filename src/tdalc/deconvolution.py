@@ -9,6 +9,12 @@ penalty  r1 * \\int ||u||^2 + r2 * \\int ||u'||^2  contributes a second block
 through a positive-semidefinite square root.  The resulting stacked problem
 is solved under a nonnegativity constraint by an active-set method.
 
+Only the penalty depends on (r1, r2).  The weight search therefore builds
+each training episode's kernels, design, temporal matrices and cell masses
+once, rebuilds only the penalty per candidate (r1, r2), and warm-starts each
+active-set solve from that episode's previous solution.  ``deconvolve`` is
+the same solve at one (r1, r2), started from zero.
+
 Column ordering of the tq design follows the global convention: temporal
 index fastest, then the first parameter cell index, then the second.
 """
@@ -16,8 +22,7 @@ index fastest, then the first parameter cell index, then the second.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -74,21 +79,6 @@ class DeconvolutionProblem:
     def n_cols(self) -> int:
         return self.design.shape[1]
 
-    def _lift(self, small: np.ndarray) -> np.ndarray:
-        if self.cell_masses is None:
-            return small
-        return np.kron(np.diag(self.cell_masses), small)
-
-    @property
-    def q1(self) -> np.ndarray:
-        """Unscaled value-penalty Gram on the full coefficient vector."""
-        return self._lift(self.g0)
-
-    @property
-    def q2(self) -> np.ndarray:
-        """Unscaled derivative-penalty Gram on the full coefficient vector."""
-        return self._lift(self.g1)
-
     @property
     def stacked(self) -> np.ndarray:
         return np.vstack([self.design, self.penalty_sqrt])
@@ -97,12 +87,35 @@ class DeconvolutionProblem:
     def target(self) -> np.ndarray:
         return np.concatenate([self.tac, np.zeros(self.n_cols)])
 
+    def with_regs(self, r1: float, r2: float) -> DeconvolutionProblem:
+        """The same problem at other weights; only the penalty is rebuilt."""
+        r1, r2 = _snap_regs(r1, r2)
+        return replace(self, r1=r1, r2=r2, penalty_sqrt=_penalty_sqrt(
+            self.g0, self.g1, self.cell_masses, r1, r2))
+
+    def mean_curve(self, x: np.ndarray) -> np.ndarray:
+        """Population-mean input on the grid for coefficient vector x."""
+        if self.cell_masses is None:
+            return self.sample @ x
+        per_cell = x.reshape(self.cell_masses.size, self.time_mesh.m).T
+        return self.sample @ (per_cell @ self.cell_masses)
+
 
 def _snap_regs(r1: float, r2: float) -> tuple[float, float]:
     if r1 < 0 or r2 < 0:
         raise ConfigurationError(f"regularization weights must be >= 0, got {r1}, {r2}")
     return (0.0 if r1 < REG_FLOOR else float(r1),
             0.0 if r2 < REG_FLOOR else float(r2))
+
+
+def _penalty_sqrt(g0: np.ndarray, g1: np.ndarray, masses: np.ndarray | None,
+                  r1: float, r2: float) -> np.ndarray:
+    reg_small = sqrtm_psd(r1 * g0 + r2 * g1)
+    if masses is None:
+        return reg_small
+    # penalty of the tensor basis factorizes: cell masses times the
+    # temporal quadratic form, cell-block diagonal
+    return np.kron(np.diag(np.sqrt(masses)), reg_small)
 
 
 def build_problem(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
@@ -122,13 +135,11 @@ def build_problem(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
         m = default_basis_count(horizon)
     tm = TimeMesh(m, horizon, ops.tau)
     g0, g1, sample = temporal_basis_matrices(tm)
-    reg_small = sqrtm_psd(r1 * g0 + r2 * g1)
     kernels = impulse_kernels(ops, n_grid - 1)
     if not np.any(kernels.functional):
         raise NumericalError("impulse kernels are identically zero")
     if variant == "scalar":
         design = _toeplitz_design(kernels.mean, n_grid) @ sample
-        penalty = reg_small
         masses = None
     elif variant == "tq":
         kappa = kernels.functional
@@ -136,16 +147,13 @@ def build_problem(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
         design = np.empty((n_grid, m * nc))
         for c in range(nc):
             design[:, c * m:(c + 1) * m] = _toeplitz_design(kappa[:, c], n_grid) @ sample
-        # penalty of the tensor basis factorizes: cell masses times the
-        # temporal quadratic form, cell-block diagonal
         masses = kernels.p
-        penalty = np.kron(np.diag(np.sqrt(masses)), reg_small)
     else:
         raise ConfigurationError(f"unknown variant {variant!r}")
     return DeconvolutionProblem(variant=variant, tac=tac, time_mesh=tm,
                                 sample=sample, design=design,
-                                penalty_sqrt=penalty, r1=r1, r2=r2,
-                                cell_masses=masses, g0=g0, g1=g1)
+                                penalty_sqrt=_penalty_sqrt(g0, g1, masses, r1, r2),
+                                r1=r1, r2=r2, cell_masses=masses, g0=g0, g1=g1)
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +172,19 @@ class NnlsResult:
 
 
 def nnls(a: np.ndarray, b: np.ndarray, tol: float | None = None,
-         max_iter: int | None = None) -> NnlsResult:
+         max_iter: int | None = None, x0: np.ndarray | None = None) -> NnlsResult:
     """Lawson-Hanson active-set method for min ||a x - b|| s.t. x >= 0.
 
     Runs on the normal equations with fresh solves per passive set, which is
     robust at the problem sizes used here.  ``tol`` bounds the admissible
     dual (KKT) violation and defaults to 1e-9 times the norm of a^T b.
+
+    ``x0`` warm-starts the method from any nonnegative point, typically the
+    solution of a nearby problem: the passive set starts as x0 > 0 and the
+    iterate first moves from x0 toward that set's least-squares solution,
+    dropping variables that reach zero, before the usual outer loop adds
+    variables by dual violation (the initial-passive-set form of Bro and
+    De Jong, 1997).  Without ``x0`` the method starts from zero.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -177,6 +192,14 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float | None = None,
         raise ConfigurationError(
             f"incompatible nnls shapes {a.shape} and {b.shape}")
     m, n = a.shape
+    if x0 is None:
+        x = np.zeros(n)
+    else:
+        x = np.array(x0, dtype=float)
+        if x.shape != (n,) or not np.all(np.isfinite(x)) or np.any(x < 0.0):
+            raise ConfigurationError(
+                f"nnls start x0 must be finite, nonnegative and of shape "
+                f"({n},); got shape {x.shape}, min {np.min(x, initial=0.0)}")
     gram = a.T @ a
     f = a.T @ b
     fscale = float(np.linalg.norm(f))
@@ -186,40 +209,32 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float | None = None,
         max_iter = 3 * n
     btb = float(b @ b)
 
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
+    passive = x > 0.0
     iterations = 0
-    best_obj = btb
+    best_obj = btb - 2.0 * f @ x + x @ gram @ x
     best_x = x.copy()
     converged = False
 
-    def solve_passive() -> np.ndarray:
-        idx = np.flatnonzero(passive)
+    def solve_passive(idx: np.ndarray) -> np.ndarray:
         sub = gram[np.ix_(idx, idx)]
         try:
             return np.linalg.solve(sub, f[idx])
         except np.linalg.LinAlgError:
             return np.linalg.lstsq(a[:, idx], b, rcond=None)[0]
 
-    w = f.copy()
-    while iterations < max_iter:
-        if not np.any(~passive):
-            converged = True
-            break
-        w_free = np.where(passive, -np.inf, w)
-        j = int(np.argmax(w_free))
-        if w_free[j] <= tol:
-            converged = True
-            break
-        passive[j] = True
+    def descend() -> None:
+        """Move from the feasible x toward the passive set's unconstrained
+        solution, dropping variables that reach zero on the way, until
+        that solution is strictly positive or the cap is hit."""
+        nonlocal x, passive, iterations
         while True:
             iterations += 1
-            z = solve_passive()
+            idx = np.flatnonzero(passive)
+            z = solve_passive(idx)
             if np.all(z > 0.0):
                 x = np.zeros(n)
-                x[passive] = z
-                break
-            idx = np.flatnonzero(passive)
+                x[idx] = z
+                return
             xp = x[idx]
             neg = z <= 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -231,12 +246,30 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float | None = None,
             x[idx] = np.maximum(xp, 0.0)
             passive = x > 0.0
             if iterations >= max_iter:
-                break
-        w = f - gram @ x
+                return
+
+    def record_best() -> None:
+        nonlocal best_obj, best_x
         obj = btb - 2.0 * f @ x + x @ gram @ x
         if obj < best_obj:
             best_obj = obj
             best_x = x.copy()
+
+    if np.any(passive) and max_iter > 0:
+        descend()
+        record_best()
+    while iterations < max_iter:
+        if not np.any(~passive):
+            converged = True
+            break
+        w_free = np.where(passive, -np.inf, f - gram @ x)
+        j = int(np.argmax(w_free))
+        if w_free[j] <= tol:
+            converged = True
+            break
+        passive[j] = True
+        descend()
+        record_best()
 
     if not converged:
         final_obj = btb - 2.0 * f @ x + x @ gram @ x
@@ -272,34 +305,37 @@ class DeconvolutionResult:
         return self.nnls.converged
 
 
-def deconvolve(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
-               m: int | None = None, variant: str = "tq") -> DeconvolutionResult:
-    """Reconstruct the input from a TAC series at fixed regularization."""
-    problem = build_problem(ops, tac, r1, r2, m=m, variant=variant)
+def solve_problem(problem: DeconvolutionProblem,
+                  x0: np.ndarray | None = None) -> NnlsResult:
+    """NNLS solution of the stacked problem, optionally warm-started from a
+    nonnegative full-length coefficient vector ``x0``."""
     stacked = problem.stacked
     col_norms = np.linalg.norm(stacked, axis=0)
     active = col_norms > 1e-12 * float(col_norms.max())
     if np.all(active):
-        sol = nnls(stacked, problem.target)
-    else:
-        # columns of near-void parameter cells carry no information and only
-        # poison the active-set solves; their coefficients stay zero
-        red = nnls(stacked[:, active], problem.target)
-        x = np.zeros(stacked.shape[1])
-        x[active] = red.x
-        sol = NnlsResult(x=x, converged=red.converged,
-                         iterations=red.iterations, residual=red.residual)
+        return nnls(stacked, problem.target, x0=x0)
+    # columns of near-void parameter cells carry no information and only
+    # poison the active-set solves; their coefficients stay zero
+    red = nnls(stacked[:, active], problem.target,
+               x0=None if x0 is None else x0[active])
+    x = np.zeros(stacked.shape[1])
+    x[active] = red.x
+    return NnlsResult(x=x, converged=red.converged,
+                      iterations=red.iterations, residual=red.residual)
+
+
+def deconvolve(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
+               m: int | None = None, variant: str = "tq") -> DeconvolutionResult:
+    """Reconstruct the input from a TAC series at fixed regularization."""
+    problem = build_problem(ops, tac, r1, r2, m=m, variant=variant)
+    sol = solve_problem(problem)
     mm = problem.time_mesh.m
     if variant == "tq":
-        nc = problem.cell_masses.size
         index = TensorIndex((mm, ops.grid.pm1.count, ops.grid.pm2.count))
         coeffs = index.reshape(sol.x)
-        per_cell = sol.x.reshape(nc, mm).T          # (m, ncells)
-        mean_coeffs = per_cell @ problem.cell_masses
     else:
         coeffs = sol.x.copy()
-        mean_coeffs = sol.x
-    mean_curve = problem.sample @ mean_coeffs
+    mean_curve = problem.mean_curve(sol.x)
     fitted = problem.design @ sol.x
     residual = float(np.linalg.norm(fitted - problem.tac))
     return DeconvolutionResult(variant=variant, r1=problem.r1, r2=problem.r2,
@@ -331,21 +367,36 @@ def deconvolve_deterministic(det: DeterministicOps, tac: np.ndarray,
     return sample @ sol.x, sol
 
 
-def _selection_misfit(ops: DiscreteTimeOps, episodes: list[Episode],
-                      r1: float, r2: float, m: int | None, variant: str) -> float:
-    """Reconstruction-quality score used by the weight search: squared error
-    of the estimated input against measured BrAC plus squared error of the
-    refit TAC against measured TAC.  Episodes are scored concurrently."""
-    def score(ep: Episode) -> float:
-        res = deconvolve(ops, ep.y, r1, r2, m=m, variant=variant)
-        du = res.mean_curve[:-1] - ep.u[:-1]
-        dy = res.fitted_tac[1:] - ep.y[1:]
+class SearchEpisode:
+    """One training episode of the weight search.
+
+    The (r1, r2)-independent part of its problem (impulse kernels, design,
+    temporal matrices, cell masses) is built once; each score rebuilds only
+    the penalty and warm-starts NNLS from the previous score's solution.
+    """
+
+    def __init__(self, ops: DiscreteTimeOps, episode: Episode,
+                 m: int | None = None, variant: str = "tq"):
+        self.problem = build_problem(ops, episode.y, 0.0, 0.0, m=m,
+                                     variant=variant)
+        self.brac = episode.u
+        self.x: np.ndarray | None = None    # latest solution, next start
+
+    def score(self, r1: float, r2: float) -> float:
+        """Squared error of the estimated input against measured BrAC plus
+        squared error of the refit TAC against measured TAC."""
+        problem = self.problem.with_regs(r1, r2)
+        self.x = solve_problem(problem, x0=self.x).x
+        du = problem.mean_curve(self.x)[:-1] - self.brac[:-1]
+        dy = (problem.design @ self.x)[1:] - problem.tac[1:]
         return float(du @ du) + float(dy @ dy)
 
-    if len(episodes) == 1:
-        return score(episodes[0])
-    with ThreadPoolExecutor(max_workers=min(8, len(episodes))) as pool:
-        return float(sum(pool.map(score, episodes)))
+
+def _selection_misfit(episodes: list[SearchEpisode], r1: float,
+                      r2: float) -> float:
+    """Reconstruction-quality score of the weight search, summed over the
+    training episodes."""
+    return float(sum(ep.score(r1, r2) for ep in episodes))
 
 
 def select_regularization(ops: DiscreteTimeOps, episodes: list[Episode],
@@ -367,6 +418,7 @@ def select_regularization(ops: DiscreteTimeOps, episodes: list[Episode],
             raise ConfigurationError(
                 f"episode {ep.ident!r} tau {ep.tau} does not match ops tau {ops.tau}")
     lo, hi = _LOG_BOUNDS
+    search = [SearchEpisode(ops, ep, m=m, variant=variant) for ep in episodes]
 
     def objective(logr):
         penalty = 0.0
@@ -377,7 +429,7 @@ def select_regularization(ops: DiscreteTimeOps, episodes: list[Episode],
                 penalty += 1e3 * (v - hi) ** 2
         r = 10.0 ** np.clip(logr, lo, hi)
         r1, r2 = _snap_regs(r[0], r[1])
-        return _selection_misfit(ops, episodes, r1, r2, m, variant) + penalty
+        return _selection_misfit(search, r1, r2) + penalty
 
     x0 = np.array([-1.0, 0.0])
     simplex = np.array([x0, x0 + [1.5, 0.0], x0 + [0.0, 1.5]])

@@ -119,6 +119,19 @@ class TestFit:
         assert out.exists()
         assert "convergence" in capsys.readouterr().err
 
+    def test_default_out_is_params_text(self, sim_dir, tmp_path,
+                                        monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        init = write_rho(tmp_path / "init.txt")
+        eps = sorted(str(p) for p in sim_dir.glob("*.csv"))
+        rc = main(["fit", *eps, "--init", str(init), "--max-iter", "2"])
+        assert rc in (0, 3)
+        assert [p.name for p in work.iterdir()] == ["rho_fit.txt"]
+        fitted = load_params(work / "rho_fit.txt")
+        assert np.all(np.isfinite(fitted.mu))
+
     def test_rejects_tac_only_episode(self, tmp_path, capsys):
         p = tmp_path / "bare.csv"
         p.write_text("t_minutes,channel,value\n0,tac,0\n30,tac,0.03\n"

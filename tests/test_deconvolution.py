@@ -5,7 +5,7 @@ import pytest
 
 from tdalc import forward_model
 from tdalc.data_io import build_episode
-from tdalc.deconvolution import (build_problem, deconvolve,
+from tdalc.deconvolution import (SearchEpisode, build_problem, deconvolve,
                                  deconvolve_deterministic,
                                  default_basis_count, nnls,
                                  select_regularization, sqrtm_psd,
@@ -33,6 +33,14 @@ def pulse(k):
 
 def make_tac(ops, u):
     return np.concatenate([[0.0], forward_model.simulate(ops, u[:-1])])
+
+
+def scaled_kkt(a, b, x):
+    grad = a.T @ (a @ x - b)
+    active = x > 0.0
+    return max(float(np.max(np.abs(grad[active]), initial=0.0)),
+               float(np.max(-grad[~active], initial=0.0))) \
+        / float(np.linalg.norm(a.T @ b))
 
 
 class TestBasisCount:
@@ -108,9 +116,51 @@ class TestNnls:
         assert not res.converged
         assert np.all(res.x >= 0.0)
 
+    def test_iteration_cap_from_warm_start_warns_and_returns_feasible(self):
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((20, 10))
+        b = rng.standard_normal(20)
+        with pytest.warns(RuntimeWarning):
+            res = nnls(a, b, max_iter=1, x0=rng.random(10))
+        assert not res.converged
+        assert np.all(res.x >= 0.0)
+
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):
             nnls(np.eye(3), np.ones(4))
+
+    def test_warm_start_matches_cold_solution(self):
+        # criterion 07's family of random problems.  The fit a x at the
+        # optimum is unique; x itself is unique only when a has full column
+        # rank, which fails for the wide problems (m < n) of the family
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            m, n = int(rng.integers(10, 60)), int(rng.integers(3, 20))
+            a = rng.standard_normal((m, n))
+            b = rng.standard_normal(m)
+            cold = nnls(a, b)
+            for x0 in (np.zeros(n), cold.x, 2.0 * rng.random(n)):
+                warm = nnls(a, b, x0=x0)
+                assert warm.converged
+                assert np.all(warm.x >= 0.0)
+                assert scaled_kkt(a, b, warm.x) <= 1e-8
+                assert np.max(np.abs(a @ (warm.x - cold.x))) <= 1e-10
+                if m >= n:
+                    assert np.max(np.abs(warm.x - cold.x)) <= 1e-10
+
+    def test_warm_start_from_solution_is_immediate(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((30, 8))
+        b = rng.standard_normal(30)
+        cold = nnls(a, b)
+        assert nnls(a, b, x0=cold.x).iterations <= 1 < cold.iterations
+
+    @pytest.mark.parametrize("x0", [[1.0, -1e-12, 0.0], [1.0, np.nan, 0.0],
+                                    [1.0, np.inf, 0.0], [1.0, 0.0],
+                                    [[1.0, 0.0, 0.0]]])
+    def test_invalid_start_rejected(self, x0):
+        with pytest.raises(ConfigurationError):
+            nnls(np.eye(3), np.ones(3), x0=np.array(x0))
 
 
 class TestBuildProblem:
@@ -255,6 +305,23 @@ class TestSelectRegularization:
         half = replace(ep, tau=0.5)
         with pytest.raises(ConfigurationError):
             select_regularization(ops, [half])
+
+
+class TestSearchEpisode:
+    def test_warm_solves_meet_kkt_on_built_problem(self):
+        ops = make_ops()
+        u = pulse(121)
+        t = np.arange(121, dtype=float)
+        ep = build_episode("train", t, u, t, make_tac(ops, u), tau=1.0)
+        search = SearchEpisode(ops, ep)
+        # a walk over the search box, with r1 and r2 snapped to zero on
+        # the way; every solve starts from the previous one
+        for r1, r2 in ((1e-1, 1.0), (1e-3, 1e-2), (1e-8, 1e-1), (1e-8, 1e-8),
+                       (1e2, 1e-4), (1e-5, 1e2), (3e-2, 3e-3)):
+            search.score(r1, r2)
+            prob = build_problem(ops, ep.y, r1, r2)
+            assert scaled_kkt(prob.stacked, prob.target, search.x) <= 1e-8, \
+                (r1, r2)
 
 
 class TestResultCsv:
