@@ -87,10 +87,6 @@ class PopulationParams:
         det = np.linalg.det(self.sigma)
         return 1.0 / (2.0 * math.pi * math.sqrt(det))
 
-    def with_chol_entries(self, l11: float, l21: float, l22: float) -> "PopulationParams":
-        low = np.array([[l11, 0.0], [l21, l22]])
-        return PopulationParams(a=self.a, b=self.b, mu=self.mu, sigma=low @ low.T)
-
     def replace(self, **kw) -> "PopulationParams":
         fields = {"a": self.a, "b": self.b, "mu": self.mu, "sigma": self.sigma}
         fields.update(kw)

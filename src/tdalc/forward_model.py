@@ -6,16 +6,29 @@ indicators of distinct cells are orthogonal, every operator in the weak form
 is block diagonal over parameter cells, and each cell block is the classical
 single-subject Galerkin system evaluated at that cell's conditional-mean
 parameters, scaled by the cell mass.  Assembly and time stepping exploit the
-block structure throughout; dense views exist for inspection and tests.
+block structure throughout.
 
 The continuous semigroup is discretized exactly on each sampling interval by
 the matrix exponential (zero-order hold on the input), which makes the
 discrete flow map a true semigroup: stepping with 2*tau equals stepping twice
-with tau.
+with tau.  ``discrete_time``, ``state_trajectory``, ``simulate`` and
+``impulse_kernels`` march that recursion; the deconvolution builds its design
+from them.
+
+Each cell is also a linear time-invariant system whose generator is
+self-adjoint in the mass inner product, so its impulse response is a short
+sum of exponentials.  The spectral core (``_spectrum`` and the kernel
+functions below it) whitens the pencil by the Cholesky factor of the mass
+matrix, runs one batched symmetric eigensolve over the cells, and returns the
+lag kernels in closed form together with their exact derivative in the
+diffusivity (Daleckii-Krein divided differences).  The single-subject model
+and the population fit use it: simulation is a convolution with the kernel,
+and no ``expm`` or time loop is involved.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,16 +37,6 @@ from scipy.linalg import expm
 from . import density
 from .errors import ConfigurationError, NumericalError, ParameterError
 from .grid_basis import DiscretizationGrid, SpatialMesh
-
-
-def block_diag_dense(blocks: np.ndarray) -> np.ndarray:
-    """Assemble a dense block-diagonal matrix from stacked square blocks."""
-    blocks = np.asarray(blocks)
-    nc, nn, _ = blocks.shape
-    out = np.zeros((nc * nn, nc * nn))
-    for c in range(nc):
-        out[c * nn:(c + 1) * nn, c * nn:(c + 1) * nn] = blocks[c]
-    return out
 
 
 @dataclass(frozen=True)
@@ -72,25 +75,6 @@ class DiscreteSystem:
     @property
     def dim(self) -> int:
         return self.n_cells * self.block_size
-
-    def dense_mass(self) -> np.ndarray:
-        return block_diag_dense(self.mass_blocks)
-
-    def dense_op(self) -> np.ndarray:
-        return block_diag_dense(self.op_blocks)
-
-    def dense_input_scalar(self) -> np.ndarray:
-        return self.input_cells.reshape(-1)
-
-    def dense_input_cells(self) -> np.ndarray:
-        nc, nb = self.input_cells.shape
-        out = np.zeros((nc * nb, nc))
-        for c in range(nc):
-            out[c * nb:(c + 1) * nb, c] = self.input_cells[c]
-        return out
-
-    def dense_output(self) -> np.ndarray:
-        return self.output_blocks.reshape(-1)
 
 
 def _flat_cells(arr: np.ndarray) -> np.ndarray:
@@ -177,19 +161,6 @@ class DiscreteTimeOps:
     @property
     def n_cells(self) -> int:
         return self.p.size
-
-    def dense_ahat(self) -> np.ndarray:
-        return block_diag_dense(self.ahat)
-
-    def dense_bhat_scalar(self) -> np.ndarray:
-        return self.bhat.reshape(-1)
-
-    def dense_output(self) -> np.ndarray:
-        return self.c_out.reshape(-1)
-
-    def spectral_radius(self) -> float:
-        eigs = np.linalg.eigvals(self.ahat)
-        return float(np.max(np.abs(eigs)))
 
 
 def _cell_generators(sys: DiscreteSystem) -> np.ndarray:
@@ -322,18 +293,138 @@ def convolve(kernels: Kernels, u: np.ndarray, variant: str = "scalar") -> np.nda
 
 
 # ---------------------------------------------------------------------------
+# spectral core: closed-form kernels of the cell systems
+
+# eigenvalue pairs closer than this (relative) take the derivative in place
+# of their divided difference
+_CLOSE = 1e-8
+
+
+@dataclass(frozen=True)
+class _Pencil:
+    """The spatial Galerkin pencil in the mass-orthonormal frame, M = L L^T.
+
+    The cell generator -M^-1 (B0 + q1 S) is similar to minus the symmetric
+    boundary0 + q1 * stiffness below.  Read-only: instances are shared.
+    """
+
+    boundary0: np.ndarray    # L^-1 B0 L^-T
+    stiffness: np.ndarray    # L^-1 S L^-T
+    trace0: np.ndarray       # L^-1 t0
+    trace1: np.ndarray       # L^-1 t1
+    nodal: np.ndarray        # L^-T, whitened coordinates -> hat coefficients
+    slopes: np.ndarray       # S = slopes^T slopes (scaled node differences)
+
+
+@functools.lru_cache(maxsize=16)
+def _pencil(mesh: SpatialMesh) -> _Pencil:
+    gram = mesh.gram
+    linv = np.linalg.inv(np.linalg.cholesky(gram.mass))
+    # the hat stiffness is a sum over elements of (z_{e+1} - z_e)^2 / h_e
+    slopes = (np.sqrt(-np.diagonal(gram.stiffness, 1))[:, None]
+              * np.diff(np.eye(mesh.basis_size), axis=0))
+    pen = _Pencil(boundary0=linv @ gram.boundary0 @ linv.T,
+                  stiffness=linv @ gram.stiffness @ linv.T,
+                  trace0=linv @ gram.trace0, trace1=linv @ gram.trace1,
+                  nodal=linv.T, slopes=slopes)
+    for arr in vars(pen).values():
+        arr.setflags(write=False)
+    return pen
+
+
+def _spectrum(mesh: SpatialMesh, qbar1) -> tuple[np.ndarray, ...]:
+    """Modes of the whitened generators at diffusivities ``qbar1`` (any shape).
+
+    Returns the decay rates lam (positive), the eigenvectors, and the output
+    and input traces in the eigenbasis, each with the leading shape of
+    ``qbar1``.
+    """
+    pen = _pencil(mesh)
+    q = np.asarray(qbar1, dtype=float)
+    _, vecs = np.linalg.eigh(pen.boundary0 + q[..., None, None] * pen.stiffness)
+    a = pen.trace0 @ vecs
+    # eigh fixes a rate only to eps * |K|, far from relative accuracy for the
+    # slow modes that carry the kernel; the Rayleigh quotient, a sum of
+    # squares (B0 = t0 t0^T), restores it: its error is second order in the
+    # eigenvector's
+    z = pen.nodal @ vecs
+    lam = ((a ** 2 + q[..., None] * np.sum((pen.slopes @ z) ** 2, axis=-2))
+           / np.sum(vecs ** 2, axis=-2))
+    return lam, vecs, a, pen.trace1 @ vecs
+
+
+def _hold_gain(lam: np.ndarray, tau: float) -> np.ndarray:
+    """Zero-order-hold gain (1 - exp(-tau lam)) / lam of each mode."""
+    return -np.expm1(-tau * lam) / lam
+
+
+def _decays(lam: np.ndarray, tau: float, count: int) -> np.ndarray:
+    """exp(-tau lam (l - 1)) for lags l = 1..count, shape (..., count, nb)."""
+    return np.exp(-tau * np.arange(count)[:, None] * lam[..., None, :])
+
+
+def _spectral_kernels(mesh: SpatialMesh, qbar1, tau: float,
+                      count: int) -> np.ndarray:
+    """Unit-gain lag kernels of the cell systems at diffusivities ``qbar1``.
+
+    g_l = sum_k a_k b_k phi(lam_k) exp(-tau lam_k (l - 1)), l = 1..count, with
+    a, b the output and input traces in the eigenbasis and phi the hold gain;
+    shape (*qbar1.shape, count).  A cell of mass p and input gain qbar2
+    contributes p * qbar2 * g to the population kernel.
+    """
+    lam, _, a, b = _spectrum(mesh, qbar1)
+    return np.einsum("...lk,...k->...l", _decays(lam, tau, count),
+                     a * b * _hold_gain(lam, tau))
+
+
+def _spectral_kernel_derivatives(mesh: SpatialMesh, qbar1, tau: float,
+                                 count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-gain kernels and their derivatives in the diffusivity.
+
+    g_l = a^T f_l(K) b with K the whitened operator, dK/dq1 the whitened
+    stiffness S, and f_l(lam) = phi(lam) exp(-tau lam (l - 1)).  By the
+    Daleckii-Krein formula dg_l = sum_ij G_ij f_l[lam_i, lam_j] with
+    G = diag(a) V^T S V diag(b) and f_l[., .] the divided difference (f_l' on
+    the diagonal).  Writing f_l[lam_i, lam_j] = (f_l(lam_i) - f_l(lam_j)) /
+    (lam_i - lam_j) splits this into sum_i c_i f_l(lam_i) + d_i f_l'(lam_i):
+    c_i = sum_j (G_ij + G_ji) / (lam_i - lam_j) over separated pairs, and d_i
+    collects G_ii plus half of (G_ij + G_ji) for each pair too close to
+    divide.  Memory stays at (cells, count, nb).
+    """
+    s = _pencil(mesh).stiffness
+    lam, vecs, a, b = _spectrum(mesh, qbar1)
+    g = a[..., :, None] * (np.swapaxes(vecs, -1, -2) @ s @ vecs) * b[..., None, :]
+    sym = g + np.swapaxes(g, -1, -2)
+    li, lj = lam[..., :, None], lam[..., None, :]
+    close = np.abs(li - lj) <= _CLOSE * np.maximum(li, lj)
+    inv_gap = np.divide(1.0, li - lj, out=np.zeros_like(sym), where=~close)
+    c = np.sum(sym * inv_gap, axis=-1)
+    d = 0.5 * np.sum(np.where(close, sym, 0.0), axis=-1)
+    phi = _hold_gain(lam, tau)
+    dphi = (tau * np.exp(-tau * lam) - phi) / lam
+    decay = _decays(lam, tau, count)
+    kern = np.einsum("...lk,...k->...l", decay, a * b * phi)
+    lags = tau * np.arange(count)
+    dkern = (np.einsum("...lk,...k->...l", decay, c * phi + d * dphi)
+             - lags * np.einsum("...lk,...k->...l", decay, d * phi))
+    return kern, dkern
+
+
+# ---------------------------------------------------------------------------
 # deterministic single-subject model
 
 
 @dataclass(frozen=True)
 class DeterministicOps:
-    """Discrete-time single-subject model at a fixed parameter pair."""
+    """Single-subject model at a fixed parameter pair, in modal form.
+
+    Its lag-l kernel is sum_k weights[k] * exp(-tau * lam[k] * (l - 1)).
+    """
 
     q: np.ndarray
     tau: float
-    ahat: np.ndarray
-    bhat: np.ndarray
-    c_out: np.ndarray
+    lam: np.ndarray        # modal decay rates
+    weights: np.ndarray    # modal weights, input gain and hold included
 
 
 def deterministic_ops(q, mesh: SpatialMesh, tau: float) -> DeterministicOps:
@@ -343,33 +434,22 @@ def deterministic_ops(q, mesh: SpatialMesh, tau: float) -> DeterministicOps:
         raise ParameterError(f"diffusivity must be positive, got {q[0]}")
     if tau <= 0:
         raise ConfigurationError(f"tau must be positive, got {tau}")
-    gram = mesh.gram
-    a = np.linalg.solve(gram.mass, -(gram.boundary0 + q[0] * gram.stiffness))
-    ahat = expm(tau * a)
-    mb = q[1] * np.linalg.solve(gram.mass, gram.trace1)
-    bhat = np.linalg.solve(a, (ahat - np.eye(mesh.basis_size)) @ mb)
-    return DeterministicOps(q=q, tau=tau, ahat=ahat, bhat=bhat, c_out=gram.trace0.copy())
+    lam, _, a, b = _spectrum(mesh, q[0])
+    return DeterministicOps(q=q, tau=tau, lam=lam,
+                            weights=q[1] * a * b * _hold_gain(lam, tau))
 
 
 def simulate_deterministic(det: DeterministicOps, u: np.ndarray) -> np.ndarray:
-    """Output samples y_1..y_steps of the single-subject recursion."""
+    """Output samples y_1..y_steps: the input convolved with the kernel."""
     u = np.asarray(u, dtype=float)
-    y = np.zeros(u.shape[0])
-    x = np.zeros(det.ahat.shape[0])
-    for j in range(u.shape[0]):
-        x = det.ahat @ x + det.bhat * u[j]
-        y[j] = det.c_out @ x
-    return y
+    steps = u.shape[0]
+    if steps == 0:
+        return np.zeros(0)
+    return np.convolve(deterministic_kernels(det, steps), u)[:steps]
 
 
 def deterministic_kernels(det: DeterministicOps, count: int) -> np.ndarray:
     """Scalar impulse-response sequence of the single-subject model."""
     if count < 1:
         raise ConfigurationError(f"kernel count must be >= 1, got {count}")
-    out = np.zeros(count)
-    v = det.bhat.copy()
-    for l in range(count):
-        out[l] = det.c_out @ v
-        if l + 1 < count:
-            v = det.ahat @ v
-    return out
+    return _decays(det.lam, det.tau, count) @ det.weights

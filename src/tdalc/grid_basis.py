@@ -113,9 +113,6 @@ class SpatialMesh:
     def basis_size(self) -> int:
         return self.n + 1
 
-    def basis_value(self, j: int, eta) -> np.ndarray | float:
-        return hat_value(self.nodes, j, eta)
-
     @cached_property
     def gram(self) -> SpatialGram:
         return assemble_1d_gram(self.nodes)
@@ -293,21 +290,6 @@ class DiscretizationGrid:
     @property
     def n_cells(self) -> int:
         return self.pm1.count * self.pm2.count
-
-    @property
-    def cell_index(self) -> TensorIndex:
-        return TensorIndex((self.pm1.count, self.pm2.count))
-
-    @property
-    def state_index(self) -> TensorIndex:
-        return TensorIndex((self.spatial.basis_size, self.pm1.count, self.pm2.count))
-
-    def cell_of(self, q) -> np.ndarray | int:
-        """Flat cell index containing parameter point(s) q (shape (..., 2))."""
-        q = np.asarray(q, dtype=float)
-        i1 = self.pm1.cell_index(q[..., 0])
-        i2 = self.pm2.cell_index(q[..., 1])
-        return i1 + self.pm1.count * i2
 
     def matches_support(self, params, rtol: float = 1e-12) -> bool:
         scale = max(1.0, abs(params.b[0]), abs(params.b[1]))

@@ -2,29 +2,31 @@
 
 The fit minimizes the squared misfit between model TAC and measured TAC,
 summed over episodes and over the measured TAC instants, with the measured
-BrAC driving the recursion as a zero-order-hold input.  Decision variables
-are the support upper bounds, the normal location, and the Cholesky factor of
+BrAC driving the model as a zero-order-hold input.  Decision variables are
+the support upper bounds, the normal location, and the Cholesky factor of
 the covariance; the lower support bounds stay pinned at zero unless
 explicitly released.
 
-The gradient is exact for the discrete model: an adjoint pass per episode
-plus parameter derivatives of the discrete-time operators.  Derivatives of
-the flow map use the block matrix exponential
-exp(tau * [[A, dA], [0, A]]) whose top-right block is dAhat; derivatives of
-the assembly weights are analytic in the location/covariance parameters and
-central finite differences in the support bounds (moving the support moves
-the integration cells themselves).
+The model is linear and time invariant, so each episode's TAC is the BrAC
+convolved with the population kernel h_l = sum_c p_c qbar2_c g_l(qbar1_c),
+where g is the unit-gain kernel of one cell from the spectral core in
+``forward_model``.  The gradient is exact for the discrete model: with
+residuals r, d cost / d theta = 2 sum_l (dh_l / d theta) corr_l(r, u), one
+correlation per episode.  dh/dtheta follows by the chain rule from the
+derivative of g in the diffusivity (closed form in the core) and from the
+derivatives of the cell weights, which are analytic in the location/
+covariance parameters and central finite differences in the support bounds
+(moving the support moves the integration cells themselves).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from . import density, forward_model
@@ -80,10 +82,15 @@ def _check_episodes(episodes: list[Episode], grid: DiscretizationGrid,
                 f"episode {ep.ident!r} has no usable TAC instants on the grid")
 
 
-def _episode_residual_cost(ops: forward_model.DiscreteTimeOps, ep: Episode) -> float:
-    y = forward_model.simulate(ops, ep.u[:-1])
-    resid = y[ep.fit_indices - 1] - ep.y[ep.fit_indices]
-    return float(resid @ resid)
+def _kernel_count(episodes: list[Episode]) -> int:
+    return max(ep.u.size - 1 for ep in episodes)
+
+
+def _residuals(kernel: np.ndarray, ep: Episode) -> np.ndarray:
+    """Model minus measured TAC at the episode's fit instants."""
+    u = ep.u[:-1]
+    y = np.convolve(kernel[:u.size], u)[:u.size]
+    return y[ep.fit_indices - 1] - ep.y[ep.fit_indices]
 
 
 def cost(params: PopulationParams, episodes: list[Episode],
@@ -92,25 +99,14 @@ def cost(params: PopulationParams, episodes: list[Episode],
     _check_episodes(episodes, grid)
     grid = grid.rebind(params)
     sys = forward_model.assemble(params, grid, order=order)
-    ops = forward_model.discrete_time(sys)
-    if len(episodes) == 1:
-        return _episode_residual_cost(ops, episodes[0])
-    with ThreadPoolExecutor(max_workers=min(8, len(episodes))) as pool:
-        parts = list(pool.map(lambda ep: _episode_residual_cost(ops, ep), episodes))
-    return float(sum(parts))
-
-
-@dataclass(frozen=True)
-class _OperatorDerivatives:
-    """Parameter derivatives of the discrete-time operator blocks.
-
-    Leading axis runs over the active parameters in packed order.
-    """
-
-    names: tuple[str, ...]
-    d_ahat: np.ndarray   # (n_par, ncells, nb, nb)
-    d_bhat: np.ndarray   # (n_par, ncells, nb)
-    d_p: np.ndarray      # (n_par, ncells); output derivative is d_p * trace0
+    kern = forward_model._spectral_kernels(grid.spatial, sys.qbar1, grid.tau,
+                                           _kernel_count(episodes))
+    mean = (sys.p * sys.qbar2) @ kern
+    total = 0.0
+    for ep in episodes:
+        resid = _residuals(mean, ep)
+        total += float(resid @ resid)
+    return total
 
 
 def _weight_derivative_stack(params: PopulationParams, grid: DiscretizationGrid,
@@ -151,74 +147,20 @@ def _weight_derivative_stack(params: PopulationParams, grid: DiscretizationGrid,
     return names, np.stack(stacks)  # (n_par, 3, ncells)
 
 
-def _operator_derivatives(params: PopulationParams, grid: DiscretizationGrid,
-                          sys: forward_model.DiscreteSystem,
-                          ops: forward_model.DiscreteTimeOps,
-                          weights: density.CellWeights,
-                          fit_lower: bool) -> _OperatorDerivatives:
-    names, dw = _weight_derivative_stack(params, grid, weights, fit_lower)
-    n_par = len(names)
-    nc = sys.n_cells
-    nb = sys.block_size
-    gram = grid.spatial.gram
-    minv_s = np.linalg.solve(gram.mass, gram.stiffness)
-    minv_t1 = np.linalg.solve(gram.mass, gram.trace1)
-    a_blocks = forward_model._cell_generators(sys)
-
+def _mean_kernel_derivatives(sys: forward_model.DiscreteSystem,
+                             dw: np.ndarray, kern: np.ndarray,
+                             dkern: np.ndarray) -> np.ndarray:
+    """d h_l / d theta, shape (n_par, count), for the population kernel
+    h = sum_c w2_c g(w1_c / p_c) with g the unit-gain cell kernel and dw the
+    weight derivative stack."""
     d_p, d_w1, d_w2 = dw[:, 0, :], dw[:, 1, :], dw[:, 2, :]
     # zero-mass cells contribute nothing and their weight derivatives have
     # underflowed with them; freeze their conditional means
     alive = sys.p > 0.0
-    safe_p = np.where(alive, sys.p, 1.0)
-    d_qbar1 = np.where(alive, (d_w1 - sys.qbar1[None, :] * d_p) / safe_p, 0.0)
-    d_qbar2 = np.where(alive, (d_w2 - sys.qbar2[None, :] * d_p) / safe_p, 0.0)
-    d_p = np.where(alive, d_p, 0.0)
-    # dA_c = -dqbar1 * M^{-1} S for every parameter
-    d_a = -d_qbar1[:, :, None, None] * minv_s[None, None, :, :]
-
-    # top-right block of exp(tau [[A, dA], [0, A]]) is the flow-map derivative
-    big = np.zeros((n_par, nc, 2 * nb, 2 * nb))
-    big[:, :, :nb, :nb] = a_blocks[None]
-    big[:, :, nb:, nb:] = a_blocks[None]
-    big[:, :, :nb, nb:] = d_a
-    d_ahat = expm(ops.tau * big.reshape(n_par * nc, 2 * nb, 2 * nb))[
-        :, :nb, nb:].reshape(n_par, nc, nb, nb)
-
-    mb = sys.qbar2[:, None] * minv_t1[None, :]
-    d_mb = d_qbar2[:, :, None] * minv_t1[None, None, :]
-    ahat_minus_i = ops.ahat - np.eye(nb)[None]
-    rhs = (np.einsum("pcij,cj->pci", d_ahat, mb)
-           + np.einsum("cij,pcj->pci", ahat_minus_i, d_mb)
-           - np.einsum("pcij,cj->pci", d_a, ops.bhat))
-    d_bhat = np.linalg.solve(a_blocks[None], rhs[..., None])[..., 0]
-    return _OperatorDerivatives(names=names, d_ahat=d_ahat, d_bhat=d_bhat, d_p=d_p)
-
-
-def _episode_gradient_terms(ops: forward_model.DiscreteTimeOps,
-                            dops: _OperatorDerivatives,
-                            ep: Episode) -> tuple[float, np.ndarray]:
-    u = ep.u[:-1]
-    states, y = forward_model.state_trajectory(ops, u)
-    steps = u.size
-    rvec = np.zeros(steps + 1)
-    resid = y[ep.fit_indices - 1] - ep.y[ep.fit_indices]
-    rvec[ep.fit_indices] = resid
-    ep_cost = float(resid @ resid)
-
-    # adjoint sweep: lam_j = Ahat^T lam_{j+1} + 2 r_j C^T, run down from steps
-    nc, nb = ops.bhat.shape
-    lams = np.zeros((steps + 1, nc, nb))
-    lam = np.zeros((nc, nb))
-    for j in range(steps, 0, -1):
-        lam = np.einsum("cji,cj->ci", ops.ahat, lam) + 2.0 * rvec[j] * ops.c_out
-        lams[j] = lam
-
-    term_a = np.einsum("jci,pcik,jck->p", lams[1:], dops.d_ahat, states[:-1])
-    term_b = np.einsum("jci,pci,j->p", lams[1:], dops.d_bhat, u)
-    # output operator depends on the parameters through the cell masses only
-    tx = states[1:, :, 0]  # left-endpoint trace of each cell state
-    term_c = np.einsum("j,pc,jc->p", 2.0 * rvec[1:], dops.d_p, tx)
-    return ep_cost, term_a + term_b + term_c
+    d_gain = np.where(alive, d_w2, 0.0)
+    # p * qbar2 * d qbar1, with p * d qbar1 = d w1 - qbar1 * d p
+    d_diffusivity = np.where(alive, sys.qbar2 * (d_w1 - sys.qbar1 * d_p), 0.0)
+    return d_gain @ kern + d_diffusivity @ dkern
 
 
 def cost_and_gradient(params: PopulationParams, episodes: list[Episode],
@@ -229,16 +171,22 @@ def cost_and_gradient(params: PopulationParams, episodes: list[Episode],
     grid = grid.rebind(params)
     weights = density.moment_weights(params, grid.pm1, grid.pm2, order=order)
     sys = forward_model.assemble_from_weights(weights, grid)
-    ops = forward_model.discrete_time(sys)
-    dops = _operator_derivatives(params, grid, sys, ops, weights, fit_lower)
-    if len(episodes) == 1:
-        results = [_episode_gradient_terms(ops, dops, episodes[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=min(8, len(episodes))) as pool:
-            results = list(pool.map(
-                lambda ep: _episode_gradient_terms(ops, dops, ep), episodes))
-    total = float(sum(c for c, _ in results))
-    grad = np.sum([g for _, g in results], axis=0)
+    kern, dkern = forward_model._spectral_kernel_derivatives(
+        grid.spatial, sys.qbar1, grid.tau, _kernel_count(episodes))
+    mean = (sys.p * sys.qbar2) @ kern
+    _, dw = _weight_derivative_stack(params, grid, weights, fit_lower)
+    d_mean = _mean_kernel_derivatives(sys, dw, kern, dkern)
+    total = 0.0
+    grad = np.zeros(d_mean.shape[0])
+    for ep in episodes:
+        u = ep.u[:-1]
+        resid = _residuals(mean, ep)
+        total += float(resid @ resid)
+        rvec = np.zeros(u.size)
+        rvec[ep.fit_indices - 1] = resid
+        # d cost / d h_l = 2 sum_k r_k u_{k-l}: residuals correlated with u
+        corr = np.convolve(rvec[::-1], u)[:u.size][::-1]
+        grad += 2.0 * (d_mean[:, :u.size] @ corr)
     return total, grad
 
 
@@ -276,14 +224,14 @@ def fit_episode_deterministic(ep: Episode, grid: DiscretizationGrid,
     it usually means the TAC channel carries no usable signal.
     """
     _check_episodes([ep], grid)
-    u = ep.u[:-1]
+    count = _kernel_count([ep])
 
     def objective(q):
         if not (0.0 < q[0] <= q_max and 0.0 < q[1] <= q_max):
             return math.inf
-        det = forward_model.deterministic_ops(q, grid.spatial, grid.tau)
-        y = forward_model.simulate_deterministic(det, u)
-        resid = y[ep.fit_indices - 1] - ep.y[ep.fit_indices]
+        kern = q[1] * forward_model._spectral_kernels(grid.spatial, q[0],
+                                                      grid.tau, count)
+        resid = _residuals(kern, ep)
         return float(resid @ resid)
 
     best = None
@@ -337,6 +285,7 @@ class FitResult:
     n_iter: int
     message: str
     fit_lower: bool
+    failed_evals: int = 0   # evaluations that raised and were scored inf
     log: list[dict] = field(default_factory=list)
     per_episode: list[DeterministicFit] = field(default_factory=list)
 
@@ -350,6 +299,7 @@ class FitResult:
                     "event": "done", "cost": self.cost,
                     "grad_norm": self.grad_norm, "converged": self.converged,
                     "iterations": self.n_iter, "message": self.message,
+                    "failed_evals": self.failed_evals,
                 }) + "\n")
 
 
@@ -395,12 +345,16 @@ def fit_population(episodes: list[Episode], grid: DiscretizationGrid,
     fixed_a = init.a.copy()
     log: list[dict] = []
     cache: dict[str, object] = {}
+    failed = 0
+    last = perf_counter()
 
     def objective(theta):
+        nonlocal failed
         try:
             params = unpack_theta(theta, fixed_a, fit_lower)
             val, grad = cost_and_gradient(params, episodes, grid, fit_lower, order)
         except (ParameterError, NumericalError, np.linalg.LinAlgError):
+            failed += 1
             return math.inf, np.zeros_like(theta)
         cache["theta"] = theta.copy()
         cache["val"] = val
@@ -408,11 +362,15 @@ def fit_population(episodes: list[Episode], grid: DiscretizationGrid,
         return val, grad
 
     def callback(xk):
+        nonlocal last
+        now = perf_counter()
         val = cache.get("val", math.nan)
         grad = cache.get("grad")
         pg = _projected_grad_norm(xk, grad, bounds) if grad is not None else math.nan
         log.append({"event": "iterate", "iteration": len(log), "cost": val,
-                    "projected_grad": pg, "theta": np.asarray(xk).tolist()})
+                    "projected_grad": pg, "theta": np.asarray(xk).tolist(),
+                    "seconds": now - last})
+        last = now
         if grad is not None and np.all(cache["theta"] == xk) \
                 and pg <= tol * (1.0 + val):
             raise StopIteration
@@ -428,9 +386,11 @@ def fit_population(episodes: list[Episode], grid: DiscretizationGrid,
         pg = _projected_grad_norm(theta, grad, bounds)
         converged = pg <= tol * (1.0 + val)
     except (ParameterError, NumericalError, np.linalg.LinAlgError):
+        failed += 1
         val = math.inf
         pg = math.inf
         converged = False
     return FitResult(params=params, cost=val, grad_norm=pg, converged=converged,
                      n_iter=int(res.nit), message=str(res.message),
-                     fit_lower=fit_lower, log=log, per_episode=per_episode)
+                     fit_lower=fit_lower, failed_evals=failed, log=log,
+                     per_episode=per_episode)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from tdalc import forward_model
 from tdalc.density import PopulationParams, moment_weights
@@ -171,3 +172,42 @@ class TestDeterministic:
         y1 = forward_model.simulate_deterministic(det1, u)
         y2 = forward_model.simulate_deterministic(det2, u)
         assert np.allclose(y2, 2.0 * y1, atol=1e-13)
+
+
+def _expm_reference(q, mesh, tau, u):
+    """Kernels and outputs of the single-subject zero-order-hold recursion,
+    built from scipy's expm and a time-stepping loop."""
+    gram = mesh.gram
+    a = np.linalg.solve(gram.mass, -(gram.boundary0 + q[0] * gram.stiffness))
+    ahat = expm(tau * a)
+    bhat = np.linalg.solve(a, (ahat - np.eye(mesh.basis_size))
+                           @ (q[1] * np.linalg.solve(gram.mass, gram.trace1)))
+    kern = np.zeros(u.size)
+    y = np.zeros(u.size)
+    v = bhat.copy()
+    x = np.zeros(mesh.basis_size)
+    for j in range(u.size):
+        kern[j] = gram.trace0 @ v
+        v = ahat @ v
+        x = ahat @ x + bhat * u[j]
+        y[j] = gram.trace0 @ x
+    return kern, y
+
+
+class TestSpectralDeterministic:
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("q2", [0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("q1", [0.05, 0.62, 8.0])
+    def test_matches_expm_recursion(self, q1, q2, n):
+        mesh = SpatialMesh(n)
+        u = pulse(200)
+        ref_kern, ref_y = _expm_reference((q1, q2), mesh, 1.0, u)
+        det = forward_model.deterministic_ops((q1, q2), mesh, 1.0)
+        kern = forward_model.deterministic_kernels(det, u.size)
+        y = forward_model.simulate_deterministic(det, u)
+        assert np.max(np.abs(kern - ref_kern)) <= 1e-12 * np.max(np.abs(ref_kern))
+        assert np.max(np.abs(y - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
+
+    def test_empty_input(self):
+        det = forward_model.deterministic_ops((0.62, 1.0), SpatialMesh(4), 1.0)
+        assert forward_model.simulate_deterministic(det, np.zeros(0)).shape == (0,)

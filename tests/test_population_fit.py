@@ -4,8 +4,9 @@ import pytest
 from tdalc import forward_model
 from tdalc.data_io import build_episode
 from tdalc.density import PopulationParams
-from tdalc.errors import ConfigurationError
+from tdalc.errors import ConfigurationError, NumericalError, ParameterError
 from tdalc.grid_basis import DiscretizationGrid, SpatialMesh
+from tdalc import population_fit
 from tdalc.population_fit import (cost, cost_and_gradient,
                                   fit_episode_deterministic, fit_population,
                                   initial_guess, pack_theta, unpack_theta)
@@ -81,6 +82,25 @@ class TestCost:
             cost(p, eps, half)
 
 
+def fd_gradient_mismatch(probe, eps, grid, fit_lower=False):
+    """Largest relative gap between cost_and_gradient and central
+    differences of cost, with components below 1e-6 of the gradient's sup
+    norm floored as numerically zero."""
+    _, g = cost_and_gradient(probe, eps, grid, fit_lower=fit_lower)
+    theta = pack_theta(probe, fit_lower)
+    floor = 1e-6 * float(np.abs(g).max())
+    worst = 0.0
+    for j in range(theta.size):
+        h = 1e-5 * (1.0 + abs(theta[j]))
+        tp, tm = theta.copy(), theta.copy()
+        tp[j] += h
+        tm[j] -= h
+        fd = (cost(unpack_theta(tp, probe.a, fit_lower), eps, grid)
+              - cost(unpack_theta(tm, probe.a, fit_lower), eps, grid)) / (2.0 * h)
+        worst = max(worst, abs(g[j] - fd) / max(abs(fd), abs(g[j]), floor))
+    return worst
+
+
 class TestGradient:
     def test_matches_finite_differences(self):
         p = make_params()
@@ -102,6 +122,44 @@ class TestGradient:
                   - cost(unpack_theta(tm, probe.a), eps, grid)) / (2.0 * h)
             rel = abs(g[j] - fd) / max(abs(fd), abs(g[j]), floor)
             assert rel < 1e-4, f"component {j}: adjoint {g[j]}, fd {fd}"
+
+
+    def test_dead_cells_masked(self):
+        # a tight law leaves the tail cells with underflowed (zero) mass;
+        # centred on a cell corner, its spread still moves the cost
+        p = make_params()
+        grid = DiscretizationGrid.from_params(p)
+        eps = episodes_from(p, grid)
+        tight = PopulationParams(a=p.a, b=(1.5, 2.0), mu=(0.75, 1.0),
+                                 sigma=((1e-4, 2e-5), (2e-5, 1e-4)))
+        sys = forward_model.assemble(tight, grid.rebind(tight))
+        assert np.any(sys.p == 0.0)
+        assert fd_gradient_mismatch(tight, eps, grid) < 1e-4
+
+    def test_fit_lower(self):
+        p = make_params()
+        grid = DiscretizationGrid.from_params(p)
+        eps = episodes_from(p, grid)
+        probe = PopulationParams(a=(0.05, 0.1), b=(1.4, 1.9), mu=(0.7, 0.95),
+                                 sigma=((0.05, 0.004), (0.004, 0.07)))
+        assert fd_gradient_mismatch(probe, eps, grid, fit_lower=True) < 1e-4
+
+    def test_cost_matches_recursion(self):
+        p = make_params()
+        grid = DiscretizationGrid.from_params(p)
+        eps = episodes_from(p, grid, n=3)
+        probe = PopulationParams(a=p.a, b=(1.4, 1.9), mu=(0.7, 0.95),
+                                 sigma=((0.05, 0.004), (0.004, 0.07)))
+        ops = forward_model.discrete_time(
+            forward_model.assemble(probe, grid.rebind(probe)))
+        ref = 0.0
+        for ep in eps:
+            y = forward_model.simulate(ops, ep.u[:-1])
+            resid = y[ep.fit_indices - 1] - ep.y[ep.fit_indices]
+            ref += float(resid @ resid)
+        assert abs(cost(probe, eps, grid) - ref) <= 1e-12 * ref
+        total, _ = cost_and_gradient(probe, eps, grid)
+        assert abs(total - ref) <= 1e-12 * ref
 
 
 class TestDeterministicFit:
@@ -182,3 +240,38 @@ class TestFitPopulation:
         assert np.allclose(reloaded.mu, res.params.mu)
         lines = (tmp_path / "log.jsonl").read_text().strip().splitlines()
         assert lines
+
+    def test_failed_evaluations_counted(self, tmp_path, monkeypatch):
+        p = make_params()
+        grid = DiscretizationGrid.from_params(p)
+        eps = episodes_from(p, grid)
+        real = population_fit.cost_and_gradient
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericalError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(population_fit, "cost_and_gradient", flaky)
+        res = fit_population(eps, grid, init=p, max_iter=3, tol=1e-16)
+        assert res.failed_evals == 1
+        res.save(tmp_path / "rho.json", tmp_path / "log.jsonl")
+        import json
+        records = [json.loads(ln) for ln in
+                   (tmp_path / "log.jsonl").read_text().splitlines()]
+        assert records[-1]["event"] == "done"
+        assert records[-1]["failed_evals"] == 1
+        iterates = [r for r in records if r["event"] == "iterate"]
+        assert iterates and all(r["seconds"] >= 0.0 for r in iterates)
+
+    def test_cost_and_gradient_raises(self):
+        # the fit scores failures as inf; the evaluation itself must raise
+        p = make_params()
+        grid = DiscretizationGrid.from_params(p)
+        eps = episodes_from(p, grid)
+        bad = PopulationParams(a=(-2.0, 0.0), b=(1.5, 2.0), mu=(-1.5, 1.0),
+                               sigma=((0.04, 0.0), (0.0, 0.09)))
+        with pytest.raises((NumericalError, ParameterError)):
+            cost_and_gradient(bad, eps, grid)
