@@ -9,7 +9,8 @@ stats CURVE.csv      clinical statistics of a BrAC curve file
 
 Exit codes: 0 success, 2 usage or configuration problem, 3 numerical
 non-convergence.  On exit 3 the artifacts computed so far are still written;
-the message on stderr names what failed to converge.
+the message on stderr names what failed to converge.  The deconvolve
+``meta.json`` also lists the RuntimeWarning texts raised during the command.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment.  Any
 flag with the same name overrides the config value.  All randomness in a
@@ -22,8 +23,10 @@ directly, so equal seeds give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +170,32 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+# dedupes re-emitted warnings under the default filter action, as the
+# registry of the module that raised them would
+_REEMIT_REGISTRY: dict = {}
+
+
+@contextlib.contextmanager
+def _recorded_warnings():
+    """Record every warning raised in the block and re-emit each on exit,
+    so the caller's filters (stderr, a recorder) still see them."""
+    caught: list = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            yield caught
+    finally:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename,
+                                   w.lineno, registry=_REEMIT_REGISTRY)
+
+
 def cmd_deconvolve(args) -> int:
+    with _recorded_warnings() as caught:
+        return _deconvolve(args, caught)
+
+
+def _deconvolve(args, caught: list) -> int:
     params = load_params(args.rho)
     episode = parse_episode(args.tac, tau=args.tau)
     grid = DiscretizationGrid.from_params(params, n=args.n, m1=args.m1,
@@ -218,7 +246,11 @@ def cmd_deconvolve(args) -> int:
             "alpha": args.alpha, "samples": args.samples, "seed": args.seed,
             "converged": bool(result.converged),
             "residual": float(result.residual),
-            "nnls_iterations": int(result.nnls.iterations)}
+            "nnls_iterations": int(result.nnls.iterations),
+            "band_dropped": int(band.dropped),
+            "warnings": list(dict.fromkeys(
+                str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)))}
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n",
                          encoding="ascii")
     print(f"wrote {curve_path}, {stats_path}, {meta_path}")

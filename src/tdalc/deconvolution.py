@@ -6,14 +6,17 @@ time alone (the ``scalar`` variant, a single input common to all parameter
 values).  Writing the discrete model as a convolution with its impulse
 kernels turns the TAC fidelity term into a linear least-squares block; the
 penalty  r1 * \\int ||u||^2 + r2 * \\int ||u'||^2  contributes a second block
-through a positive-semidefinite square root.  The resulting stacked problem
-is solved under a nonnegativity constraint by an active-set method.
+through a positive-semidefinite square root, block diagonal over the
+parameter cells.  The resulting stacked problem is solved under a
+nonnegativity constraint by an active-set method.
 
 Only the penalty depends on (r1, r2).  The weight search therefore builds
 each training episode's kernels, design, temporal matrices and cell masses
 once, rebuilds only the penalty per candidate (r1, r2), and warm-starts each
 active-set solve from that episode's previous solution.  ``deconvolve`` is
-the same solve at one (r1, r2), started from zero.
+the same solve at one (r1, r2), started from zero.  The single-subject
+problem likewise takes its time mesh and penalty root from a cache, so a
+band's many solves on one TAC differ only in their kernel.
 
 Column ordering of the tq design follows the global convention: temporal
 index fastest, then the first parameter cell index, then the second.
@@ -21,11 +24,13 @@ index fastest, then the first parameter cell index, then the second.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import toeplitz
+from scipy.linalg.blas import dtpsv
 from scipy.optimize import minimize
 
 from .data_io import Episode
@@ -68,7 +73,7 @@ class DeconvolutionProblem:
     time_mesh: TimeMesh
     sample: np.ndarray        # grid evaluation of the temporal basis, K x m
     design: np.ndarray        # TAC model rows, K x n_cols
-    penalty_sqrt: np.ndarray  # n_cols x n_cols
+    penalty_sqrt: np.ndarray  # diagonal blocks of the penalty root, cells x m x m
     r1: float
     r2: float
     cell_masses: np.ndarray | None   # None in the scalar variant
@@ -81,7 +86,14 @@ class DeconvolutionProblem:
 
     @property
     def stacked(self) -> np.ndarray:
-        return np.vstack([self.design, self.penalty_sqrt])
+        """Design rows over the block-diagonal penalty root."""
+        n_grid, m = self.tac.size, self.time_mesh.m
+        out = np.zeros((n_grid + self.n_cols, self.n_cols))
+        out[:n_grid] = self.design
+        for c, block in enumerate(self.penalty_sqrt):
+            rows = slice(n_grid + c * m, n_grid + (c + 1) * m)
+            out[rows, c * m:(c + 1) * m] = block
+        return out
 
     @property
     def target(self) -> np.ndarray:
@@ -110,12 +122,13 @@ def _snap_regs(r1: float, r2: float) -> tuple[float, float]:
 
 def _penalty_sqrt(g0: np.ndarray, g1: np.ndarray, masses: np.ndarray | None,
                   r1: float, r2: float) -> np.ndarray:
+    """Diagonal blocks of the penalty root, one per cell (one in the scalar
+    variant).  The penalty of the tensor basis factorizes into cell masses
+    times the temporal quadratic form, so it is cell-block diagonal."""
     reg_small = sqrtm_psd(r1 * g0 + r2 * g1)
     if masses is None:
-        return reg_small
-    # penalty of the tensor basis factorizes: cell masses times the
-    # temporal quadratic form, cell-block diagonal
-    return np.kron(np.diag(np.sqrt(masses)), reg_small)
+        return reg_small[None]
+    return np.sqrt(masses)[:, None, None] * reg_small
 
 
 def build_problem(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
@@ -171,13 +184,84 @@ class NnlsResult:
     residual: float
 
 
+#: a column whose pivot d^2 falls below this fraction of its Gram diagonal
+#: is numerically dependent on the passive columns: the factor breaks down
+_BREAKDOWN = 1e-14
+
+
+class _PassiveFactor:
+    """Upper Cholesky factor R of the Gram restricted to the passive
+    variables, R^T R = G[order][:, order], packed by columns.
+
+    Column j of R (rows 0..j) is stored right after column j - 1, so adding
+    a variable appends one column at O(k^2) cost and the storage grows with
+    the passive set.  ``order`` is None while the factor is invalid: after a
+    breakdown or a dropped variable, until ``reset`` factors afresh.
+    """
+
+    def __init__(self, gram: np.ndarray):
+        self.gram = gram
+        self.order: list[int] | None = []
+        self.packed = np.empty(0)
+        self.used = 0
+
+    def _append(self, column: np.ndarray) -> None:
+        end = self.used + column.size
+        if end > self.packed.size:
+            grown = np.empty(max(2 * self.packed.size, end))
+            grown[:self.used] = self.packed[:self.used]
+            self.packed = grown
+        self.packed[self.used:end] = column
+        self.used = end
+
+    def reset(self, idx: np.ndarray) -> None:
+        """Factor the Gram of the passive set ``idx`` afresh."""
+        sub = self.gram[np.ix_(idx, idx)]
+        try:
+            low = np.linalg.cholesky(sub)
+        except np.linalg.LinAlgError:
+            self.order = None
+            return
+        if np.any(np.diag(low) ** 2 <= _BREAKDOWN * np.diag(sub)):
+            self.order = None
+            return
+        # row i of the lower factor is column i of R
+        self.used = 0
+        self._append(low[np.tril_indices(idx.size)])
+        self.order = idx.tolist()
+
+    def add(self, j: int) -> None:
+        """Extend the factor by variable j, or invalidate it on breakdown."""
+        k = len(self.order)
+        col = np.empty(k + 1)
+        if k:
+            col[:k] = dtpsv(k, self.packed, self.gram[self.order, j], trans=1)
+        d2 = self.gram[j, j] - col[:k] @ col[:k]
+        if not d2 > _BREAKDOWN * self.gram[j, j]:
+            self.order = None
+            return
+        col[k] = np.sqrt(d2)
+        self._append(col)
+        self.order.append(j)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solution of G[order][:, order] z = rhs."""
+        k = len(self.order)
+        return dtpsv(k, self.packed, dtpsv(k, self.packed, rhs, trans=1))
+
+
 def nnls(a: np.ndarray, b: np.ndarray, tol: float | None = None,
          max_iter: int | None = None, x0: np.ndarray | None = None) -> NnlsResult:
     """Lawson-Hanson active-set method for min ||a x - b|| s.t. x >= 0.
 
-    Runs on the normal equations with fresh solves per passive set, which is
-    robust at the problem sizes used here.  ``tol`` bounds the admissible
-    dual (KKT) violation and defaults to 1e-9 times the norm of a^T b.
+    Runs on the normal equations.  The passive-set systems are solved on an
+    upper Cholesky factor of the passive Gram that grows by one column per
+    added variable (Lawson and Hanson, 1974, ch. 23); after a variable drops,
+    or when an added column is numerically dependent on the passive ones,
+    that step solves the passive system afresh (LU, least squares if it is
+    singular), and the factor is rebuilt at the next added variable.
+    ``tol`` bounds the admissible dual (KKT) violation and defaults to 1e-9
+    times the norm of a^T b.
 
     ``x0`` warm-starts the method from any nonnegative point, typically the
     solution of a nearby problem: the passive set starts as x0 > 0 and the
@@ -211,30 +295,35 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float | None = None,
 
     passive = x > 0.0
     iterations = 0
-    best_obj = btb - 2.0 * f @ x + x @ gram @ x
+    gx = gram @ x       # of the current iterate: dual and objective
+    best_obj = btb - 2.0 * f @ x + x @ gx
     best_x = x.copy()
     converged = False
+    factor = _PassiveFactor(gram)
 
-    def solve_passive(idx: np.ndarray) -> np.ndarray:
+    def solve_passive() -> tuple[np.ndarray, np.ndarray]:
+        if factor.order is not None:
+            idx = np.array(factor.order, dtype=np.intp)
+            return idx, factor.solve(f[idx])
+        idx = np.flatnonzero(passive)
         sub = gram[np.ix_(idx, idx)]
         try:
-            return np.linalg.solve(sub, f[idx])
+            return idx, np.linalg.solve(sub, f[idx])
         except np.linalg.LinAlgError:
-            return np.linalg.lstsq(a[:, idx], b, rcond=None)[0]
+            return idx, np.linalg.lstsq(a[:, idx], b, rcond=None)[0]
 
     def descend() -> None:
         """Move from the feasible x toward the passive set's unconstrained
         solution, dropping variables that reach zero on the way, until
         that solution is strictly positive or the cap is hit."""
-        nonlocal x, passive, iterations
+        nonlocal x, passive, iterations, gx
         while True:
             iterations += 1
-            idx = np.flatnonzero(passive)
-            z = solve_passive(idx)
+            idx, z = solve_passive()
             if np.all(z > 0.0):
                 x = np.zeros(n)
                 x[idx] = z
-                return
+                break
             xp = x[idx]
             neg = z <= 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -245,34 +334,41 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float | None = None,
             x = np.zeros(n)
             x[idx] = np.maximum(xp, 0.0)
             passive = x > 0.0
+            factor.order = None
             if iterations >= max_iter:
-                return
+                break
+        gx = gram @ x
 
     def record_best() -> None:
         nonlocal best_obj, best_x
-        obj = btb - 2.0 * f @ x + x @ gram @ x
+        obj = btb - 2.0 * f @ x + x @ gx
         if obj < best_obj:
             best_obj = obj
             best_x = x.copy()
 
     if np.any(passive) and max_iter > 0:
+        factor.reset(np.flatnonzero(passive))
         descend()
         record_best()
     while iterations < max_iter:
         if not np.any(~passive):
             converged = True
             break
-        w_free = np.where(passive, -np.inf, f - gram @ x)
+        w_free = np.where(passive, -np.inf, f - gx)
         j = int(np.argmax(w_free))
         if w_free[j] <= tol:
             converged = True
             break
         passive[j] = True
+        if factor.order is None:
+            factor.reset(np.flatnonzero(passive))
+        else:
+            factor.add(j)
         descend()
         record_best()
 
     if not converged:
-        final_obj = btb - 2.0 * f @ x + x @ gram @ x
+        final_obj = btb - 2.0 * f @ x + x @ gx
         if best_obj < final_obj:
             x = best_x
         warnings.warn("nnls hit the iteration cap; returning best feasible "
@@ -344,26 +440,40 @@ def deconvolve(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
                                nnls=sol, time_mesh=problem.time_mesh)
 
 
+@functools.lru_cache(maxsize=8)
+def _single_subject_parts(n_grid: int, tau: float, r1: float, r2: float,
+                          m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of a single-subject problem fixed by (r1, r2, m, horizon,
+    tau): the temporal basis sampled on the grid (K x m) and the penalty
+    root (m x m).  Both are cached, so both are read-only."""
+    tm = TimeMesh(m, (n_grid - 1) * tau, tau)
+    g0, g1, sample = temporal_basis_matrices(tm)
+    penalty = sqrtm_psd(r1 * g0 + r2 * g1)
+    for arr in (sample, penalty):
+        arr.setflags(write=False)
+    return sample, penalty
+
+
 def deconvolve_deterministic(det: DeterministicOps, tac: np.ndarray,
-                             r1: float, r2: float,
-                             m: int | None = None) -> tuple[np.ndarray, NnlsResult]:
+                             r1: float, r2: float, m: int | None = None,
+                             x0: np.ndarray | None = None
+                             ) -> tuple[np.ndarray, NnlsResult]:
     """Single-subject deconvolution at a fixed parameter pair.
 
-    Returns the reconstructed input on the tau grid plus the solver result.
+    Returns the reconstructed input on the tau grid plus the solver result;
+    ``x0`` warm-starts the solver from nonnegative basis coefficients, such
+    as ``sol.x`` of a nearby parameter pair on the same TAC.
     """
     r1, r2 = _snap_regs(r1, r2)
     tac = np.asarray(tac, dtype=float)
     n_grid = tac.size
-    horizon = (n_grid - 1) * det.tau
     if m is None:
-        m = default_basis_count(horizon)
-    tm = TimeMesh(m, horizon, det.tau)
-    g0, g1, sample = temporal_basis_matrices(tm)
+        m = default_basis_count((n_grid - 1) * det.tau)
+    sample, penalty = _single_subject_parts(n_grid, det.tau, r1, r2, m)
     kern = deterministic_kernels(det, n_grid - 1)
-    design = _toeplitz_design(kern, n_grid) @ sample
-    stacked = np.vstack([design, sqrtm_psd(r1 * g0 + r2 * g1)])
+    stacked = np.vstack([_toeplitz_design(kern, n_grid) @ sample, penalty])
     target = np.concatenate([tac, np.zeros(m)])
-    sol = nnls(stacked, target)
+    sol = nnls(stacked, target, x0=x0)
     return sample @ sol.x, sol
 
 

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from tdalc import cli
 from tdalc.cli import main, read_config
 from tdalc.density import PopulationParams, load_params, save_params
 from tdalc.errors import ConfigurationError
@@ -160,6 +162,27 @@ class TestDeconvolve:
         meta = json.loads((prefix.parent / "res.meta.json").read_text())
         assert meta["r1"] == 1e-3 and meta["variant"] == "tq"
         assert meta["converged"] is True
+
+    def test_meta_records_band_drops_and_warnings(self, sim_dir, tmp_path,
+                                                  monkeypatch):
+        rho = write_rho(tmp_path / "rho.params")
+        solve = cli.deconvolve
+
+        def warning_solve(*args, **kwargs):
+            warnings.warn("solver note for the record", RuntimeWarning)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "deconvolve", warning_solve)
+        prefix = tmp_path / "sc"
+        with pytest.warns(RuntimeWarning, match="solver note for the record"):
+            rc = main(["deconvolve", str(sim_dir / "synth-000.csv"),
+                       "--rho", str(rho), "--r1", "1e-3", "--r2", "1e-3",
+                       "--variant", "scalar", "--samples", "60",
+                       "--out-prefix", str(prefix)])
+        assert rc == 0
+        meta = json.loads((tmp_path / "sc.meta.json").read_text())
+        assert meta["band_dropped"] == 0
+        assert meta["warnings"] == ["solver note for the record"]
 
     def test_tac_only_leaves_measured_blank(self, sim_dir, tmp_path):
         rho = write_rho(tmp_path / "rho.params")

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tdalc import forward_model
+from tdalc import deconvolution, forward_model
 from tdalc.data_io import build_episode
 from tdalc.deconvolution import (SearchEpisode, build_problem, deconvolve,
                                  deconvolve_deterministic,
@@ -12,7 +12,8 @@ from tdalc.deconvolution import (SearchEpisode, build_problem, deconvolve,
                                  write_result_csv)
 from tdalc.density import PopulationParams
 from tdalc.errors import ConfigurationError, NumericalError
-from tdalc.grid_basis import DiscretizationGrid, SpatialMesh
+from tdalc.grid_basis import (DiscretizationGrid, SpatialMesh,
+                              temporal_basis_matrices)
 
 
 def make_params():
@@ -162,6 +163,37 @@ class TestNnls:
         with pytest.raises(ConfigurationError):
             nnls(np.eye(3), np.ones(3), x0=np.array(x0))
 
+    def test_tq_problem_on_8x8_cells(self):
+        ops = make_ops(m1=8, m2=8)
+        prob = build_problem(ops, make_tac(ops, pulse(163)), 1e-3, 1e-3)
+        a, b = prob.stacked, prob.target
+        assert a.shape[1] == 64 * prob.time_mesh.m
+        res = nnls(a, b)
+        assert res.converged
+        assert scaled_kkt(a, b, res.x) <= 1e-8
+
+    def test_duplicated_columns_fall_back(self, monkeypatch):
+        # a passive set holding a column twice has a singular Gram: the
+        # factor breaks down and the passive solves fall back
+        breakdowns = []
+        reset = deconvolution._PassiveFactor.reset
+
+        def spy(factor, idx):
+            reset(factor, idx)
+            breakdowns.append(factor.order is None)
+
+        monkeypatch.setattr(deconvolution._PassiveFactor, "reset", spy)
+        rng = np.random.default_rng(23)
+        base = rng.standard_normal((40, 6))
+        a = np.hstack([base, base[:, :3]])
+        b = rng.standard_normal(40)
+        for x0 in (None, rng.random(9) + 0.1):
+            res = nnls(a, b, x0=x0)
+            assert res.converged
+            assert np.all(res.x >= 0.0)
+            assert scaled_kkt(a, b, res.x) <= 1e-8
+        assert any(breakdowns)
+
 
 class TestBuildProblem:
     def test_negative_regularization_rejected(self):
@@ -182,6 +214,20 @@ class TestBuildProblem:
         tac = np.zeros(61)
         with pytest.raises(NumericalError):
             build_problem(dead, tac, 0.1, 0.1)
+
+    def test_block_penalty_stacks_as_kron(self):
+        ops = make_ops()
+        tac = make_tac(ops, pulse(121))
+        prob = build_problem(ops, tac, 2e-3, 5e-2)
+        m = prob.time_mesh.m
+        assert prob.penalty_sqrt.shape == (16, m, m)
+        g0, g1, _ = temporal_basis_matrices(prob.time_mesh)
+        dense = np.kron(np.diag(np.sqrt(prob.cell_masses)),
+                        sqrtm_psd(2e-3 * g0 + 5e-2 * g1))
+        assert np.array_equal(prob.stacked, np.vstack([prob.design, dense]))
+        scalar = build_problem(ops, tac, 2e-3, 5e-2, variant="scalar")
+        assert np.array_equal(scalar.stacked, np.vstack(
+            [scalar.design, sqrtm_psd(2e-3 * g0 + 5e-2 * g1)]))
 
     def test_design_reproduces_forward_map(self):
         # the stacked design applied to exact input coefficients returns the
@@ -266,6 +312,22 @@ class TestDeconvolve:
         curve, sol = deconvolve_deterministic(det, tac, 1e-4, 1e-4)
         rel = np.linalg.norm(curve - u) / np.linalg.norm(u)
         assert rel < 0.10 and sol.converged
+
+    def test_deterministic_warm_start_matches_cold(self):
+        mesh = SpatialMesh(4)
+        u = pulse(181)
+        tac = np.concatenate([[0.0], forward_model.simulate_deterministic(
+            forward_model.deterministic_ops((0.62, 1.0), mesh, 1.0), u[:-1])])
+        _, start = deconvolve_deterministic(
+            forward_model.deterministic_ops((0.62, 1.0), mesh, 1.0), tac,
+            1e-3, 1e-3)
+        det = forward_model.deterministic_ops((0.7, 1.2), mesh, 1.0)
+        cold_curve, cold = deconvolve_deterministic(det, tac, 1e-3, 1e-3)
+        curve, warm = deconvolve_deterministic(det, tac, 1e-3, 1e-3,
+                                               x0=start.x)
+        assert warm.converged and warm.iterations < cold.iterations
+        assert np.max(np.abs(warm.x - cold.x)) <= 1e-10
+        assert np.max(np.abs(curve - cold_curve)) <= 1e-10
 
 
 class TestSelectRegularization:

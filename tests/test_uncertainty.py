@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tdalc import forward_model
+from tdalc import forward_model, uncertainty
 from tdalc.deconvolution import deconvolve, deconvolve_deterministic
 from tdalc.density import PopulationParams, credible_region_radius
 from tdalc.errors import ConfigurationError, NumericalError, SamplingError
@@ -121,6 +123,49 @@ class TestCredibleBandScalar:
                                  n_samples=25, seed=8)
         assert np.array_equal(a.lower, b.lower)
         assert np.array_equal(a.upper, b.upper)
+
+    @pytest.mark.parametrize("r1, r2", [(1e-3, 1e-3), (0.0, 1e-3)])
+    def test_equals_cold_envelope(self, r1, r2):
+        # criterion 10's law; the band warm-starts every kept sample from
+        # q = mu, the envelope here solves each one from zero
+        params = make_params()
+        _, tac, grid = make_result(k=181)
+        band = credible_band_scalar(tac, params, grid, r1, r2,
+                                    n_samples=200, seed=3)
+        curves = []
+        for q in kept_samples(params, 0.75, 200, 3):
+            det = forward_model.deterministic_ops(q, grid.spatial, grid.tau)
+            curve, sol = deconvolve_deterministic(det, tac, r1, r2)
+            assert sol.converged
+            curves.append(curve)
+        curves = np.array(curves)
+        tol = 1e-9 * float(np.max(curves))
+        assert band.dropped == 0
+        assert np.max(np.abs(band.lower - curves.min(axis=0))) <= tol
+        assert np.max(np.abs(band.upper - curves.max(axis=0))) <= tol
+
+    def test_capped_solves_dropped_and_counted(self, monkeypatch):
+        params = make_params()
+        _, tac, grid = make_result(k=181)
+        solve = uncertainty.deconvolve_deterministic
+        calls, curves = [], []
+
+        def every_tenth_capped(det, *args, **kwargs):
+            curve, sol = solve(det, *args, **kwargs)
+            calls.append(det.q)
+            if len(calls) % 10 == 0:
+                return curve, replace(sol, converged=False)
+            curves.append(curve)
+            return curve, sol
+
+        monkeypatch.setattr(uncertainty, "deconvolve_deterministic",
+                            every_tenth_capped)
+        band = credible_band_scalar(tac, params, grid, 1e-3, 1e-3,
+                                    n_samples=60, seed=5)
+        assert len(calls) == len(kept_samples(params, 0.75, 60, 5))
+        assert band.dropped == len(calls) // 10 > 0
+        assert np.array_equal(band.lower, np.min(curves, axis=0))
+        assert np.array_equal(band.upper, np.max(curves, axis=0))
 
 
 class TestBandOverlap:
