@@ -7,10 +7,10 @@ with credible bands and clinical summary statistics.
 """
 
 from .data_io import Episode, build_episode, parse_episode, write_episode
-from .deconvolution import (DeconvolutionResult, build_problem,
-                            deconvolve, deconvolve_deterministic,
-                            default_basis_count, nnls, select_regularization,
-                            write_result_csv)
+from .deconvolution import (DeconvolutionResult, RegularizationSearch,
+                            build_problem, deconvolve,
+                            deconvolve_deterministic, default_basis_count,
+                            nnls, select_regularization, write_result_csv)
 from .density import (PopulationParams, cell_masses, credible_region_radius,
                       load_params, moment_weights, pdf, sample, save_params)
 from .errors import (ConfigurationError, NumericalError, ParameterError,

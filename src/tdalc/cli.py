@@ -8,9 +8,14 @@ deconvolve TAC.csv   estimate BrAC from a TAC record, with band and stats
 stats CURVE.csv      clinical statistics of a BrAC curve file
 
 Exit codes: 0 success, 2 usage or configuration problem, 3 numerical
-non-convergence.  On exit 3 the artifacts computed so far are still written;
-the message on stderr names what failed to converge.  The deconvolve
-``meta.json`` also lists the RuntimeWarning texts raised during the command.
+non-convergence: a fit or an NNLS solve that hit its iteration cap, or an
+``--auto-reg`` weight search that did not converge.  On exit 3 the artifacts
+computed so far are still written; the message on stderr names what failed
+to converge.  The deconvolve ``meta.json`` also lists the RuntimeWarning
+texts raised during the command and, under ``search``, the weight search's
+record (``converged``, ``evals``, ``at_bound`` and the ``path`` of
+(log10 r1, log10 r2, score) per evaluation); ``search`` is null without
+``--auto-reg``.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment.  Any
 flag with the same name overrides the config value.  All randomness in a
@@ -209,13 +214,15 @@ def _deconvolve(args, caught: list) -> int:
             raise ConfigurationError(
                 "--auto-reg needs --train episodes with BrAC and TAC")
         train = [parse_episode(p, tau=args.tau) for p in args.train]
-        r1, r2 = select_regularization(ops, train, m=args.m,
+        search = select_regularization(ops, train, m=args.m,
                                        variant=args.variant)
+        r1, r2 = search
         print(f"selected regularization r1={r1:.6g} r2={r2:.6g}")
     else:
         if args.r1 is None or args.r2 is None:
             raise ConfigurationError(
                 "need --r1 and --r2, or --auto-reg with --train episodes")
+        search = None
         r1, r2 = args.r1, args.r2
     result = deconvolve(ops, episode.y, r1, r2, m=args.m, variant=args.variant)
     if args.variant == "tq":
@@ -248,17 +255,25 @@ def _deconvolve(args, caught: list) -> int:
             "residual": float(result.residual),
             "nnls_iterations": int(result.nnls.iterations),
             "band_dropped": int(band.dropped),
+            "search": None if search is None else {
+                "converged": search.converged, "evals": search.evals,
+                "at_bound": search.at_bound, "path": search.path},
             "warnings": list(dict.fromkeys(
                 str(w.message) for w in caught
                 if issubclass(w.category, RuntimeWarning)))}
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n",
                          encoding="ascii")
     print(f"wrote {curve_path}, {stats_path}, {meta_path}")
+    rc = EXIT_OK
+    if search is not None and not search.converged:
+        print("regularization search did not converge; artifacts written at "
+              "the best weights found", file=sys.stderr)
+        rc = EXIT_NUMERICAL
     if not result.converged:
         print("solver hit its iteration cap; best feasible iterate written",
               file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+        rc = EXIT_NUMERICAL
+    return rc
 
 
 def _read_curve(path) -> tuple[np.ndarray, np.ndarray]:

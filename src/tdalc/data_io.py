@@ -15,7 +15,7 @@ channel present, so the spline never extrapolates.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -48,9 +48,6 @@ class Episode:
     @property
     def has_brac(self) -> bool:
         return self.u is not None
-
-    def with_ident(self, ident: str) -> "Episode":
-        return replace(self, ident=ident)
 
 
 def resample(times: np.ndarray, values: np.ndarray, grid: np.ndarray) -> np.ndarray:

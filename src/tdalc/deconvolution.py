@@ -509,14 +509,46 @@ def _selection_misfit(episodes: list[SearchEpisode], r1: float,
     return float(sum(ep.score(r1, r2) for ep in episodes))
 
 
+@dataclass(frozen=True)
+class RegularizationSearch:
+    """Outcome of the weight search; unpacks as ``r1, r2``.
+
+    ``path`` holds one (log10 r1, log10 r2, score) entry per objective
+    evaluation, in order: the start grid, then the Nelder-Mead stage.
+    ``at_bound`` is True when the selected point lies on an edge of the
+    search box, so the optimum may lie outside it.
+    """
+
+    r1: float
+    r2: float
+    converged: bool
+    evals: int
+    at_bound: bool
+    path: tuple[tuple[float, float, float], ...]
+
+    def __iter__(self):
+        return iter((self.r1, self.r2))
+
+
+#: nodes per axis of the start grid over the search box
+_GRID_NODES = 5
+
+
 def select_regularization(ops: DiscreteTimeOps, episodes: list[Episode],
                           m: int | None = None, variant: str = "tq",
-                          max_iter: int = 60) -> tuple[float, float]:
+                          max_iter: int = 60) -> RegularizationSearch:
     """Pick (r1, r2) by direct search on training episodes with known BrAC.
 
-    Nelder-Mead over the log10 weights inside a fixed search box; weights
-    below the floor collapse to exactly zero.  On a degenerate simplex the
-    search restarts once from a jittered start before flagging the result.
+    The search runs over the log10 weights inside the box ``_LOG_BOUNDS``.
+    It first scores a 5 x 5 grid spanning the box, visited in snake order
+    so each warm-started solve starts from a neighbouring point, then runs
+    bounded Nelder-Mead from the best grid point with unit steps into the
+    box; ``max_iter`` bounds that second stage only.  The box's lower edge
+    is log10(``REG_FLOOR``), so the selected weights are never below the
+    floor and never zero; ``at_bound`` on the returned record says whether
+    the selection lies on an edge of the box.  A search that does not meet
+    its tolerances warns and returns the best point found, with
+    ``converged`` False.
     """
     if not episodes:
         raise ConfigurationError("need at least one training episode")
@@ -529,35 +561,34 @@ def select_regularization(ops: DiscreteTimeOps, episodes: list[Episode],
                 f"episode {ep.ident!r} tau {ep.tau} does not match ops tau {ops.tau}")
     lo, hi = _LOG_BOUNDS
     search = [SearchEpisode(ops, ep, m=m, variant=variant) for ep in episodes]
+    path: list[tuple[float, float, float]] = []
 
     def objective(logr):
-        penalty = 0.0
-        for v in logr:
-            if v < lo:
-                penalty += 1e3 * (lo - v) ** 2
-            elif v > hi:
-                penalty += 1e3 * (v - hi) ** 2
-        r = 10.0 ** np.clip(logr, lo, hi)
-        r1, r2 = _snap_regs(r[0], r[1])
-        return _selection_misfit(search, r1, r2) + penalty
+        r1, r2 = _snap_regs(*(10.0 ** np.asarray(logr, dtype=float)))
+        score = _selection_misfit(search, r1, r2)
+        path.append((float(logr[0]), float(logr[1]), score))
+        return score
 
-    x0 = np.array([-1.0, 0.0])
-    simplex = np.array([x0, x0 + [1.5, 0.0], x0 + [0.0, 1.5]])
-    opts = {"maxiter": max_iter, "xatol": 0.02, "fatol": 1e-12,
-            "initial_simplex": simplex}
-    res = minimize(objective, x0, method="Nelder-Mead", options=opts)
+    nodes = np.linspace(lo, hi, _GRID_NODES)
+    for i, log_r2 in enumerate(nodes):
+        for log_r1 in (nodes if i % 2 == 0 else nodes[::-1]):
+            objective((log_r1, log_r2))
+    start = np.array(min(path, key=lambda p: p[2])[:2])
+    steps = np.where(start + 1.0 <= hi, 1.0, -1.0)
+    simplex = np.array([start, start + [steps[0], 0.0],
+                        start + [0.0, steps[1]]])
+    res = minimize(objective, start, method="Nelder-Mead",
+                   bounds=[_LOG_BOUNDS] * 2,
+                   options={"maxiter": max_iter, "xatol": 0.02,
+                            "fatol": 1e-12, "initial_simplex": simplex})
     if not res.success:
-        jitter = np.array([0.37, -0.41])
-        opts2 = dict(opts)
-        opts2["initial_simplex"] = simplex + jitter
-        res2 = minimize(objective, x0 + jitter, method="Nelder-Mead", options=opts2)
-        if res2.fun < res.fun:
-            res = res2
-        if not res.success:
-            warnings.warn("regularization search did not converge; using the "
-                          "best point found", RuntimeWarning, stacklevel=2)
-    r = 10.0 ** np.clip(np.asarray(res.x, dtype=float), lo, hi)
-    return _snap_regs(r[0], r[1])
+        warnings.warn("regularization search did not converge; using the "
+                      "best point found", RuntimeWarning, stacklevel=2)
+    best = res.x
+    r1, r2 = _snap_regs(*(10.0 ** best))
+    return RegularizationSearch(
+        r1=r1, r2=r2, converged=bool(res.success), evals=len(path),
+        at_bound=bool(np.any((best <= lo) | (best >= hi))), path=tuple(path))
 
 
 def write_result_csv(path, times: np.ndarray, mean_curve: np.ndarray,

@@ -6,6 +6,7 @@ import pytest
 
 from tdalc import cli
 from tdalc.cli import main, read_config
+from tdalc.deconvolution import RegularizationSearch
 from tdalc.density import PopulationParams, load_params, save_params
 from tdalc.errors import ConfigurationError
 from tdalc.uncertainty import STAT_NAMES
@@ -213,6 +214,56 @@ class TestDeconvolve:
                    "--rho", str(rho), "--auto-reg", "--r1", "1e-3",
                    "--train", str(sim_dir / "synth-001.csv")])
         assert rc == 2
+
+    def test_auto_reg_writes_search_record(self, sim_dir, tmp_path):
+        rho = write_rho(tmp_path / "rho.params")
+        prefix = tmp_path / "auto"
+        rc = main(["deconvolve", str(sim_dir / "synth-000.csv"),
+                   "--rho", str(rho), "--auto-reg",
+                   "--train", str(sim_dir / "synth-001.csv"),
+                   "--samples", "60", "--out-prefix", str(prefix)])
+        assert rc == 0
+        meta = json.loads((tmp_path / "auto.meta.json").read_text())
+        search = meta["search"]
+        assert search["converged"] is True
+        assert isinstance(search["at_bound"], bool)
+        assert search["evals"] == len(search["path"]) > 25
+        assert all(len(point) == 3 for point in search["path"])
+
+    def test_search_null_without_auto_reg(self, sim_dir, tmp_path):
+        rho = write_rho(tmp_path / "rho.params")
+        prefix = tmp_path / "fixed"
+        assert main(["deconvolve", str(sim_dir / "synth-000.csv"),
+                     "--rho", str(rho), "--r1", "1e-3", "--r2", "1e-3",
+                     "--variant", "scalar", "--samples", "60",
+                     "--out-prefix", str(prefix)]) == 0
+        meta = json.loads((tmp_path / "fixed.meta.json").read_text())
+        assert meta["search"] is None
+
+    def test_unconverged_search_exits_3_with_artifacts(self, sim_dir,
+                                                       tmp_path, monkeypatch,
+                                                       capsys):
+        rho = write_rho(tmp_path / "rho.params")
+        stalled = RegularizationSearch(r1=1e-3, r2=1e-3, converged=False,
+                                       evals=1, at_bound=False,
+                                       path=((-3.0, -3.0, 0.5),))
+        monkeypatch.setattr(cli, "select_regularization",
+                            lambda *args, **kwargs: stalled)
+        prefix = tmp_path / "stall"
+        rc = main(["deconvolve", str(sim_dir / "synth-000.csv"),
+                   "--rho", str(rho), "--auto-reg",
+                   "--train", str(sim_dir / "synth-001.csv"),
+                   "--variant", "scalar", "--samples", "60",
+                   "--out-prefix", str(prefix)])
+        assert rc == 3
+        assert "search did not converge" in capsys.readouterr().err
+        for suffix in ("curve.csv", "stats.csv"):
+            assert (tmp_path / f"stall.{suffix}").stat().st_size > 0
+        meta = json.loads((tmp_path / "stall.meta.json").read_text())
+        assert meta["r1"] == 1e-3 and meta["r2"] == 1e-3
+        assert meta["search"] == {"converged": False, "evals": 1,
+                                  "at_bound": False,
+                                  "path": [[-3.0, -3.0, 0.5]]}
 
     def test_same_seed_byte_identical(self, sim_dir, tmp_path):
         rho = write_rho(tmp_path / "rho.params")

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -367,6 +368,81 @@ class TestSelectRegularization:
         half = replace(ep, tau=0.5)
         with pytest.raises(ConfigurationError):
             select_regularization(ops, [half])
+
+
+def bump(k, peak, end, height):
+    """Smooth complete excursion: up to ``height`` at ``peak``, back at zero
+    from ``end`` on."""
+    t = np.arange(k, dtype=float)
+    rise = np.sin(0.5 * np.pi * np.clip(t / peak, 0.0, 1.0)) ** 2
+    fall = np.cos(0.5 * np.pi * np.clip((t - peak) / (end - peak), 0.0,
+                                        1.0)) ** 2
+    return height * np.where(t <= peak, rise, fall)
+
+
+class TestSearchRecord:
+    """The two-stage search on a two-episode problem of the benchmark's
+    size: K = 121, tq variant on a 4 x 4 parameter mesh."""
+
+    def _episodes(self, ops):
+        t = np.arange(121, dtype=float)
+        out = []
+        for k, shape in enumerate(((25.0, 90.0, 0.08), (40.0, 105.0, 0.06))):
+            u = bump(121, *shape)
+            out.append(build_episode(f"train{k}", t, u, t, make_tac(ops, u),
+                                     tau=1.0))
+        return out
+
+    def test_converges_in_budget_inside_the_box(self, monkeypatch):
+        ops = make_ops()
+        episodes = self._episodes(ops)
+        calls = []
+        misfit = deconvolution._selection_misfit
+
+        def counted(*args):
+            calls.append(args[1:])
+            return misfit(*args)
+
+        monkeypatch.setattr(deconvolution, "_selection_misfit", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            search = select_regularization(ops, episodes)
+        assert search.converged
+        assert search.evals == len(calls) == len(search.path) <= 100
+        lo, hi = deconvolution._LOG_BOUNDS
+        for log_r1, log_r2, score in search.path:
+            assert lo <= log_r1 <= hi and lo <= log_r2 <= hi
+            assert np.isfinite(score)
+        r1, r2 = search
+        assert (r1, r2) == (search.r1, search.r2)
+        # the best r1 of this problem lies on the box's lower edge
+        assert r1 == deconvolution.REG_FLOOR
+        assert search.at_bound
+
+    def test_identical_record_from_two_calls(self):
+        ops = make_ops()
+        episodes = self._episodes(ops)
+        assert select_regularization(ops, episodes) == \
+            select_regularization(ops, episodes)
+
+    @pytest.mark.parametrize("target, at_bound", [((-3.3, 0.4), False),
+                                                  ((-7.0, -1.2), True)])
+    def test_bound_flag_on_a_model_objective(self, monkeypatch, target,
+                                             at_bound):
+        ops = make_ops()
+        ep = self._episodes(ops)[0]
+
+        def bowl(episodes, r1, r2):
+            return float((np.log10(r1) - target[0]) ** 2
+                         + 2.0 * (np.log10(r2) - target[1]) ** 2)
+
+        monkeypatch.setattr(deconvolution, "_selection_misfit", bowl)
+        search = select_regularization(ops, [ep])
+        lo, _ = deconvolution._LOG_BOUNDS
+        expect = np.array([max(target[0], lo), target[1]])
+        assert search.converged and search.at_bound is at_bound
+        assert np.allclose(np.log10([search.r1, search.r2]), expect,
+                           atol=0.05)
 
 
 class TestSearchEpisode:
