@@ -275,21 +275,30 @@ def impulse_kernels(ops: DiscreteTimeOps, count: int) -> Kernels:
 
 
 def convolve(kernels: Kernels, u: np.ndarray, variant: str = "scalar") -> np.ndarray:
-    """Evaluate the output by kernel convolution instead of state marching."""
+    """Evaluate the output by kernel convolution instead of state marching.
+
+    y_k = sum_{l=1..k} h_l u_{k-l}: one ``np.convolve`` with the mean kernel
+    for the scalar variant, one per cell, summed, for tq.
+    """
     u = np.asarray(u, dtype=float)
     steps = u.shape[0]
     if steps > kernels.count:
         raise ConfigurationError(
             f"need {steps} kernels for {steps} steps, have {kernels.count}")
     if variant == "scalar":
-        kern = kernels.mean
-        y = np.array([np.dot(kern[:k][::-1], u[:k]) for k in range(1, steps + 1)])
+        kern, u = kernels.mean[:steps, None], u[:, None]
     elif variant == "tq":
-        kern = kernels.functional
-        y = np.array([np.sum(kern[:k][::-1] * u[:k]) for k in range(1, steps + 1)])
+        if u.ndim != 2 or u.shape[1] != kernels.p.size:
+            raise ConfigurationError(
+                f"tq-variant input must have shape (steps, {kernels.p.size}), "
+                f"got {u.shape}")
+        kern = kernels.functional[:steps]
     else:
         raise ConfigurationError(f"unknown variant {variant!r}")
-    return y
+    if steps == 0:
+        return np.zeros(0)
+    return np.sum([np.convolve(kern[:, c], u[:, c])[:steps]
+                   for c in range(u.shape[1])], axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,21 @@ derivative of g in the diffusivity (closed form in the core) and from the
 derivatives of the cell weights, which are analytic in the location/
 covariance parameters and central finite differences in the support bounds
 (moving the support moves the integration cells themselves).
+
+The fit is judged against the data energy E, the sum of squared measured TAC
+over the fit instants, so its verdict does not depend on the data's units.
+It has converged when the projected gradient over E meets tol * (1 + cost /
+E) (stop rule "gradient"), or when L-BFGS-B ended on its own relative-
+reduction test at cost <= 1e-12 E ("cost_floor", noise-free data fitted to
+rounding).  The optimizer sees the cost scaled so that its first trial step
+has a fixed length in the parameters.
+
+Without a starting point the fit is seeded by single-subject fits of each
+episode.  The input gain q2 enters the single-subject output linearly, so
+each seed fit is a variable-projection problem (Golub & Pereyra 1973): the
+best q2 for a given diffusivity q1 is one scalar least-squares value, and
+only q1 is searched, on a log grid (one batched kernel evaluation) refined
+by bounded Brent.
 """
 
 from __future__ import annotations
@@ -27,7 +42,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from . import density, forward_model
 from .data_io import Episode
@@ -86,11 +101,16 @@ def _kernel_count(episodes: list[Episode]) -> int:
     return max(ep.u.size - 1 for ep in episodes)
 
 
+def _model_tac(kernel: np.ndarray, ep: Episode) -> np.ndarray:
+    """Model TAC at the episode's fit instants: the BrAC convolved with the
+    lag kernel."""
+    u = ep.u[:-1]
+    return np.convolve(kernel[:u.size], u)[:u.size][ep.fit_indices - 1]
+
+
 def _residuals(kernel: np.ndarray, ep: Episode) -> np.ndarray:
     """Model minus measured TAC at the episode's fit instants."""
-    u = ep.u[:-1]
-    y = np.convolve(kernel[:u.size], u)[:u.size]
-    return y[ep.fit_indices - 1] - ep.y[ep.fit_indices]
+    return _model_tac(kernel, ep) - ep.y[ep.fit_indices]
 
 
 def cost(params: PopulationParams, episodes: list[Episode],
@@ -207,45 +227,77 @@ class DeterministicFit:
 
     q: np.ndarray
     cost: float
-    boundary: bool    # optimizer pushed against the feasible-box boundary
+    boundary: bool    # gain clipped to 0 or q_max, or q1 at a grid end
     ident: str = ""
 
 
-_NM_STARTS = (0.25, 0.5, 1.0)
+# log-spaced diffusivity nodes scanned before the 1-D refinement; the floor
+# keeps every modal rate positive (at q1 = 0 all but one vanish)
+_Q1_FLOOR = 1e-3
+_Q1_NODES = 48
+_BRENT_XATOL = 1e-9
+
+
+def _unit_gain_outputs(ep: Episode, grid: DiscretizationGrid,
+                       q1) -> np.ndarray:
+    """Unit-gain model TAC at the episode's fit instants, one row per q1."""
+    kern = forward_model._spectral_kernels(grid.spatial, q1, grid.tau,
+                                           _kernel_count([ep]))
+    return np.array([_model_tac(g, ep) for g in np.atleast_2d(kern)])
+
+
+def _project_gain(m: np.ndarray, y: np.ndarray,
+                  q_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best input gain per row of m, clipped to [0, q_max]; returns the gains,
+    the costs and whether the clip was active."""
+    my = m @ y
+    mm = np.einsum("ij,ij->i", m, m)
+    free = np.divide(my, mm, out=np.zeros_like(my), where=mm > 0.0)
+    gain = np.clip(free, 0.0, q_max)
+    resid = gain[:, None] * m - y[None, :]
+    return gain, np.einsum("ij,ij->i", resid, resid), gain != free
 
 
 def fit_episode_deterministic(ep: Episode, grid: DiscretizationGrid,
                               q_max: float = 8.0) -> DeterministicFit:
-    """Fit the single-subject model to one episode by Nelder-Mead.
+    """Fit the single-subject model to one episode by variable projection.
 
-    Multistart over a coarse grid of initial parameter pairs; the feasible box
-    (0, q_max]^2 is enforced by an infinite penalty outside.  A result pushed
-    to the boundary (vanishing input gain, or pegged at q_max) is flagged:
+    The model TAC is q2 times the unit-gain output m(q1), so for a fixed
+    diffusivity the best input gain is the scalar least-squares value
+    <m, y> / <m, m> clipped to [0, q_max], and the fit is a 1-D problem in q1
+    (Golub & Pereyra 1973).  The projected cost is scanned on a log grid of
+    q1 over [1e-3, q_max] (one batched kernel evaluation), then refined by
+    bounded Brent on log q1 between the best node's neighbours; the better of
+    the refined point and the best node is kept.  A result on the boundary
+    (gain clipped to 0 or q_max, or q1 at either end of the grid) is flagged:
     it usually means the TAC channel carries no usable signal.
     """
     _check_episodes([ep], grid)
-    count = _kernel_count([ep])
+    if not _Q1_FLOOR < q_max:
+        raise ConfigurationError(f"q_max must exceed {_Q1_FLOOR}, got {q_max}")
+    y = ep.y[ep.fit_indices]
+    logs = np.linspace(math.log(_Q1_FLOOR), math.log(q_max), _Q1_NODES)
+    gains, costs, clipped = _project_gain(
+        _unit_gain_outputs(ep, grid, np.exp(logs)), y, q_max)
+    i = int(np.argmin(costs))
+    best = (logs[i], gains[i], costs[i], clipped[i])
 
-    def objective(q):
-        if not (0.0 < q[0] <= q_max and 0.0 < q[1] <= q_max):
-            return math.inf
-        kern = q[1] * forward_model._spectral_kernels(grid.spatial, q[0],
-                                                      grid.tau, count)
-        resid = _residuals(kern, ep)
-        return float(resid @ resid)
+    def projected(log_q1):
+        g, c, k = _project_gain(_unit_gain_outputs(ep, grid, math.exp(log_q1)),
+                                y, q_max)
+        return g[0], c[0], k[0]
 
-    best = None
-    for s1 in _NM_STARTS:
-        for s2 in _NM_STARTS:
-            res = minimize(objective, np.array([s1, s2]), method="Nelder-Mead",
-                           options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-12})
-            if best is None or res.fun < best.fun:
-                best = res
-    q = np.asarray(best.x, dtype=float)
-    eps = 1e-3
-    boundary = bool(q[0] < eps or q[1] < eps
-                    or q[0] > q_max - eps or q[1] > q_max - eps)
-    return DeterministicFit(q=q, cost=float(best.fun), boundary=boundary,
+    lo, hi = logs[max(i - 1, 0)], logs[min(i + 1, logs.size - 1)]
+    res = minimize_scalar(lambda x: projected(x)[1], bounds=(lo, hi),
+                          method="bounded", options={"xatol": _BRENT_XATOL})
+    refined = (res.x, *projected(res.x))
+    if refined[2] < best[2]:
+        best = refined
+    log_q1, gain, val, clip = best
+    q = np.array([math.exp(log_q1), gain])
+    end = 1e-3 * (logs[-1] - logs[0])
+    boundary = bool(clip or log_q1 <= logs[0] + end or log_q1 >= logs[-1] - end)
+    return DeterministicFit(q=q, cost=float(val), boundary=boundary,
                             ident=ep.ident)
 
 
@@ -285,6 +337,7 @@ class FitResult:
     n_iter: int
     message: str
     fit_lower: bool
+    stop: str | None = None  # convergence rule met: "gradient", "cost_floor"
     failed_evals: int = 0   # evaluations that raised and were scored inf
     log: list[dict] = field(default_factory=list)
     per_episode: list[DeterministicFit] = field(default_factory=list)
@@ -299,7 +352,7 @@ class FitResult:
                     "event": "done", "cost": self.cost,
                     "grad_norm": self.grad_norm, "converged": self.converged,
                     "iterations": self.n_iter, "message": self.message,
-                    "failed_evals": self.failed_evals,
+                    "stop": self.stop, "failed_evals": self.failed_evals,
                 }) + "\n")
 
 
@@ -323,18 +376,50 @@ def _projected_grad_norm(theta: np.ndarray, grad: np.ndarray,
     return float(np.max(np.abs(pg))) if pg.size else 0.0
 
 
+def _data_energy(episodes: list[Episode]) -> float:
+    """Sum of squared measured TAC over the fit instants, all episodes."""
+    energy = sum(float(ep.y[ep.fit_indices] @ ep.y[ep.fit_indices])
+                 for ep in episodes)
+    if not energy > 0.0:
+        raise ConfigurationError(
+            "every episode's TAC is zero at its fit instants; nothing to fit")
+    return energy
+
+
+# L-BFGS-B's own relative-reduction stop counts as convergence only when the
+# cost has reached this fraction of the data energy (noise-free data fitted
+# to rounding)
+_COST_FLOOR = 1e-12
+# sup-norm length of L-BFGS-B's first trial step in the packed parameters
+_FIRST_STEP = 0.1
+
+
 def fit_population(episodes: list[Episode], grid: DiscretizationGrid,
                    init: PopulationParams | None = None, *,
                    fit_lower: bool = False, tol: float = _DEFAULT_TOL,
                    max_iter: int = _DEFAULT_MAX_ITER, order: int = 5) -> FitResult:
     """Projected quasi-Newton fit of the population distribution.
 
-    Stops when the projected-gradient sup norm drops below tol * (1 + cost) or
-    after max_iter iterations.  When no starting point is supplied, each
-    episode is first fit deterministically and the estimates seed the
-    population parameters.
+    The verdict is measured against the data energy E, the sum of squared
+    measured TAC over the fit instants, so it does not depend on the data's
+    units.  The fit has converged when the projected-gradient sup norm over
+    E is at most tol * (1 + cost / E) (stop rule "gradient"), or when
+    L-BFGS-B ended on its own relative-reduction test with cost <= 1e-12 * E
+    ("cost_floor": noise-free data fitted to rounding, where the gradient
+    test can no longer be met).  Iteration stops at the first rule met or
+    after max_iter iterations.
+
+    L-BFGS-B starts from the identity Hessian, so its first trial step is
+    the projected gradient itself, whose length depends on the cost's units.
+    The optimizer therefore minimizes the cost divided by its starting
+    projected-gradient sup norm over 0.1, which makes that step move no
+    parameter by more than 0.1 whatever the units (E when that gradient
+    vanishes or cannot be evaluated).  Reported costs and gradients stay in
+    data units.  When no starting point is supplied, each episode is first
+    fit deterministically and the estimates seed the population parameters.
     """
     _check_episodes(episodes, grid)
+    energy = _data_energy(episodes)
     per_episode: list[DeterministicFit] = []
     if init is None:
         per_episode = [fit_episode_deterministic(ep, grid) for ep in episodes]
@@ -347,19 +432,34 @@ def fit_population(episodes: list[Episode], grid: DiscretizationGrid,
     cache: dict[str, object] = {}
     failed = 0
     last = perf_counter()
+    failures = (ParameterError, NumericalError, np.linalg.LinAlgError)
+
+    def evaluate(theta):
+        """Cost and gradient in data units; the latest point is cached."""
+        if "theta" not in cache or not np.array_equal(cache["theta"], theta):
+            params = unpack_theta(theta, fixed_a, fit_lower)
+            val, grad = cost_and_gradient(params, episodes, grid, fit_lower, order)
+            cache.update(theta=theta.copy(), val=val, grad=grad)
+        return cache["val"], cache["grad"]
+
+    def gradient_met(val: float, pg: float) -> bool:
+        return pg / energy <= tol * (1.0 + val / energy)
+
+    try:
+        scale = _projected_grad_norm(theta0, evaluate(theta0)[1], bounds) / _FIRST_STEP
+    except failures:
+        scale = 0.0   # the optimizer's own first evaluation fails and counts
+    if not 0.0 < scale < math.inf:
+        scale = energy
 
     def objective(theta):
         nonlocal failed
         try:
-            params = unpack_theta(theta, fixed_a, fit_lower)
-            val, grad = cost_and_gradient(params, episodes, grid, fit_lower, order)
-        except (ParameterError, NumericalError, np.linalg.LinAlgError):
+            val, grad = evaluate(theta)
+        except failures:
             failed += 1
             return math.inf, np.zeros_like(theta)
-        cache["theta"] = theta.copy()
-        cache["val"] = val
-        cache["grad"] = grad
-        return val, grad
+        return val / scale, grad / scale
 
     def callback(xk):
         nonlocal last
@@ -372,7 +472,7 @@ def fit_population(episodes: list[Episode], grid: DiscretizationGrid,
                     "seconds": now - last})
         last = now
         if grad is not None and np.all(cache["theta"] == xk) \
-                and pg <= tol * (1.0 + val):
+                and gradient_met(val, pg):
             raise StopIteration
 
     res = minimize(objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
@@ -381,16 +481,20 @@ def fit_population(episodes: list[Episode], grid: DiscretizationGrid,
                             "gtol": 0.0, "ftol": 1e-14})
     theta = np.asarray(res.x, dtype=float)
     params = unpack_theta(theta, fixed_a, fit_lower)
+    stop = None
     try:
-        val, grad = cost_and_gradient(params, episodes, grid, fit_lower, order)
+        val, grad = evaluate(theta)
         pg = _projected_grad_norm(theta, grad, bounds)
-        converged = pg <= tol * (1.0 + val)
-    except (ParameterError, NumericalError, np.linalg.LinAlgError):
+        if gradient_met(val, pg):
+            stop = "gradient"
+        elif res.status == 0 and val <= _COST_FLOOR * energy:
+            stop = "cost_floor"
+    except failures:
         failed += 1
         val = math.inf
         pg = math.inf
-        converged = False
-    return FitResult(params=params, cost=val, grad_norm=pg, converged=converged,
-                     n_iter=int(res.nit), message=str(res.message),
-                     fit_lower=fit_lower, failed_evals=failed, log=log,
+    return FitResult(params=params, cost=val, grad_norm=pg,
+                     converged=stop is not None, n_iter=int(res.nit),
+                     message=str(res.message), fit_lower=fit_lower,
+                     stop=stop, failed_evals=failed, log=log,
                      per_episode=per_episode)

@@ -126,6 +126,21 @@ class TestKernels:
         y_rec = forward_model.simulate(ops, u, variant="scalar")
         assert np.max(np.abs(y_conv - y_rec)) < 1e-12
 
+    def test_tq_convolution_matches_recursion(self):
+        ops = make_ops()
+        rng = np.random.default_rng(3)
+        u = 0.1 * rng.random((60, ops.n_cells))
+        kern = forward_model.impulse_kernels(ops, u.shape[0])
+        y_conv = forward_model.convolve(kern, u, variant="tq")
+        y_rec = forward_model.simulate(ops, u, variant="tq")
+        assert np.max(np.abs(y_conv - y_rec)) < 1e-12 * np.max(np.abs(y_rec))
+        # the direct lag sum, y_k = sum_l h_l . u_{k-l}
+        direct = [np.sum(kern.functional[:k][::-1] * u[:k])
+                  for k in range(1, u.shape[0] + 1)]
+        assert np.allclose(y_conv, direct, rtol=1e-13, atol=0.0)
+        with pytest.raises(ConfigurationError):
+            forward_model.convolve(kern, u[:, :3], variant="tq")
+
     def test_kernels_of_dead_cells_are_zero(self):
         params = PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0), mu=(0.3, 0.5),
                                   sigma=((1e-4, 0.0), (0.0, 1e-4)))

@@ -24,6 +24,54 @@ def episodes_from(params, grid, n=2, seed=5):
     return generate(cfg)
 
 
+CRITERION05_TRUTH = PopulationParams(a=(0.0, 0.0), b=(2.0, 2.0),
+                                     mu=(0.62, 1.0),
+                                     sigma=((0.16, 0.01), (0.01, 0.22)))
+
+
+def criterion05_episodes(scale=1.0):
+    """Criterion 05's five noise-free paired episodes (K = 241), with BrAC
+    and TAC both multiplied by ``scale``, and the grid they were made on."""
+    grid = DiscretizationGrid.from_params(CRITERION05_TRUTH, tau=1.0)
+    ops = forward_model.discrete_time(
+        forward_model.assemble(CRITERION05_TRUTH, grid))
+    t = np.arange(241.0)
+
+    def tri(c, w, h):
+        return np.clip(h * (1.0 - np.abs(t - c) / w), 0.0, None)
+
+    shapes = [tri(15, 10, 0.30), tri(60, 8, 0.35),
+              tri(30, 12, 0.25) + tri(90, 12, 0.25), tri(120, 60, 0.08),
+              tri(20, 6, 0.4) + tri(150, 40, 0.06)]
+    episodes = []
+    for k, u in enumerate(shapes):
+        y = np.concatenate([[0.0], forward_model.simulate(ops, u[:-1])])
+        episodes.append(build_episode(f"s{k}", t, scale * u, t, scale * y,
+                                      tau=1.0))
+    return episodes, grid
+
+
+def criterion05_start(episodes, grid):
+    """Criterion 05's diffuse start around the per-episode seed fits."""
+    per = np.array([fit_episode_deterministic(ep, grid).q for ep in episodes])
+    mu0 = per.mean(axis=0)
+    sig0 = np.diag((0.5 * mu0) ** 2)
+    return PopulationParams(a=(0.0, 0.0),
+                            b=tuple(mu0 + 4.0 * np.sqrt(np.diag(sig0))),
+                            mu=tuple(mu0), sigma=sig0)
+
+
+def single_subject_cost(ep, grid, q1, q2):
+    """Squared TAC misfit of the single-subject model at (q1, q2), for every
+    q2 in the array ``q2``, expanded as q2^2 <m, m> - 2 q2 <m, y> + <y, y>
+    with m the unit-gain model TAC."""
+    det = forward_model.deterministic_ops((q1, 1.0), grid.spatial, grid.tau)
+    m = forward_model.simulate_deterministic(det, ep.u[:-1])[ep.fit_indices - 1]
+    y = ep.y[ep.fit_indices]
+    q2 = np.asarray(q2, dtype=float)
+    return q2 * q2 * (m @ m) - 2.0 * q2 * (m @ y) + y @ y
+
+
 class TestPacking:
     def test_round_trip(self):
         p = make_params()
@@ -178,6 +226,50 @@ class TestDeterministicFit:
         assert np.all(np.abs(fit.q - q_true) / q_true < 0.01)
         assert not fit.boundary
 
+    def test_no_worse_than_dense_grid_or_perturbations(self):
+        episodes, grid = criterion05_episodes()
+        q1_nodes = np.geomspace(1e-3, 8.0, 400)
+        q2_nodes = np.linspace(0.0, 8.0, 1601)
+        for ep in episodes:
+            fit = fit_episode_deterministic(ep, grid)
+            assert not fit.boundary
+            assert fit.cost == pytest.approx(
+                single_subject_cost(ep, grid, *fit.q), rel=1e-6)
+            dense = min(single_subject_cost(ep, grid, q1, q2_nodes).min()
+                        for q1 in q1_nodes)
+            assert fit.cost <= dense
+            for j in range(2):
+                for factor in (0.99, 1.01):
+                    q = fit.q.copy()
+                    q[j] *= factor
+                    assert fit.cost <= single_subject_cost(ep, grid, *q)
+
+    def test_zero_tac_gives_zero_gain_on_boundary(self):
+        t = np.arange(121, dtype=float)
+        u = 0.08 * (t / 55.0) * np.exp(1.0 - t / 55.0)
+        ep = build_episode("flat", t, u, t, np.zeros_like(t), tau=1.0)
+        grid = DiscretizationGrid.from_params(make_params())
+        fit = fit_episode_deterministic(ep, grid)
+        assert fit.q[1] == 0.0
+        assert fit.cost == 0.0
+        assert fit.boundary
+
+    def test_diffusivity_pinned_at_grid_end(self):
+        # the generating diffusivity 0.7 lies above q_max = 0.3, so the best
+        # q1 on [1e-3, 0.3] is the grid's upper end; the gain stays inside
+        mesh = SpatialMesh(4)
+        det = forward_model.deterministic_ops((0.7, 0.2), mesh, 1.0)
+        t = np.arange(241, dtype=float)
+        u = 0.08 * (t / 55.0) * np.exp(1.0 - t / 55.0)
+        y = forward_model.simulate_deterministic(det, u[:-1])
+        ep = build_episode("fast", t, u, t, np.concatenate([[0.0], y]),
+                           tau=1.0)
+        grid = DiscretizationGrid.from_params(make_params())
+        fit = fit_episode_deterministic(ep, grid, q_max=0.3)
+        assert fit.q[0] == pytest.approx(0.3, rel=1e-3)
+        assert 0.0 < fit.q[1] < 0.3
+        assert fit.boundary
+
 
 class TestInitialGuess:
     def test_sample_statistics(self):
@@ -265,6 +357,54 @@ class TestFitPopulation:
         assert records[-1]["failed_evals"] == 1
         iterates = [r for r in records if r["event"] == "iterate"]
         assert iterates and all(r["seconds"] >= 0.0 for r in iterates)
+
+    def test_verdict_and_estimate_independent_of_units(self):
+        runs = {}
+        for scale in (1.0, 0.1, 10.0):
+            episodes, grid = criterion05_episodes(scale)
+            init = criterion05_start(episodes, grid)
+            runs[scale] = fit_population(episodes, grid, init=init, tol=1e-8)
+        base = runs[1.0]
+        assert base.converged and base.stop in ("gradient", "cost_floor")
+        theta = pack_theta(base.params)
+        for scale in (0.1, 10.0):
+            res = runs[scale]
+            assert res.converged == base.converged
+            assert res.failed_evals == 0
+            assert np.all(np.abs(pack_theta(res.params) - theta)
+                          <= 1e-4 * np.abs(theta))
+
+    def test_cost_floor_stop_on_exact_data(self):
+        # no gradient test can be met at tol 1e-30; L-BFGS-B ends on its own
+        # reduction test with the noise-free data fitted to rounding
+        episodes, grid = criterion05_episodes()
+        init = criterion05_start(episodes, grid)
+        res = fit_population(episodes, grid, init=init, tol=1e-30)
+        energy = sum(float(ep.y[ep.fit_indices] @ ep.y[ep.fit_indices])
+                     for ep in episodes)
+        assert res.stop == "cost_floor" and res.converged
+        assert res.cost <= 1e-12 * energy
+
+    def test_stop_written_to_done_record(self, tmp_path):
+        import json
+        p = make_params()
+        grid = DiscretizationGrid.from_params(p)
+        eps = episodes_from(p, grid)
+        res = fit_population(eps, grid, init=p, max_iter=3, tol=1e-16)
+        assert res.stop is None and not res.converged
+        res.save(tmp_path / "rho.json", tmp_path / "log.jsonl")
+        done = json.loads(
+            (tmp_path / "log.jsonl").read_text().splitlines()[-1])
+        assert done["event"] == "done" and done["stop"] is None
+
+    def test_rejects_zero_data_energy(self):
+        p = make_params()
+        grid = DiscretizationGrid.from_params(p)
+        t = np.arange(121, dtype=float)
+        u = 0.08 * (t / 55.0) * np.exp(1.0 - t / 55.0)
+        ep = build_episode("flat", t, u, t, np.zeros_like(t), tau=1.0)
+        with pytest.raises(ConfigurationError):
+            fit_population([ep], grid, init=p)
 
     def test_cost_and_gradient_raises(self):
         # the fit scores failures as inf; the evaluation itself must raise
