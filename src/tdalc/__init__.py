@@ -18,11 +18,10 @@ from .errors import (ConfigurationError, NumericalError, ParameterError,
 from .forward_model import (DiscreteSystem, DiscreteTimeOps, assemble,
                             convolve, deterministic_ops, discrete_time,
                             impulse_kernels, simulate, simulate_deterministic)
-from .grid_basis import (DiscretizationGrid, ParamMesh, SpatialMesh,
-                         TensorIndex, TimeMesh)
+from .grid_basis import DiscretizationGrid, ParamMesh, SpatialMesh, TimeMesh
 from .population_fit import (FitResult, cost, cost_and_gradient,
                              fit_episode_deterministic, fit_population,
-                             gradient, initial_guess)
+                             initial_guess)
 from .synth import SynthConfig, generate
 from .uncertainty import (CredibleBand, EpisodeStats, StatsIntervals,
                           credible_band, credible_band_scalar, episode_stats,

@@ -10,13 +10,19 @@ through a positive-semidefinite square root, block diagonal over the
 parameter cells.  The resulting stacked problem is solved under a
 nonnegativity constraint by an active-set method.
 
+One builder makes the stacked problem from kernel columns: one per
+parameter cell in the tq variant, one (the population-mean kernel, or a
+single subject's) in the scalar variant.  The kernels come from the spectral
+core in ``forward_model``, so a single subject is the one-column case of the
+same problem.  The temporal mesh, its Grams and sampled basis, and the
+temporal penalty root are cached, so a band's many single-subject solves on
+one TAC differ only in their kernel.
+
 Only the penalty depends on (r1, r2).  The weight search therefore builds
-each training episode's kernels, design, temporal matrices and cell masses
-once, rebuilds only the penalty per candidate (r1, r2), and warm-starts each
-active-set solve from that episode's previous solution.  ``deconvolve`` is
-the same solve at one (r1, r2), started from zero.  The single-subject
-problem likewise takes its time mesh and penalty root from a cache, so a
-band's many solves on one TAC differ only in their kernel.
+each training episode's kernels, design and cell masses once, rebuilds only
+the penalty per candidate (r1, r2), and warm-starts each active-set solve
+from that episode's previous solution.  ``deconvolve`` is the same solve at
+one (r1, r2), started from zero.
 
 Column ordering of the tq design follows the global convention: temporal
 index fastest, then the first parameter cell index, then the second.
@@ -37,7 +43,7 @@ from .data_io import Episode
 from .errors import ConfigurationError, NumericalError
 from .forward_model import (DeterministicOps, DiscreteTimeOps,
                             deterministic_kernels, impulse_kernels)
-from .grid_basis import TensorIndex, TimeMesh, temporal_basis_matrices
+from .grid_basis import TimeMesh, temporal_basis_matrices
 
 #: below this value a regularization weight is treated as exactly zero
 REG_FLOOR = 1e-6
@@ -77,8 +83,6 @@ class DeconvolutionProblem:
     r1: float
     r2: float
     cell_masses: np.ndarray | None   # None in the scalar variant
-    g0: np.ndarray            # temporal value Gram, m x m
-    g1: np.ndarray            # temporal derivative Gram, m x m
 
     @property
     def n_cols(self) -> int:
@@ -103,7 +107,7 @@ class DeconvolutionProblem:
         """The same problem at other weights; only the penalty is rebuilt."""
         r1, r2 = _snap_regs(r1, r2)
         return replace(self, r1=r1, r2=r2, penalty_sqrt=_penalty_sqrt(
-            self.g0, self.g1, self.cell_masses, r1, r2))
+            self.time_mesh, self.cell_masses, r1, r2))
 
     def mean_curve(self, x: np.ndarray) -> np.ndarray:
         """Population-mean input on the grid for coefficient vector x."""
@@ -120,15 +124,56 @@ def _snap_regs(r1: float, r2: float) -> tuple[float, float]:
             0.0 if r2 < REG_FLOOR else float(r2))
 
 
-def _penalty_sqrt(g0: np.ndarray, g1: np.ndarray, masses: np.ndarray | None,
+@functools.lru_cache(maxsize=8)
+def _time_basis(tm: TimeMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``temporal_basis_matrices(tm)``: the value and derivative Grams
+    (m x m) and the basis sampled on the grid (K x m).  Cached, so the
+    arrays are read-only."""
+    mats = temporal_basis_matrices(tm)
+    for arr in mats:
+        arr.setflags(write=False)
+    return mats
+
+
+@functools.lru_cache(maxsize=8)
+def _penalty_root(tm: TimeMesh, r1: float, r2: float) -> np.ndarray:
+    """Root of the temporal penalty r1 * G0 + r2 * G1 (m x m, read-only)."""
+    g0, g1, _ = _time_basis(tm)
+    root = sqrtm_psd(r1 * g0 + r2 * g1)
+    root.setflags(write=False)
+    return root
+
+
+def _penalty_sqrt(tm: TimeMesh, masses: np.ndarray | None,
                   r1: float, r2: float) -> np.ndarray:
     """Diagonal blocks of the penalty root, one per cell (one in the scalar
     variant).  The penalty of the tensor basis factorizes into cell masses
     times the temporal quadratic form, so it is cell-block diagonal."""
-    reg_small = sqrtm_psd(r1 * g0 + r2 * g1)
+    root = _penalty_root(tm, r1, r2)
     if masses is None:
-        return reg_small[None]
-    return np.sqrt(masses)[:, None, None] * reg_small
+        return root[None]
+    return np.sqrt(masses)[:, None, None] * root
+
+
+def _stacked_problem(columns: np.ndarray, masses: np.ndarray | None,
+                     tac: np.ndarray, tau: float, r1: float, r2: float,
+                     m: int | None) -> DeconvolutionProblem:
+    """The stacked problem for kernel ``columns`` (K-1 lags x columns): one
+    design block per column, and a penalty block per cell weighted by
+    ``masses``, or None for the scalar variant's single column."""
+    n_grid = tac.size
+    if m is None:
+        m = default_basis_count((n_grid - 1) * tau)
+    tm = TimeMesh(m, (n_grid - 1) * tau, tau)
+    sample = _time_basis(tm)[2]
+    design = np.empty((n_grid, m * columns.shape[1]))
+    for c, kernel in enumerate(columns.T):
+        design[:, c * m:(c + 1) * m] = _toeplitz_design(kernel, n_grid) @ sample
+    return DeconvolutionProblem(variant="scalar" if masses is None else "tq",
+                                tac=tac, time_mesh=tm,
+                                sample=sample, design=design,
+                                penalty_sqrt=_penalty_sqrt(tm, masses, r1, r2),
+                                r1=r1, r2=r2, cell_masses=masses)
 
 
 def build_problem(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
@@ -142,31 +187,16 @@ def build_problem(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
     tac = np.asarray(tac, dtype=float)
     if tac.ndim != 1 or tac.size < 2:
         raise ConfigurationError("tac series must be 1-d with at least two samples")
-    n_grid = tac.size
-    horizon = (n_grid - 1) * ops.tau
-    if m is None:
-        m = default_basis_count(horizon)
-    tm = TimeMesh(m, horizon, ops.tau)
-    g0, g1, sample = temporal_basis_matrices(tm)
-    kernels = impulse_kernels(ops, n_grid - 1)
+    kernels = impulse_kernels(ops, tac.size - 1)
     if not np.any(kernels.functional):
         raise NumericalError("impulse kernels are identically zero")
     if variant == "scalar":
-        design = _toeplitz_design(kernels.mean, n_grid) @ sample
-        masses = None
+        columns, masses = kernels.mean[:, None], None
     elif variant == "tq":
-        kappa = kernels.functional
-        nc = kappa.shape[1]
-        design = np.empty((n_grid, m * nc))
-        for c in range(nc):
-            design[:, c * m:(c + 1) * m] = _toeplitz_design(kappa[:, c], n_grid) @ sample
-        masses = kernels.p
+        columns, masses = kernels.functional, kernels.p
     else:
         raise ConfigurationError(f"unknown variant {variant!r}")
-    return DeconvolutionProblem(variant=variant, tac=tac, time_mesh=tm,
-                                sample=sample, design=design,
-                                penalty_sqrt=_penalty_sqrt(g0, g1, masses, r1, r2),
-                                r1=r1, r2=r2, cell_masses=masses, g0=g0, g1=g1)
+    return _stacked_problem(columns, masses, tac, ops.tau, r1, r2, m)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +457,9 @@ def deconvolve(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
     sol = solve_problem(problem)
     mm = problem.time_mesh.m
     if variant == "tq":
-        index = TensorIndex((mm, ops.grid.pm1.count, ops.grid.pm2.count))
-        coeffs = index.reshape(sol.x)
+        # temporal index fastest, then the first cell index, then the second
+        coeffs = sol.x.reshape((mm, ops.grid.pm1.count, ops.grid.pm2.count),
+                               order="F")
     else:
         coeffs = sol.x.copy()
     mean_curve = problem.mean_curve(sol.x)
@@ -438,20 +469,6 @@ def deconvolve(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
                                coeffs=coeffs, mean_curve=mean_curve,
                                fitted_tac=fitted, residual=residual,
                                nnls=sol, time_mesh=problem.time_mesh)
-
-
-@functools.lru_cache(maxsize=8)
-def _single_subject_parts(n_grid: int, tau: float, r1: float, r2: float,
-                          m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The parts of a single-subject problem fixed by (r1, r2, m, horizon,
-    tau): the temporal basis sampled on the grid (K x m) and the penalty
-    root (m x m).  Both are cached, so both are read-only."""
-    tm = TimeMesh(m, (n_grid - 1) * tau, tau)
-    g0, g1, sample = temporal_basis_matrices(tm)
-    penalty = sqrtm_psd(r1 * g0 + r2 * g1)
-    for arr in (sample, penalty):
-        arr.setflags(write=False)
-    return sample, penalty
 
 
 def deconvolve_deterministic(det: DeterministicOps, tac: np.ndarray,
@@ -466,15 +483,10 @@ def deconvolve_deterministic(det: DeterministicOps, tac: np.ndarray,
     """
     r1, r2 = _snap_regs(r1, r2)
     tac = np.asarray(tac, dtype=float)
-    n_grid = tac.size
-    if m is None:
-        m = default_basis_count((n_grid - 1) * det.tau)
-    sample, penalty = _single_subject_parts(n_grid, det.tau, r1, r2, m)
-    kern = deterministic_kernels(det, n_grid - 1)
-    stacked = np.vstack([_toeplitz_design(kern, n_grid) @ sample, penalty])
-    target = np.concatenate([tac, np.zeros(m)])
-    sol = nnls(stacked, target, x0=x0)
-    return sample @ sol.x, sol
+    kern = deterministic_kernels(det, tac.size - 1)
+    problem = _stacked_problem(kern[:, None], None, tac, det.tau, r1, r2, m)
+    sol = solve_problem(problem, x0=x0)
+    return problem.sample @ sol.x, sol
 
 
 class SearchEpisode:

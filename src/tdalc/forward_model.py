@@ -5,25 +5,26 @@ parameter cells, under the density-weighted inner product.  Because the
 indicators of distinct cells are orthogonal, every operator in the weak form
 is block diagonal over parameter cells, and each cell block is the classical
 single-subject Galerkin system evaluated at that cell's conditional-mean
-parameters, scaled by the cell mass.  Assembly and time stepping exploit the
-block structure throughout.
+parameters, scaled by the cell mass.  A cell is therefore fully described by
+its mass and its conditional means (qbar1, qbar2).
 
-The continuous semigroup is discretized exactly on each sampling interval by
-the matrix exponential (zero-order hold on the input), which makes the
-discrete flow map a true semigroup: stepping with 2*tau equals stepping twice
-with tau.  ``discrete_time``, ``state_trajectory``, ``simulate`` and
-``impulse_kernels`` march that recursion; the deconvolution builds its design
-from them.
+Each cell is a linear time-invariant system whose generator is self-adjoint
+in the mass inner product, so its impulse response is a short sum of
+exponentials.  The spectral core (``_spectrum`` and the kernel functions
+below it) whitens the pencil by the Cholesky factor of the mass matrix, runs
+one batched symmetric eigensolve over the cells, and returns the lag kernels
+in closed form together with their exact derivative in the diffusivity
+(Daleckii-Krein divided differences).  Every production path reads its
+kernels from it: ``impulse_kernels`` for the population model (deconvolution
+and synthesis), the single-subject model, and the population fit.
+Simulation is a convolution with the kernel; no ``expm`` or time loop is
+involved.
 
-Each cell is also a linear time-invariant system whose generator is
-self-adjoint in the mass inner product, so its impulse response is a short
-sum of exponentials.  The spectral core (``_spectrum`` and the kernel
-functions below it) whitens the pencil by the Cholesky factor of the mass
-matrix, runs one batched symmetric eigensolve over the cells, and returns the
-lag kernels in closed form together with their exact derivative in the
-diffusivity (Daleckii-Krein divided differences).  The single-subject model
-and the population fit use it: simulation is a convolution with the kernel,
-and no ``expm`` or time loop is involved.
+The reference is the zero-order-hold recursion: the matrix exponential on
+each sampling interval, which makes the discrete flow map a true semigroup
+(stepping with 2*tau equals stepping twice with tau).  ``DiscreteTimeOps``
+builds its matrices lazily, and ``state_trajectory`` and ``simulate`` march
+it; the tests compare the spectral kernels against it.
 """
 
 from __future__ import annotations
@@ -41,40 +42,22 @@ from .grid_basis import DiscretizationGrid, SpatialMesh
 
 @dataclass(frozen=True)
 class DiscreteSystem:
-    """Continuous-time Galerkin matrices in per-cell block form.
+    """The density-weighted Galerkin system, cell by cell.
 
-    Flat state ordering: spatial index fastest, then the first parameter cell
-    index, then the second; cell c therefore owns the contiguous slice
-    ``[c*nb, (c+1)*nb)`` of the flat state, with ``nb`` spatial basis size.
-
-    mass_blocks[c]   cell mass times the spatial mass matrix
-    op_blocks[c]     minus (cell mass * boundary0 + q1-weight * stiffness)
-    input_cells[c]   q2-weight times the right-endpoint trace; this is both
-                     the c-th column block of the cell-input operator and the
-                     c-th block of the scalar-input vector
-    output_blocks[c] cell mass times the left-endpoint trace
+    Cell c, in flat cell order (first parameter index fastest), carries mass
+    p[c] and the conditional means qbar1[c], qbar2[c] of the diffusivity and
+    the input gain.  Its blocks are p[c] times the single-subject Galerkin
+    system at (qbar1[c], qbar2[c]), so these three vectors determine it.
     """
 
     grid: DiscretizationGrid
     p: np.ndarray            # cell masses, flat cell order
     qbar1: np.ndarray        # per-cell conditional mean of the diffusivity
     qbar2: np.ndarray        # per-cell conditional mean of the input gain
-    mass_blocks: np.ndarray
-    op_blocks: np.ndarray
-    input_cells: np.ndarray
-    output_blocks: np.ndarray
 
     @property
     def n_cells(self) -> int:
         return self.p.size
-
-    @property
-    def block_size(self) -> int:
-        return self.mass_blocks.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.n_cells * self.block_size
 
 
 def _flat_cells(arr: np.ndarray) -> np.ndarray:
@@ -103,7 +86,7 @@ def assemble_from_weights(weights: density.CellWeights,
 
     A cell whose mass underflows to zero (a far tail of a tight density) is
     kept in the block structure with its conditional means replaced by the
-    cell midpoint; its zero weights remove it from the input, the output,
+    cell midpoint; its zero mass removes it from the input, the output,
     and the mass, so it contributes nothing to the dynamics.
     """
     p = _flat_cells(weights.p)
@@ -129,22 +112,16 @@ def assemble_from_weights(weights: density.CellWeights,
         raise ParameterError(
             "support admits nonpositive diffusivity; cell conditional means "
             f"of q1 include {qbar1.min():.3e}")
-    gram = grid.spatial.gram
-    mass_blocks = p[:, None, None] * gram.mass
-    op_blocks = -(p[:, None, None] * gram.boundary0
-                  + w1[:, None, None] * gram.stiffness)
-    input_cells = w2[:, None] * gram.trace1
-    output_blocks = p[:, None] * gram.trace0
-    return DiscreteSystem(grid=grid, p=p, qbar1=qbar1, qbar2=qbar2,
-                          mass_blocks=mass_blocks, op_blocks=op_blocks,
-                          input_cells=input_cells, output_blocks=output_blocks)
+    return DiscreteSystem(grid=grid, p=p, qbar1=qbar1, qbar2=qbar2)
 
 
 @dataclass(frozen=True)
 class DiscreteTimeOps:
-    """Zero-order-hold discretization of a DiscreteSystem at step tau.
+    """A DiscreteSystem sampled at step tau.
 
-    ahat[c] is the cell's discrete flow map exp(tau * A_c) with
+    Its kernels come from the spectral core (``impulse_kernels``).  The
+    zero-order-hold recursion matrices are the reference, built on first
+    use: ahat[c] is the cell's discrete flow map exp(tau * A_c) with
     A_c = M^{-1} (-boundary0 - qbar1[c] * stiffness); bhat[c] is the
     discretized input column of cell c (it doubles as the scalar-input block,
     a constant-in-q input drives every cell with the same coefficient);
@@ -154,40 +131,51 @@ class DiscreteTimeOps:
     grid: DiscretizationGrid
     tau: float
     p: np.ndarray
-    ahat: np.ndarray       # (ncells, nb, nb)
-    bhat: np.ndarray       # (ncells, nb)
-    c_out: np.ndarray      # (ncells, nb)
+    qbar1: np.ndarray
+    qbar2: np.ndarray
 
     @property
     def n_cells(self) -> int:
         return self.p.size
 
+    @functools.cached_property
+    def _generators(self) -> np.ndarray:
+        """Per-cell continuous generators A_c (the cell mass cancels)."""
+        gram = self.grid.spatial.gram
+        rhs = -(gram.boundary0[None, :, :]
+                + self.qbar1[:, None, None] * gram.stiffness[None, :, :])
+        return np.linalg.solve(gram.mass, rhs)
 
-def _cell_generators(sys: DiscreteSystem) -> np.ndarray:
-    """Per-cell continuous generators A_c (the cell mass cancels)."""
-    gram = sys.grid.spatial.gram
-    rhs = -(gram.boundary0[None, :, :]
-            + sys.qbar1[:, None, None] * gram.stiffness[None, :, :])
-    return np.linalg.solve(gram.mass, rhs)
+    @functools.cached_property
+    def ahat(self) -> np.ndarray:
+        """(ncells, nb, nb) flow maps."""
+        return expm(self.tau * self._generators)
+
+    @functools.cached_property
+    def bhat(self) -> np.ndarray:
+        """(ncells, nb) discretized input columns."""
+        gram = self.grid.spatial.gram
+        # continuous input column of cell c is qbar2[c] * M^{-1} trace1
+        mb = (self.qbar2[:, None]
+              * np.linalg.solve(gram.mass, gram.trace1)[None, :])
+        eye = np.eye(self.grid.spatial.basis_size)
+        rhs = np.einsum("cij,cj->ci", self.ahat - eye[None, :, :], mb)
+        return np.linalg.solve(self._generators, rhs[..., None])[..., 0]
+
+    @functools.cached_property
+    def c_out(self) -> np.ndarray:
+        """(ncells, nb) density-weighted left traces."""
+        return self.p[:, None] * self.grid.spatial.gram.trace0
 
 
 def discrete_time(sys: DiscreteSystem, tau: float | None = None) -> DiscreteTimeOps:
-    """Exact zero-order-hold discretization at step tau (default: grid tau)."""
+    """The system sampled at step tau (default: grid tau)."""
     if tau is None:
         tau = sys.grid.tau
     if tau <= 0:
         raise ConfigurationError(f"tau must be positive, got {tau}")
-    gram = sys.grid.spatial.gram
-    a_blocks = _cell_generators(sys)
-    ahat = expm(tau * a_blocks)
-    minv_t1 = np.linalg.solve(gram.mass, gram.trace1)
-    # continuous input column of cell c is qbar2[c] * M^{-1} trace1
-    mb = sys.qbar2[:, None] * minv_t1[None, :]
-    eye = np.eye(sys.block_size)
-    rhs = np.einsum("cij,cj->ci", ahat - eye[None, :, :], mb)
-    bhat = np.linalg.solve(a_blocks, rhs[..., None])[..., 0]
     return DiscreteTimeOps(grid=sys.grid, tau=tau, p=sys.p.copy(),
-                           ahat=ahat, bhat=bhat, c_out=sys.output_blocks.copy())
+                           qbar1=sys.qbar1.copy(), qbar2=sys.qbar2.copy())
 
 
 def _check_input(ops: DiscreteTimeOps, u: np.ndarray, variant: str) -> np.ndarray:
@@ -206,7 +194,7 @@ def _check_input(ops: DiscreteTimeOps, u: np.ndarray, variant: str) -> np.ndarra
 
 def state_trajectory(ops: DiscreteTimeOps, u: np.ndarray,
                      variant: str = "scalar") -> tuple[np.ndarray, np.ndarray]:
-    """March the recursion from the zero state.
+    """March the reference recursion from the zero state.
 
     Returns (states, y): states[j] is the block state before step j's output,
     j = 0..steps, and y[k-1] is the observed output after k steps, k = 1..steps.
@@ -226,7 +214,8 @@ def state_trajectory(ops: DiscreteTimeOps, u: np.ndarray,
 
 
 def simulate(ops: DiscreteTimeOps, u: np.ndarray, variant: str = "scalar") -> np.ndarray:
-    """Output samples y_1..y_steps for a zero-order-hold input u_0..u_{steps-1}."""
+    """Output samples y_1..y_steps for a zero-order-hold input u_0..u_{steps-1},
+    by the reference recursion."""
     _, y = state_trajectory(ops, u, variant)
     return y
 
@@ -258,16 +247,13 @@ class Kernels:
 
 
 def impulse_kernels(ops: DiscreteTimeOps, count: int) -> Kernels:
-    """First ``count`` impulse-response kernels h_l = C Ahat^{l-1} Bhat."""
+    """First ``count`` impulse-response kernels h_l = C Ahat^{l-1} Bhat, from
+    the spectral core: cell c contributes p[c] * qbar2[c] times its unit-gain
+    kernel."""
     if count < 1:
         raise ConfigurationError(f"kernel count must be >= 1, got {count}")
-    nc = ops.n_cells
-    kappa = np.zeros((count, nc))
-    v = ops.bhat.copy()
-    for l in range(count):
-        kappa[l] = np.sum(ops.c_out * v, axis=1)
-        if l + 1 < count:
-            v = np.einsum("cij,cj->ci", ops.ahat, v)
+    unit = _spectral_kernels(ops.grid.spatial, ops.qbar1, ops.tau, count)
+    kappa = (ops.p * ops.qbar2)[None, :] * unit.T
     # zero-mass cells carry no kernel; their Riesz coefficients stay zero
     safe_p = np.where(ops.p > 0.0, ops.p, 1.0)
     return Kernels(riesz=kappa / safe_p[None, :], mean=kappa.sum(axis=1),

@@ -9,10 +9,10 @@ Three one-dimensional ingredients appear throughout the toolkit:
 * linear B-splines in time, used to represent the unknown input signal when
   deconvolving.
 
-This module owns the mesh geometry, the closed-form Gram (mass / stiffness /
-boundary) matrices of the hat bases, and the flattening convention for
-tensor-product indices.  Everything downstream assumes the convention fixed
-here: in a flattened tensor index the first component varies fastest.
+This module owns the mesh geometry and the closed-form Gram (mass /
+stiffness / boundary) matrices of the hat bases.  Everything downstream
+flattens tensor-product indices by one convention: in a flattened tensor
+index the first component varies fastest (NumPy's ``order="F"``).
 """
 
 from __future__ import annotations
@@ -208,49 +208,6 @@ def temporal_basis_matrices(tm: TimeMesh) -> tuple[np.ndarray, np.ndarray, np.nd
     gram = assemble_1d_gram(tm.nodes)
     sample = hat_matrix(tm.nodes, tm.grid_times)
     return gram.mass, gram.stiffness, sample
-
-
-@dataclass(frozen=True)
-class TensorIndex:
-    """Flattening convention for tensor-product indices.
-
-    ``shape`` lists the per-axis sizes.  In the flat index the first axis
-    varies fastest: flat = i0 + shape[0]*(i1 + shape[1]*i2 + ...).
-    """
-
-    shape: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape))
-
-    def flatten(self, multi: tuple[int, ...]) -> int:
-        if len(multi) != len(self.shape):
-            raise IndexError(f"expected {len(self.shape)} indices, got {len(multi)}")
-        flat = 0
-        strides = 1
-        for i, (ix, sz) in enumerate(zip(multi, self.shape)):
-            if not 0 <= ix < sz:
-                raise IndexError(f"index {ix} out of range for axis {i} of size {sz}")
-            flat += ix * strides
-            strides *= sz
-        return flat
-
-    def unflatten(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.size:
-            raise IndexError(f"flat index {flat} out of range for size {self.size}")
-        multi = []
-        for sz in self.shape:
-            multi.append(flat % sz)
-            flat //= sz
-        return tuple(multi)
-
-    def reshape(self, flat_array: np.ndarray) -> np.ndarray:
-        """View a flat coefficient vector as a tensor with this shape."""
-        return np.asarray(flat_array).reshape(self.shape, order="F")
-
-    def ravel(self, tensor: np.ndarray) -> np.ndarray:
-        return np.asarray(tensor).ravel(order="F")
 
 
 @dataclass(frozen=True)

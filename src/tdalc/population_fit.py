@@ -210,13 +210,6 @@ def cost_and_gradient(params: PopulationParams, episodes: list[Episode],
     return total, grad
 
 
-def gradient(params: PopulationParams, episodes: list[Episode],
-             grid: DiscretizationGrid, fit_lower: bool = False,
-             order: int = 5) -> np.ndarray:
-    """Gradient of the fit cost; components follow active_parameter_names."""
-    return cost_and_gradient(params, episodes, grid, fit_lower, order)[1]
-
-
 # ---------------------------------------------------------------------------
 # per-episode deterministic calibration, used to seed the population fit
 

@@ -4,9 +4,9 @@ Produces paired BrAC/TAC records from a known population distribution so the
 whole pipeline can be exercised and validated without clinical data.  Two
 modes: ``population`` simulates TAC with the population model itself (the
 expected TAC over the parameter distribution); ``individual`` draws one
-parameter pair per episode and simulates the single-subject model.  Both
-channels record at their device cadence plus one terminal reading at the end
-of the record.
+parameter pair per episode and simulates the single-subject model; either
+convolves the input with the model's impulse kernels.  Both channels record
+at their device cadence plus one terminal reading at the end of the record.
 
 Each episode perturbs the BrAC template in amplitude and duration so a
 collection of episodes excites the model more richly than one repeated
@@ -28,8 +28,9 @@ import numpy as np
 from . import density
 from .data_io import Episode, build_episode
 from .errors import ConfigurationError
-from .forward_model import (assemble, deterministic_ops, discrete_time,
-                            simulate, simulate_deterministic)
+from .forward_model import (assemble, convolve, deterministic_ops,
+                            discrete_time, impulse_kernels,
+                            simulate_deterministic)
 from .grid_basis import DiscretizationGrid
 
 BRAC_CADENCE = 30.0   # minutes between breathalyzer readings
@@ -114,7 +115,8 @@ def generate(cfg: SynthConfig) -> list[Episode]:
         dur = rng.uniform(*cfg.dur_range)
         u, t = _template_on_grid(cfg, amp, dur, tau)
         if cfg.mode == "population":
-            clean = np.concatenate([[0.0], simulate(pop_ops, u[:-1])])
+            kernels = impulse_kernels(pop_ops, max(u.size - 1, 1))
+            clean = np.concatenate([[0.0], convolve(kernels, u[:-1])])
         else:
             q = density.sample(cfg.rho_true, 1, rng)[0]
             det = deterministic_ops(q, cfg.grid.spatial, tau)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tdalc import cli
+from tdalc import cli, forward_model
 from tdalc.cli import main, read_config
 from tdalc.deconvolution import RegularizationSearch
 from tdalc.density import PopulationParams, load_params, save_params
@@ -264,6 +264,29 @@ class TestDeconvolve:
         assert meta["search"] == {"converged": False, "evals": 1,
                                   "at_bound": False,
                                   "path": [[-3.0, -3.0, 0.5]]}
+
+    def test_production_paths_run_no_expm(self, tmp_path, monkeypatch):
+        # the expm recursion is the test reference: simulate, deconvolve
+        # (both variants) and the weight search read the spectral kernels
+        def no_expm(*args, **kwargs):
+            raise AssertionError("expm called")
+
+        monkeypatch.setattr(forward_model, "expm", no_expm)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(BASE_CONFIG)
+        eps = tmp_path / "eps"
+        assert main(["simulate", str(cfg), "--out-dir", str(eps)]) == 0
+        rho = write_rho(tmp_path / "rho.params")
+        tac = str(eps / "synth-000.csv")
+        for variant in ("tq", "scalar"):
+            assert main(["deconvolve", tac, "--rho", str(rho),
+                         "--r1", "1e-3", "--r2", "1e-3",
+                         "--variant", variant, "--samples", "60",
+                         "--out-prefix", str(tmp_path / variant)]) == 0
+        assert main(["deconvolve", tac, "--rho", str(rho), "--auto-reg",
+                     "--train", str(eps / "synth-001.csv"),
+                     "--samples", "60",
+                     "--out-prefix", str(tmp_path / "auto")]) == 0
 
     def test_same_seed_byte_identical(self, sim_dir, tmp_path):
         rho = write_rho(tmp_path / "rho.params")

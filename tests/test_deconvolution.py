@@ -211,7 +211,7 @@ class TestBuildProblem:
 
     def test_zero_kernels_rejected(self):
         ops = make_ops()
-        dead = replace(ops, bhat=np.zeros_like(ops.bhat))
+        dead = replace(ops, qbar2=np.zeros_like(ops.qbar2))
         tac = np.zeros(61)
         with pytest.raises(NumericalError):
             build_problem(dead, tac, 0.1, 0.1)
@@ -304,6 +304,29 @@ class TestDeconvolve:
         recon = res.mean_curve
         sampled = np.linalg.norm(recon)
         assert sampled > 0 and flat_mean.shape == (10,)
+
+    def test_coeff_tensor_layout(self):
+        # coeffs[:, i1, i2] is the block of cell i1 + m1 * i2 in the flat
+        # solution, temporal index fastest
+        ops = make_ops(m1=3, m2=2)
+        res = deconvolve(ops, make_tac(ops, pulse(121)), 1e-3, 1e-3, m=10)
+        blocks = res.nnls.x.reshape(6, 10)
+        for i1 in range(3):
+            for i2 in range(2):
+                assert np.array_equal(res.coeffs[:, i1, i2],
+                                      blocks[i1 + 3 * i2])
+
+    def test_one_cell_scalar_is_single_subject(self):
+        # a single subject is the one-cell population at its cell means
+        ops = make_ops(m1=1, m2=1)
+        tac = make_tac(ops, pulse(181))
+        res = deconvolve(ops, tac, 1e-3, 1e-2, variant="scalar")
+        det = forward_model.deterministic_ops(
+            (ops.qbar1[0], ops.p[0] * ops.qbar2[0]), ops.grid.spatial,
+            ops.tau)
+        curve, _ = deconvolve_deterministic(det, tac, 1e-3, 1e-2)
+        assert np.max(np.abs(res.mean_curve - curve)) \
+            <= 1e-12 * np.max(np.abs(curve))
 
     def test_deterministic_variant(self):
         det = forward_model.deterministic_ops((0.62, 1.0), SpatialMesh(4), 1.0)

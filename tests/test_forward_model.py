@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from tdalc import forward_model
@@ -226,3 +228,27 @@ class TestSpectralDeterministic:
     def test_empty_input(self):
         det = forward_model.deterministic_ops((0.62, 1.0), SpatialMesh(4), 1.0)
         assert forward_model.simulate_deterministic(det, np.zeros(0)).shape == (0,)
+
+
+class TestPopulationKernels:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 12), m1=st.integers(1, 3), m2=st.integers(1, 3),
+           box=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+           loc=st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+           spread=st.tuples(st.floats(0.02, 0.5), st.floats(0.02, 0.5)),
+           corr=st.floats(-0.7, 0.7), tau=st.sampled_from([0.5, 1.0, 2.0]),
+           seed=st.integers(0, 2 ** 16))
+    def test_convolution_matches_recursion(self, n, m1, m2, box, loc, spread,
+                                           corr, tau, seed):
+        # the spectral kernels against the reference expm recursion
+        b = np.array(box)
+        sd = np.array(spread) * b
+        params = PopulationParams(
+            a=(0.0, 0.0), b=b, mu=np.array(loc) * b,
+            sigma=np.outer(sd, sd) * np.array([[1.0, corr], [corr, 1.0]]))
+        ops = make_ops(params, n=n, m1=m1, m2=m2, tau=tau)
+        u = np.random.default_rng(seed).random(60)
+        kern = forward_model.impulse_kernels(ops, u.size)
+        y_rec = forward_model.simulate(ops, u)
+        err = np.max(np.abs(forward_model.convolve(kern, u) - y_rec))
+        assert err <= 1e-11 * np.max(np.abs(y_rec))

@@ -3,9 +3,8 @@ import pytest
 
 from tdalc.errors import ConfigurationError
 from tdalc.grid_basis import (DiscretizationGrid, ParamMesh, SpatialMesh,
-                              TensorIndex, TimeMesh, assemble_1d_gram,
-                              hat_matrix, hat_value,
-                              temporal_basis_matrices)
+                              TimeMesh, assemble_1d_gram, hat_matrix,
+                              hat_value, temporal_basis_matrices)
 
 
 class TestSpatialMesh:
@@ -106,28 +105,6 @@ class TestSpatialGram:
         expect = (np.diag([1.0] + [2.0] * (n - 1) + [1.0])
                   - np.diag(np.ones(n), 1) - np.diag(np.ones(n), -1)) * n
         assert np.allclose(gram.stiffness, expect, atol=1e-12)
-
-
-class TestTensorIndex:
-    def test_first_index_fastest(self):
-        idx = TensorIndex((3, 4, 2))
-        tensor = np.arange(24.0).reshape(3, 4, 2, order="F")
-        flat = idx.ravel(tensor)
-        for i in range(3):
-            for j in range(4):
-                for k in range(2):
-                    pos = idx.flatten((i, j, k))
-                    assert pos == i + 3 * (j + 4 * k)
-                    assert flat[pos] == tensor[i, j, k]
-                    assert idx.unflatten(pos) == (i, j, k)
-
-    def test_round_trip(self):
-        idx = TensorIndex((4, 4, 4))
-        rng = np.random.default_rng(5)
-        tensor = rng.random((4, 4, 4))
-        assert np.array_equal(idx.reshape(idx.ravel(tensor)), tensor)
-        flat = rng.random(64)
-        assert np.array_equal(idx.ravel(idx.reshape(flat)), flat)
 
 
 class TestDiscretizationGrid:
