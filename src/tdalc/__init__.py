@@ -15,9 +15,9 @@ from .density import (PopulationParams, cell_masses, credible_region_radius,
                       load_params, moment_weights, pdf, sample, save_params)
 from .errors import (ConfigurationError, NumericalError, ParameterError,
                      ParseError, SamplingError)
-from .forward_model import (DiscreteSystem, DiscreteTimeOps, assemble,
-                            convolve, deterministic_ops, discrete_time,
-                            impulse_kernels, simulate, simulate_deterministic)
+from .forward_model import (DiscreteTimeOps, assemble, convolve,
+                            deterministic_ops, discrete_time, impulse_kernels,
+                            simulate, simulate_deterministic)
 from .grid_basis import DiscretizationGrid, ParamMesh, SpatialMesh, TimeMesh
 from .population_fit import (FitResult, cost, cost_and_gradient,
                              fit_episode_deterministic, fit_population,

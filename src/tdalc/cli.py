@@ -205,7 +205,7 @@ def _deconvolve(args, caught: list) -> int:
     episode = parse_episode(args.tac, tau=args.tau)
     grid = DiscretizationGrid.from_params(params, n=args.n, m1=args.m1,
                                           m2=args.m2, tau=args.tau)
-    ops = forward_model.discrete_time(forward_model.assemble(params, grid))
+    ops = forward_model.assemble(params, grid)
     if args.auto_reg:
         if args.r1 is not None or args.r2 is not None:
             raise ConfigurationError(

@@ -11,12 +11,13 @@ parameter cells.  The resulting stacked problem is solved under a
 nonnegativity constraint by an active-set method.
 
 One builder makes the stacked problem from kernel columns: one per
-parameter cell in the tq variant, one (the population-mean kernel, or a
-single subject's) in the scalar variant.  The kernels come from the spectral
-core in ``forward_model``, so a single subject is the one-column case of the
-same problem.  The temporal mesh, its Grams and sampled basis, and the
-temporal penalty root are cached, so a band's many single-subject solves on
-one TAC differ only in their kernel.
+parameter cell in the tq variant, one (the mean kernel) in the scalar
+variant.  The kernels come from ``forward_model.impulse_kernels``.  A single
+subject is the one-cell system of ``forward_model.deterministic_ops``, so
+``deconvolve_deterministic`` is the scalar problem of that system, and
+``deconvolve`` takes it too.  The temporal mesh, its Grams and sampled
+basis, and the temporal penalty root are cached, so a band's many
+single-subject solves on one TAC differ only in their kernel.
 
 Only the penalty depends on (r1, r2).  The weight search therefore builds
 each training episode's kernels, design and cell masses once, rebuilds only
@@ -35,14 +36,13 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.blas import dtpsv
 from scipy.optimize import minimize
 
 from .data_io import Episode
 from .errors import ConfigurationError, NumericalError
-from .forward_model import (DeterministicOps, DiscreteTimeOps,
-                            deterministic_kernels, impulse_kernels)
+from .forward_model import DiscreteTimeOps, impulse_kernels
 from .grid_basis import TimeMesh, temporal_basis_matrices
 
 #: below this value a regularization weight is treated as exactly zero
@@ -64,10 +64,18 @@ def sqrtm_psd(mat: np.ndarray) -> np.ndarray:
 
 def _toeplitz_design(kernel: np.ndarray, n_grid: int) -> np.ndarray:
     """Lower-triangular convolution matrix: row k pairs lags k..1 with
-    inputs 0..k-1; row 0 is zero (the initial output is identically zero)."""
-    col = np.zeros(n_grid)
-    col[1:] = kernel[:n_grid - 1]
-    return toeplitz(col, np.zeros(n_grid))
+    inputs 0..k-1; row 0 is zero (the initial output is identically zero).
+
+    Entry (k, j) is vals[n_grid - 1 + k - j], read through a strided view
+    and copied.  It runs once per kept sample of a scalar band, so it skips
+    the argument handling of ``scipy.linalg.toeplitz``, which builds the
+    same matrix the same way.
+    """
+    vals = np.zeros(2 * n_grid - 1)
+    vals[n_grid:] = kernel[:n_grid - 1]
+    step = vals.strides[0]
+    return as_strided(vals[n_grid - 1:], shape=(n_grid, n_grid),
+                      strides=(step, -step)).copy()
 
 
 @dataclass(frozen=True)
@@ -193,7 +201,7 @@ def build_problem(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
     if variant == "scalar":
         columns, masses = kernels.mean[:, None], None
     elif variant == "tq":
-        columns, masses = kernels.functional, kernels.p
+        columns, masses = kernels.functional, ops.p
     else:
         raise ConfigurationError(f"unknown variant {variant!r}")
     return _stacked_problem(columns, masses, tac, ops.tau, r1, r2, m)
@@ -458,8 +466,7 @@ def deconvolve(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
     mm = problem.time_mesh.m
     if variant == "tq":
         # temporal index fastest, then the first cell index, then the second
-        coeffs = sol.x.reshape((mm, ops.grid.pm1.count, ops.grid.pm2.count),
-                               order="F")
+        coeffs = sol.x.reshape((mm, *ops.cells), order="F")
     else:
         coeffs = sol.x.copy()
     mean_curve = problem.mean_curve(sol.x)
@@ -471,11 +478,12 @@ def deconvolve(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
                                nnls=sol, time_mesh=problem.time_mesh)
 
 
-def deconvolve_deterministic(det: DeterministicOps, tac: np.ndarray,
+def deconvolve_deterministic(det: DiscreteTimeOps, tac: np.ndarray,
                              r1: float, r2: float, m: int | None = None,
                              x0: np.ndarray | None = None
                              ) -> tuple[np.ndarray, NnlsResult]:
-    """Single-subject deconvolution at a fixed parameter pair.
+    """Single-subject deconvolution: the scalar problem of the one-cell
+    ``det`` (``deterministic_ops``) at a fixed parameter pair.
 
     Returns the reconstructed input on the tau grid plus the solver result;
     ``x0`` warm-starts the solver from nonnegative basis coefficients, such
@@ -483,7 +491,7 @@ def deconvolve_deterministic(det: DeterministicOps, tac: np.ndarray,
     """
     r1, r2 = _snap_regs(r1, r2)
     tac = np.asarray(tac, dtype=float)
-    kern = deterministic_kernels(det, tac.size - 1)
+    kern = impulse_kernels(det, tac.size - 1).mean
     problem = _stacked_problem(kern[:, None], None, tac, det.tau, r1, r2, m)
     sol = solve_problem(problem, x0=x0)
     return problem.sample @ sol.x, sol

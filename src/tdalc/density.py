@@ -206,10 +206,7 @@ def moment_weights(params: PopulationParams, pm1: ParamMesh, pm2: ParamMesh,
         raw, z, order = finer, z_fine, 2 * order
         if stable:
             break
-    if not np.isfinite(z) or z <= 0:
-        raise ParameterError(
-            f"support box carries no normal mass (normalization {z!r})")
-    return CellWeights(p=raw[0] / z, w1=raw[1] / z, w2=raw[2] / z, order=order)
+    return _normalized(raw, order)
 
 
 def moment_weights_fixed(params: PopulationParams, pm1: ParamMesh, pm2: ParamMesh,
@@ -219,12 +216,18 @@ def moment_weights_fixed(params: PopulationParams, pm1: ParamMesh, pm2: ParamMes
     Used by finite-difference derivatives in the support bounds, where both
     sides of the difference must share the quadrature rule.
     """
-    raw_p, raw_w1, raw_w2 = _raw_cell_integrals(params, pm1, pm2, order)
-    z = float(raw_p.sum())
+    return _normalized(_raw_cell_integrals(params, pm1, pm2, order), order)
+
+
+def _normalized(raw: tuple[np.ndarray, np.ndarray, np.ndarray],
+                order: int) -> CellWeights:
+    """Cell weights from the raw cell integrals, divided by the
+    normalization constant (the sum of the raw masses)."""
+    z = float(raw[0].sum())
     if not np.isfinite(z) or z <= 0:
         raise ParameterError(
             f"support box carries no normal mass (normalization {z!r})")
-    return CellWeights(p=raw_p / z, w1=raw_w1 / z, w2=raw_w2 / z, order=order)
+    return CellWeights(p=raw[0] / z, w1=raw[1] / z, w2=raw[2] / z, order=order)
 
 
 def cell_masses(params: PopulationParams, pm1: ParamMesh, pm2: ParamMesh,

@@ -8,6 +8,13 @@ single-subject Galerkin system evaluated at that cell's conditional-mean
 parameters, scaled by the cell mass.  A cell is therefore fully described by
 its mass and its conditional means (qbar1, qbar2).
 
+The model has one object, ``DiscreteTimeOps``: the spatial mesh, the cell
+grid, the sampling step tau, and the cell masses and means.  ``assemble``
+returns it at the grid's tau.  A single subject at q is its one-cell case,
+unit mass at qbar = q (``deterministic_ops``), so every function of the
+population model (kernels, convolution, the reference recursion,
+deconvolution) runs on a single subject unchanged.
+
 Each cell is a linear time-invariant system whose generator is self-adjoint
 in the mass inner product, so its impulse response is a short sum of
 exponentials.  The spectral core (``_spectrum`` and the kernel functions
@@ -15,10 +22,10 @@ below it) whitens the pencil by the Cholesky factor of the mass matrix, runs
 one batched symmetric eigensolve over the cells, and returns the lag kernels
 in closed form together with their exact derivative in the diffusivity
 (Daleckii-Krein divided differences).  Every production path reads its
-kernels from it: ``impulse_kernels`` for the population model (deconvolution
-and synthesis), the single-subject model, and the population fit.
-Simulation is a convolution with the kernel; no ``expm`` or time loop is
-involved.
+kernels from it: ``impulse_kernels`` for deconvolution, synthesis and the
+fit's cost, whether of a population or of a single subject, and the fit's
+gradient and seed fits.  Simulation is a convolution with the kernel; no
+``expm`` or time loop is involved.
 
 The reference is the zero-order-hold recursion: the matrix exponential on
 each sampling interval, which makes the discrete flow map a true semigroup
@@ -30,7 +37,7 @@ it; the tests compare the spectral kernels against it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -41,16 +48,28 @@ from .grid_basis import DiscretizationGrid, SpatialMesh
 
 
 @dataclass(frozen=True)
-class DiscreteSystem:
-    """The density-weighted Galerkin system, cell by cell.
+class DiscreteTimeOps:
+    """The density-weighted Galerkin system, cell by cell, sampled at step tau.
 
-    Cell c, in flat cell order (first parameter index fastest), carries mass
-    p[c] and the conditional means qbar1[c], qbar2[c] of the diffusivity and
-    the input gain.  Its blocks are p[c] times the single-subject Galerkin
-    system at (qbar1[c], qbar2[c]), so these three vectors determine it.
+    Cell c, in flat cell order over the ``cells`` = (m1, m2) grid (first
+    parameter index fastest), carries mass p[c] and the conditional means
+    qbar1[c], qbar2[c] of the diffusivity and the input gain.  Its blocks are
+    p[c] times the single-subject Galerkin system at (qbar1[c], qbar2[c]), so
+    these three vectors determine it; a single subject is the one-cell case
+    (``deterministic_ops``).
+
+    Its kernels come from the spectral core (``impulse_kernels``).  The
+    zero-order-hold recursion matrices are the reference, built on first
+    use: ahat[c] is the cell's discrete flow map exp(tau * A_c) with
+    A_c = M^{-1} (-boundary0 - qbar1[c] * stiffness); bhat[c] is the
+    discretized input column of cell c (it doubles as the scalar-input block,
+    a constant-in-q input drives every cell with the same coefficient);
+    c_out[c] pairs the state with the density-weighted left trace.
     """
 
-    grid: DiscretizationGrid
+    spatial: SpatialMesh
+    cells: tuple[int, int]
+    tau: float
     p: np.ndarray            # cell masses, flat cell order
     qbar1: np.ndarray        # per-cell conditional mean of the diffusivity
     qbar2: np.ndarray        # per-cell conditional mean of the input gain
@@ -59,6 +78,35 @@ class DiscreteSystem:
     def n_cells(self) -> int:
         return self.p.size
 
+    @functools.cached_property
+    def _generators(self) -> np.ndarray:
+        """Per-cell continuous generators A_c (the cell mass cancels)."""
+        gram = self.spatial.gram
+        rhs = -(gram.boundary0[None, :, :]
+                + self.qbar1[:, None, None] * gram.stiffness[None, :, :])
+        return np.linalg.solve(gram.mass, rhs)
+
+    @functools.cached_property
+    def ahat(self) -> np.ndarray:
+        """(ncells, nb, nb) flow maps."""
+        return expm(self.tau * self._generators)
+
+    @functools.cached_property
+    def bhat(self) -> np.ndarray:
+        """(ncells, nb) discretized input columns."""
+        gram = self.spatial.gram
+        # continuous input column of cell c is qbar2[c] * M^{-1} trace1
+        mb = (self.qbar2[:, None]
+              * np.linalg.solve(gram.mass, gram.trace1)[None, :])
+        eye = np.eye(self.spatial.basis_size)
+        rhs = np.einsum("cij,cj->ci", self.ahat - eye[None, :, :], mb)
+        return np.linalg.solve(self._generators, rhs[..., None])[..., 0]
+
+    @functools.cached_property
+    def c_out(self) -> np.ndarray:
+        """(ncells, nb) density-weighted left traces."""
+        return self.p[:, None] * self.spatial.gram.trace0
+
 
 def _flat_cells(arr: np.ndarray) -> np.ndarray:
     """(m1, m2) cell array -> flat vector with the first index fastest."""
@@ -66,8 +114,9 @@ def _flat_cells(arr: np.ndarray) -> np.ndarray:
 
 
 def assemble(params: density.PopulationParams, grid: DiscretizationGrid,
-             order: int = 5) -> DiscreteSystem:
-    """Assemble the density-weighted Galerkin system on ``grid``.
+             order: int = 5) -> DiscreteTimeOps:
+    """Assemble the density-weighted Galerkin system on ``grid``, sampled at
+    the grid's tau.
 
     The grid's parameter meshes must span the support box of ``params``.
     """
@@ -81,7 +130,7 @@ def assemble(params: density.PopulationParams, grid: DiscretizationGrid,
 
 
 def assemble_from_weights(weights: density.CellWeights,
-                          grid: DiscretizationGrid) -> DiscreteSystem:
+                          grid: DiscretizationGrid) -> DiscreteTimeOps:
     """Assembly core, usable with externally supplied (or perturbed) weights.
 
     A cell whose mass underflows to zero (a far tail of a tight density) is
@@ -112,81 +161,43 @@ def assemble_from_weights(weights: density.CellWeights,
         raise ParameterError(
             "support admits nonpositive diffusivity; cell conditional means "
             f"of q1 include {qbar1.min():.3e}")
-    return DiscreteSystem(grid=grid, p=p, qbar1=qbar1, qbar2=qbar2)
+    return DiscreteTimeOps(spatial=grid.spatial,
+                           cells=(grid.pm1.count, grid.pm2.count),
+                           tau=grid.tau, p=p, qbar1=qbar1, qbar2=qbar2)
 
 
-@dataclass(frozen=True)
-class DiscreteTimeOps:
-    """A DiscreteSystem sampled at step tau.
-
-    Its kernels come from the spectral core (``impulse_kernels``).  The
-    zero-order-hold recursion matrices are the reference, built on first
-    use: ahat[c] is the cell's discrete flow map exp(tau * A_c) with
-    A_c = M^{-1} (-boundary0 - qbar1[c] * stiffness); bhat[c] is the
-    discretized input column of cell c (it doubles as the scalar-input block,
-    a constant-in-q input drives every cell with the same coefficient);
-    c_out[c] pairs the state with the density-weighted left trace.
-    """
-
-    grid: DiscretizationGrid
-    tau: float
-    p: np.ndarray
-    qbar1: np.ndarray
-    qbar2: np.ndarray
-
-    @property
-    def n_cells(self) -> int:
-        return self.p.size
-
-    @functools.cached_property
-    def _generators(self) -> np.ndarray:
-        """Per-cell continuous generators A_c (the cell mass cancels)."""
-        gram = self.grid.spatial.gram
-        rhs = -(gram.boundary0[None, :, :]
-                + self.qbar1[:, None, None] * gram.stiffness[None, :, :])
-        return np.linalg.solve(gram.mass, rhs)
-
-    @functools.cached_property
-    def ahat(self) -> np.ndarray:
-        """(ncells, nb, nb) flow maps."""
-        return expm(self.tau * self._generators)
-
-    @functools.cached_property
-    def bhat(self) -> np.ndarray:
-        """(ncells, nb) discretized input columns."""
-        gram = self.grid.spatial.gram
-        # continuous input column of cell c is qbar2[c] * M^{-1} trace1
-        mb = (self.qbar2[:, None]
-              * np.linalg.solve(gram.mass, gram.trace1)[None, :])
-        eye = np.eye(self.grid.spatial.basis_size)
-        rhs = np.einsum("cij,cj->ci", self.ahat - eye[None, :, :], mb)
-        return np.linalg.solve(self._generators, rhs[..., None])[..., 0]
-
-    @functools.cached_property
-    def c_out(self) -> np.ndarray:
-        """(ncells, nb) density-weighted left traces."""
-        return self.p[:, None] * self.grid.spatial.gram.trace0
-
-
-def discrete_time(sys: DiscreteSystem, tau: float | None = None) -> DiscreteTimeOps:
-    """The system sampled at step tau (default: grid tau)."""
+def discrete_time(ops: DiscreteTimeOps,
+                  tau: float | None = None) -> DiscreteTimeOps:
+    """The system sampled at step tau (default: its own)."""
     if tau is None:
-        tau = sys.grid.tau
+        return ops
     if tau <= 0:
         raise ConfigurationError(f"tau must be positive, got {tau}")
-    return DiscreteTimeOps(grid=sys.grid, tau=tau, p=sys.p.copy(),
-                           qbar1=sys.qbar1.copy(), qbar2=sys.qbar2.copy())
+    return replace(ops, tau=tau)
 
 
-def _check_input(ops: DiscreteTimeOps, u: np.ndarray, variant: str) -> np.ndarray:
+def deterministic_ops(q, mesh: SpatialMesh, tau: float) -> DiscreteTimeOps:
+    """Single-subject Galerkin model at q = (diffusivity, input gain): the
+    one-cell system of unit mass at q."""
+    q = np.asarray(q, dtype=float).reshape(2)
+    if q[0] <= 0:
+        raise ParameterError(f"diffusivity must be positive, got {q[0]}")
+    if tau <= 0:
+        raise ConfigurationError(f"tau must be positive, got {tau}")
+    return DiscreteTimeOps(spatial=mesh, cells=(1, 1), tau=tau,
+                           p=np.ones(1), qbar1=q[:1], qbar2=q[1:])
+
+
+def _check_input(u: np.ndarray, variant: str, n_cells: int) -> np.ndarray:
+    """``u`` as floats: 1-d for the scalar variant, (steps, n_cells) for tq."""
     u = np.asarray(u, dtype=float)
     if variant == "scalar":
         if u.ndim != 1:
             raise ConfigurationError(f"scalar-variant input must be 1-d, got shape {u.shape}")
     elif variant == "tq":
-        if u.ndim != 2 or u.shape[1] != ops.n_cells:
+        if u.ndim != 2 or u.shape[1] != n_cells:
             raise ConfigurationError(
-                f"tq-variant input must have shape (steps, {ops.n_cells}), got {u.shape}")
+                f"tq-variant input must have shape (steps, {n_cells}), got {u.shape}")
     else:
         raise ConfigurationError(f"unknown variant {variant!r}")
     return u
@@ -199,7 +210,7 @@ def state_trajectory(ops: DiscreteTimeOps, u: np.ndarray,
     Returns (states, y): states[j] is the block state before step j's output,
     j = 0..steps, and y[k-1] is the observed output after k steps, k = 1..steps.
     """
-    u = _check_input(ops, u, variant)
+    u = _check_input(u, variant, ops.n_cells)
     steps = u.shape[0]
     nc, nb = ops.bhat.shape
     states = np.zeros((steps + 1, nc, nb))
@@ -224,40 +235,28 @@ def simulate(ops: DiscreteTimeOps, u: np.ndarray, variant: str = "scalar") -> np
 class Kernels:
     """Discrete impulse-response kernels of the population model.
 
-    ``riesz[l-1]`` holds the cell coefficients of the lag-l kernel as a
-    function of the random parameters (Riesz form: pairing with a cell
-    coefficient vector goes through the cell masses), and ``mean[l-1]`` is the
-    corresponding scalar kernel of the constant-in-q (scalar) variant.
+    Row l-1 of ``functional`` dotted with cell coefficients gives the lag-l
+    output contribution, and ``mean[l-1]`` is the corresponding scalar
+    kernel of the constant-in-q (scalar) variant.
     """
 
-    riesz: np.ndarray     # (count, ncells)
-    mean: np.ndarray      # (count,)
-    p: np.ndarray
-    tau: float
+    functional: np.ndarray   # (count, ncells)
+    mean: np.ndarray         # (count,)
 
     @property
     def count(self) -> int:
-        return self.riesz.shape[0]
-
-    @property
-    def functional(self) -> np.ndarray:
-        """Coefficient form: row l dotted with cell coefficients gives the
-        lag-l output contribution."""
-        return self.riesz * self.p[None, :]
+        return self.functional.shape[0]
 
 
 def impulse_kernels(ops: DiscreteTimeOps, count: int) -> Kernels:
     """First ``count`` impulse-response kernels h_l = C Ahat^{l-1} Bhat, from
     the spectral core: cell c contributes p[c] * qbar2[c] times its unit-gain
-    kernel."""
+    kernel, so zero-mass cells carry none."""
     if count < 1:
         raise ConfigurationError(f"kernel count must be >= 1, got {count}")
-    unit = _spectral_kernels(ops.grid.spatial, ops.qbar1, ops.tau, count)
-    kappa = (ops.p * ops.qbar2)[None, :] * unit.T
-    # zero-mass cells carry no kernel; their Riesz coefficients stay zero
-    safe_p = np.where(ops.p > 0.0, ops.p, 1.0)
-    return Kernels(riesz=kappa / safe_p[None, :], mean=kappa.sum(axis=1),
-                   p=ops.p.copy(), tau=ops.tau)
+    unit = _spectral_kernels(ops.spatial, ops.qbar1, ops.tau, count)
+    functional = (ops.p * ops.qbar2)[None, :] * unit.T
+    return Kernels(functional=functional, mean=functional.sum(axis=1))
 
 
 def convolve(kernels: Kernels, u: np.ndarray, variant: str = "scalar") -> np.ndarray:
@@ -266,25 +265,30 @@ def convolve(kernels: Kernels, u: np.ndarray, variant: str = "scalar") -> np.nda
     y_k = sum_{l=1..k} h_l u_{k-l}: one ``np.convolve`` with the mean kernel
     for the scalar variant, one per cell, summed, for tq.
     """
-    u = np.asarray(u, dtype=float)
+    u = _check_input(u, variant, kernels.functional.shape[1])
     steps = u.shape[0]
     if steps > kernels.count:
         raise ConfigurationError(
             f"need {steps} kernels for {steps} steps, have {kernels.count}")
-    if variant == "scalar":
-        kern, u = kernels.mean[:steps, None], u[:, None]
-    elif variant == "tq":
-        if u.ndim != 2 or u.shape[1] != kernels.p.size:
-            raise ConfigurationError(
-                f"tq-variant input must have shape (steps, {kernels.p.size}), "
-                f"got {u.shape}")
-        kern = kernels.functional[:steps]
-    else:
-        raise ConfigurationError(f"unknown variant {variant!r}")
     if steps == 0:
         return np.zeros(0)
+    if variant == "scalar":
+        kern, u = kernels.mean[:steps, None], u[:, None]
+    else:
+        kern = kernels.functional[:steps]
     return np.sum([np.convolve(kern[:, c], u[:, c])[:steps]
                    for c in range(u.shape[1])], axis=0)
+
+
+def simulate_deterministic(det: DiscreteTimeOps, u: np.ndarray) -> np.ndarray:
+    """Output samples y_1..y_steps of a single subject: the input convolved
+    with its kernel."""
+    return convolve(impulse_kernels(det, max(len(u), 1)), u)
+
+
+def deterministic_kernels(det: DiscreteTimeOps, count: int) -> np.ndarray:
+    """Scalar impulse-response sequence of a single subject."""
+    return impulse_kernels(det, count).mean
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +358,14 @@ def _hold_gain(lam: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _decays(lam: np.ndarray, tau: float, count: int) -> np.ndarray:
-    """exp(-tau lam (l - 1)) for lags l = 1..count, shape (..., count, nb)."""
-    return np.exp(-tau * np.arange(count)[:, None] * lam[..., None, :])
+    """exp(-tau lam (l - 1)) for lags l = 1..count, shape (..., count, nb).
+
+    The exponentials are taken mode by mode, lags contiguous: the fast
+    modes underflow after a few lags, and numpy's vectorized exp is several
+    times slower on vectors that mix underflowing and normal values.
+    """
+    return np.ascontiguousarray(np.swapaxes(
+        np.exp(-tau * np.arange(count) * lam[..., :, None]), -1, -2))
 
 
 def _spectral_kernels(mesh: SpatialMesh, qbar1, tau: float,
@@ -404,47 +414,3 @@ def _spectral_kernel_derivatives(mesh: SpatialMesh, qbar1, tau: float,
              - lags * np.einsum("...lk,...k->...l", decay, d * phi))
     return kern, dkern
 
-
-# ---------------------------------------------------------------------------
-# deterministic single-subject model
-
-
-@dataclass(frozen=True)
-class DeterministicOps:
-    """Single-subject model at a fixed parameter pair, in modal form.
-
-    Its lag-l kernel is sum_k weights[k] * exp(-tau * lam[k] * (l - 1)).
-    """
-
-    q: np.ndarray
-    tau: float
-    lam: np.ndarray        # modal decay rates
-    weights: np.ndarray    # modal weights, input gain and hold included
-
-
-def deterministic_ops(q, mesh: SpatialMesh, tau: float) -> DeterministicOps:
-    """Single-subject Galerkin model at q = (diffusivity, input gain)."""
-    q = np.asarray(q, dtype=float).reshape(2)
-    if q[0] <= 0:
-        raise ParameterError(f"diffusivity must be positive, got {q[0]}")
-    if tau <= 0:
-        raise ConfigurationError(f"tau must be positive, got {tau}")
-    lam, _, a, b = _spectrum(mesh, q[0])
-    return DeterministicOps(q=q, tau=tau, lam=lam,
-                            weights=q[1] * a * b * _hold_gain(lam, tau))
-
-
-def simulate_deterministic(det: DeterministicOps, u: np.ndarray) -> np.ndarray:
-    """Output samples y_1..y_steps: the input convolved with the kernel."""
-    u = np.asarray(u, dtype=float)
-    steps = u.shape[0]
-    if steps == 0:
-        return np.zeros(0)
-    return np.convolve(deterministic_kernels(det, steps), u)[:steps]
-
-
-def deterministic_kernels(det: DeterministicOps, count: int) -> np.ndarray:
-    """Scalar impulse-response sequence of the single-subject model."""
-    if count < 1:
-        raise ConfigurationError(f"kernel count must be >= 1, got {count}")
-    return _decays(det.lam, det.tau, count) @ det.weights

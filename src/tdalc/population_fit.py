@@ -118,10 +118,9 @@ def cost(params: PopulationParams, episodes: list[Episode],
     """Sum of squared TAC residuals at the measured instants, all episodes."""
     _check_episodes(episodes, grid)
     grid = grid.rebind(params)
-    sys = forward_model.assemble(params, grid, order=order)
-    kern = forward_model._spectral_kernels(grid.spatial, sys.qbar1, grid.tau,
-                                           _kernel_count(episodes))
-    mean = (sys.p * sys.qbar2) @ kern
+    mean = forward_model.impulse_kernels(
+        forward_model.assemble(params, grid, order=order),
+        _kernel_count(episodes)).mean
     total = 0.0
     for ep in episodes:
         resid = _residuals(mean, ep)
@@ -167,7 +166,7 @@ def _weight_derivative_stack(params: PopulationParams, grid: DiscretizationGrid,
     return names, np.stack(stacks)  # (n_par, 3, ncells)
 
 
-def _mean_kernel_derivatives(sys: forward_model.DiscreteSystem,
+def _mean_kernel_derivatives(sys: forward_model.DiscreteTimeOps,
                              dw: np.ndarray, kern: np.ndarray,
                              dkern: np.ndarray) -> np.ndarray:
     """d h_l / d theta, shape (n_par, count), for the population kernel

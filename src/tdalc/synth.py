@@ -4,9 +4,10 @@ Produces paired BrAC/TAC records from a known population distribution so the
 whole pipeline can be exercised and validated without clinical data.  Two
 modes: ``population`` simulates TAC with the population model itself (the
 expected TAC over the parameter distribution); ``individual`` draws one
-parameter pair per episode and simulates the single-subject model; either
-convolves the input with the model's impulse kernels.  Both channels record
-at their device cadence plus one terminal reading at the end of the record.
+parameter pair per episode and simulates that subject, the one-cell case of
+the same model.  Either mode convolves the input with the model's impulse
+kernels.  Both channels record at their device cadence plus one terminal
+reading at the end of the record.
 
 Each episode perturbs the BrAC template in amplitude and duration so a
 collection of episodes excites the model more richly than one repeated
@@ -29,8 +30,7 @@ from . import density
 from .data_io import Episode, build_episode
 from .errors import ConfigurationError
 from .forward_model import (assemble, convolve, deterministic_ops,
-                            discrete_time, impulse_kernels,
-                            simulate_deterministic)
+                            impulse_kernels)
 from .grid_basis import DiscretizationGrid
 
 BRAC_CADENCE = 30.0   # minutes between breathalyzer readings
@@ -104,9 +104,7 @@ def _template_on_grid(cfg: SynthConfig, amp: float, dur: float,
 def generate(cfg: SynthConfig) -> list[Episode]:
     """Generate episodes; deterministic for a fixed config."""
     tau = cfg.grid.tau
-    pop_ops = None
-    if cfg.mode == "population":
-        pop_ops = discrete_time(assemble(cfg.rho_true, cfg.grid))
+    ops = assemble(cfg.rho_true, cfg.grid) if cfg.mode == "population" else None
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_episodes)
     episodes = []
     for e, child in enumerate(children):
@@ -114,13 +112,11 @@ def generate(cfg: SynthConfig) -> list[Episode]:
         amp = rng.uniform(*cfg.amp_range)
         dur = rng.uniform(*cfg.dur_range)
         u, t = _template_on_grid(cfg, amp, dur, tau)
-        if cfg.mode == "population":
-            kernels = impulse_kernels(pop_ops, max(u.size - 1, 1))
-            clean = np.concatenate([[0.0], convolve(kernels, u[:-1])])
-        else:
+        if cfg.mode == "individual":
             q = density.sample(cfg.rho_true, 1, rng)[0]
-            det = deterministic_ops(q, cfg.grid.spatial, tau)
-            clean = np.concatenate([[0.0], simulate_deterministic(det, u[:-1])])
+            ops = deterministic_ops(q, cfg.grid.spatial, tau)
+        kernels = impulse_kernels(ops, max(u.size - 1, 1))
+        clean = np.concatenate([[0.0], convolve(kernels, u[:-1])])
         # cadence samples plus a terminal reading, so the record always
         # covers the complete excursion back to zero
         horizon = t[-1]

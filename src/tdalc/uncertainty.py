@@ -4,9 +4,11 @@ Bands follow the sampling construction: draw parameter pairs from the fitted
 population distribution, keep the ones inside the central credible disk, and
 take pointwise extrema of the per-sample curves.  The tensor-basis estimate
 is piecewise constant in the parameters, so a sample's curve is a cell
-lookup.  The single-input variant instead solves one single-subject
-deconvolution per kept sample, on shared time-mesh and penalty parts, each
-warm-started from the solution at q = mu.
+lookup; the band and the statistics intervals share that lookup, on the
+result's own time grid.  The single-input variant instead solves one
+single-subject deconvolution per kept sample (the one-cell system at that
+sample), on shared time-mesh and penalty parts, each warm-started from the
+solution at q = mu.
 
 All statistics are reported in percent-alcohol and hours.
 """
@@ -74,17 +76,25 @@ def _cell_curves(result: DeconvolutionResult) -> np.ndarray:
     return np.einsum("km,mij->kij", sample, result.coeffs)
 
 
-def credible_band(result: DeconvolutionResult, params: density.PopulationParams,
-                  alpha: float = DEFAULT_ALPHA,
-                  n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> CredibleBand:
-    """Band for a tensor-variant estimate by cell lookup over kept samples."""
+def _kept_cells(result: DeconvolutionResult,
+                params: density.PopulationParams, alpha: float,
+                n_samples: int, seed: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell curves of a tensor-variant result (K x m1 x m2) and the cell
+    indices (i1, i2) of every kept sample."""
     curves = _cell_curves(result)
     _, m1, m2 = curves.shape
     pm1 = ParamMesh(m1, params.a[0], params.b[0])
     pm2 = ParamMesh(m2, params.a[1], params.b[1])
     kept = kept_samples(params, alpha, n_samples, seed)
-    i1 = pm1.cell_index(kept[:, 0])
-    i2 = pm2.cell_index(kept[:, 1])
+    return curves, pm1.cell_index(kept[:, 0]), pm2.cell_index(kept[:, 1])
+
+
+def credible_band(result: DeconvolutionResult, params: density.PopulationParams,
+                  alpha: float = DEFAULT_ALPHA,
+                  n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> CredibleBand:
+    """Band for a tensor-variant estimate by cell lookup over kept samples."""
+    curves, i1, i2 = _kept_cells(result, params, alpha, n_samples, seed)
     picked = curves[:, i1, i2]          # K x n_kept
     return CredibleBand(lower=picked.min(axis=1), upper=picked.max(axis=1),
                         alpha=alpha, n_samples=n_samples, seed=seed)
@@ -201,25 +211,20 @@ def stats_credible_intervals(result: DeconvolutionResult,
                              params: density.PopulationParams,
                              alpha: float = DEFAULT_ALPHA,
                              n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                             threshold: float = DEFAULT_THRESHOLD,
-                             tau: float | None = None) -> StatsIntervals:
-    """Ranges of the clinical statistics over kept population samples."""
-    curves = _cell_curves(result)
-    _, m1, m2 = curves.shape
-    pm1 = ParamMesh(m1, params.a[0], params.b[0])
-    pm2 = ParamMesh(m2, params.a[1], params.b[1])
-    kept = kept_samples(params, alpha, n_samples, seed)
-    if tau is None:
-        tau = result.time_mesh.tau
-    i1 = pm1.cell_index(kept[:, 0])
-    i2 = pm2.cell_index(kept[:, 1])
+                             threshold: float = DEFAULT_THRESHOLD
+                             ) -> StatsIntervals:
+    """Ranges of the clinical statistics over kept population samples, on
+    the result's time grid."""
+    curves, i1, i2 = _kept_cells(result, params, alpha, n_samples, seed)
+    m2 = curves.shape[2]
     # one stats evaluation per distinct cell; samples map onto cells
     flat = i1 * m2 + i2
     cells, inverse = np.unique(flat, return_inverse=True)
     per_cell = []
     for f in cells:
         c1, c2 = divmod(int(f), m2)
-        per_cell.append(episode_stats(curves[:, c1, c2], tau, threshold))
+        per_cell.append(episode_stats(curves[:, c1, c2], result.time_mesh.tau,
+                                      threshold))
     values = {name: [] for name in STAT_NAMES}
     undefined = {name: 0 for name in STAT_NAMES}
     for s_idx in inverse:
@@ -234,7 +239,7 @@ def stats_credible_intervals(result: DeconvolutionResult,
         vals = values[name]
         intervals[name] = (float(min(vals)), float(max(vals))) if vals else None
     return StatsIntervals(intervals=intervals, undefined_counts=undefined,
-                          n_kept=kept.shape[0], alpha=alpha, seed=seed)
+                          n_kept=i1.size, alpha=alpha, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,16 @@ class TestNnls:
         assert any(breakdowns)
 
 
+class TestToeplitzDesign:
+    @pytest.mark.parametrize("n", [2, 3, 17, 163])
+    def test_equals_scipy_toeplitz(self, n):
+        from scipy.linalg import toeplitz
+        kern = np.random.default_rng(n).random(n + 4)
+        col = np.concatenate([[0.0], kern[:n - 1]])
+        assert np.array_equal(deconvolution._toeplitz_design(kern, n),
+                              toeplitz(col, np.zeros(n)))
+
+
 class TestBuildProblem:
     def test_negative_regularization_rejected(self):
         ops = make_ops()
@@ -322,11 +332,16 @@ class TestDeconvolve:
         tac = make_tac(ops, pulse(181))
         res = deconvolve(ops, tac, 1e-3, 1e-2, variant="scalar")
         det = forward_model.deterministic_ops(
-            (ops.qbar1[0], ops.p[0] * ops.qbar2[0]), ops.grid.spatial,
+            (ops.qbar1[0], ops.p[0] * ops.qbar2[0]), ops.spatial,
             ops.tau)
         curve, _ = deconvolve_deterministic(det, tac, 1e-3, 1e-2)
         assert np.max(np.abs(res.mean_curve - curve)) \
             <= 1e-12 * np.max(np.abs(curve))
+        # and the single subject is a one-cell system that deconvolve takes
+        for variant in ("scalar", "tq"):
+            own = deconvolve(det, tac, 1e-3, 1e-2, variant=variant)
+            assert np.max(np.abs(own.mean_curve - curve)) \
+                <= 1e-12 * np.max(np.abs(curve))
 
     def test_deterministic_variant(self):
         det = forward_model.deterministic_ops((0.62, 1.0), SpatialMesh(4), 1.0)

@@ -149,8 +149,8 @@ class TestKernels:
         ops = make_ops(params)
         kern = forward_model.impulse_kernels(ops, 10)
         dead = ops.p == 0.0
-        assert np.all(kern.riesz[:, dead] == 0.0)
-        assert np.all(np.isfinite(kern.riesz))
+        assert np.all(kern.functional[:, dead] == 0.0)
+        assert np.all(np.isfinite(kern.functional))
 
     def test_count_validation(self):
         ops = make_ops()
@@ -224,6 +224,10 @@ class TestSpectralDeterministic:
         y = forward_model.simulate_deterministic(det, u)
         assert np.max(np.abs(kern - ref_kern)) <= 1e-12 * np.max(np.abs(ref_kern))
         assert np.max(np.abs(y - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
+        # the single subject is a one-cell system: the package's own
+        # recursion runs on it unchanged
+        y_rec = forward_model.simulate(det, u)
+        assert np.max(np.abs(y_rec - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
 
     def test_empty_input(self):
         det = forward_model.deterministic_ops((0.62, 1.0), SpatialMesh(4), 1.0)
@@ -252,3 +256,17 @@ class TestPopulationKernels:
         y_rec = forward_model.simulate(ops, u)
         err = np.max(np.abs(forward_model.convolve(kern, u) - y_rec))
         assert err <= 1e-11 * np.max(np.abs(y_rec))
+
+    @pytest.mark.parametrize("q1", [0.05, 0.62, 8.0])
+    def test_decays_equal_direct_exponentials(self, q1):
+        # per-mode evaluation must not change a bit: the fit's seed search
+        # and the band's kernels read these values
+        for n, shape, count, tau in ((4, (), 300, 1.0), (8, (1,), 163, 0.7),
+                                     (3, (5,), 241, 2.5)):
+            lam = forward_model._spectrum(SpatialMesh(n),
+                                          np.full(shape, q1))[0]
+            direct = np.exp(-tau * np.arange(count)[:, None]
+                            * lam[..., None, :])
+            got = forward_model._decays(lam, tau, count)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, direct)

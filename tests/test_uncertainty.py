@@ -152,7 +152,7 @@ class TestCredibleBandScalar:
 
         def every_tenth_capped(det, *args, **kwargs):
             curve, sol = solve(det, *args, **kwargs)
-            calls.append(det.q)
+            calls.append(det.qbar1[0])
             if len(calls) % 10 == 0:
                 return curve, replace(sol, converged=False)
             curves.append(curve)
