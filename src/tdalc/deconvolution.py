@@ -17,7 +17,9 @@ subject is the one-cell system of ``forward_model.deterministic_ops``, so
 ``deconvolve_deterministic`` is the scalar problem of that system, and
 ``deconvolve`` takes it too.  The temporal mesh, its Grams and sampled
 basis, and the temporal penalty root are cached, so a band's many
-single-subject solves on one TAC differ only in their kernel.
+single-subject solves on one TAC differ only in their kernel; they run in
+batches (``_warm_scalar_solves``), which settle most of them with one
+batched first active-set step.
 
 Only the penalty depends on (r1, r2).  The weight search therefore builds
 each training episode's kernels, design and cell masses once, rebuilds only
@@ -41,9 +43,9 @@ from scipy.linalg.blas import dtpsv
 from scipy.optimize import minimize
 
 from .data_io import Episode
-from .errors import ConfigurationError, NumericalError
-from .forward_model import DiscreteTimeOps, impulse_kernels
-from .grid_basis import TimeMesh, temporal_basis_matrices
+from .errors import ConfigurationError, NumericalError, ParameterError
+from .forward_model import DiscreteTimeOps, _spectral_kernels, impulse_kernels
+from .grid_basis import SpatialMesh, TimeMesh, temporal_basis_matrices
 
 #: below this value a regularization weight is treated as exactly zero
 REG_FLOOR = 1e-6
@@ -66,16 +68,17 @@ def _toeplitz_design(kernel: np.ndarray, n_grid: int) -> np.ndarray:
     """Lower-triangular convolution matrix: row k pairs lags k..1 with
     inputs 0..k-1; row 0 is zero (the initial output is identically zero).
 
-    Entry (k, j) is vals[n_grid - 1 + k - j], read through a strided view
-    and copied.  It runs once per kept sample of a scalar band, so it skips
-    the argument handling of ``scipy.linalg.toeplitz``, which builds the
-    same matrix the same way.
+    ``kernel`` may carry leading batch axes (one kernel per problem); the
+    matrices then carry the same axes.  Entry (k, j) is
+    vals[n_grid - 1 + k - j], read through a strided view and copied, the
+    way ``scipy.linalg.toeplitz`` builds the same matrix.
     """
-    vals = np.zeros(2 * n_grid - 1)
-    vals[n_grid:] = kernel[:n_grid - 1]
-    step = vals.strides[0]
-    return as_strided(vals[n_grid - 1:], shape=(n_grid, n_grid),
-                      strides=(step, -step)).copy()
+    batch = kernel.shape[:-1]
+    vals = np.zeros((*batch, 2 * n_grid - 1))
+    vals[..., n_grid:] = kernel[..., :n_grid - 1]
+    step = vals.strides[-1]
+    return as_strided(vals[..., n_grid - 1:], shape=(*batch, n_grid, n_grid),
+                      strides=(*vals.strides[:-1], step, -step)).copy()
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,14 @@ def _penalty_sqrt(tm: TimeMesh, masses: np.ndarray | None,
     return np.sqrt(masses)[:, None, None] * root
 
 
+def _time_mesh(n_grid: int, tau: float, m: int | None) -> TimeMesh:
+    """Temporal mesh of a TAC of ``n_grid`` samples at step tau: ``m``
+    basis functions, by default ``default_basis_count``."""
+    if m is None:
+        m = default_basis_count((n_grid - 1) * tau)
+    return TimeMesh(m, (n_grid - 1) * tau, tau)
+
+
 def _stacked_problem(columns: np.ndarray, masses: np.ndarray | None,
                      tac: np.ndarray, tau: float, r1: float, r2: float,
                      m: int | None) -> DeconvolutionProblem:
@@ -170,13 +181,13 @@ def _stacked_problem(columns: np.ndarray, masses: np.ndarray | None,
     design block per column, and a penalty block per cell weighted by
     ``masses``, or None for the scalar variant's single column."""
     n_grid = tac.size
-    if m is None:
-        m = default_basis_count((n_grid - 1) * tau)
-    tm = TimeMesh(m, (n_grid - 1) * tau, tau)
+    tm = _time_mesh(n_grid, tau, m)
     sample = _time_basis(tm)[2]
-    design = np.empty((n_grid, m * columns.shape[1]))
+    width = tm.m
+    design = np.empty((n_grid, width * columns.shape[1]))
     for c, kernel in enumerate(columns.T):
-        design[:, c * m:(c + 1) * m] = _toeplitz_design(kernel, n_grid) @ sample
+        design[:, c * width:(c + 1) * width] = (
+            _toeplitz_design(kernel, n_grid) @ sample)
     return DeconvolutionProblem(variant="scalar" if masses is None else "tq",
                                 tac=tac, time_mesh=tm,
                                 sample=sample, design=design,
@@ -221,6 +232,14 @@ class NnlsResult:
     iterations: int
     residual: float
 
+
+#: default stop rule of ``nnls``: dual (KKT) violation at most this times
+#: the norm of a^T b
+_DUAL_TOL = 1e-9
+
+#: a stacked column whose norm falls below this fraction of the largest one
+#: is void: ``solve_problem`` fixes its coefficient at zero
+_VOID = 1e-12
 
 #: a column whose pivot d^2 falls below this fraction of its Gram diagonal
 #: is numerically dependent on the passive columns: the factor breaks down
@@ -326,7 +345,7 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float | None = None,
     f = a.T @ b
     fscale = float(np.linalg.norm(f))
     if tol is None:
-        tol = 1e-9 * fscale
+        tol = _DUAL_TOL * fscale
     if max_iter is None:
         max_iter = 3 * n
     btb = float(b @ b)
@@ -416,6 +435,33 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float | None = None,
                       residual=resid)
 
 
+def _first_step(gram: np.ndarray, f: np.ndarray,
+                x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first Lawson-Hanson step from ``x0`` for a batch of problems with
+    normal equations ``gram`` (n x c x c) and ``f`` (n x c), all at once.
+
+    Each problem's passive system on P = {x0 > 0} is solved in one batched
+    call.  A problem is settled when that solution z is positive and the
+    dual f - G z over the variables outside P stays within ``nnls``'s stop
+    rule: exactly the problems that ``nnls(a, b, x0=x0)`` finishes in one
+    iteration, at the same x.  Returns the stepped points (n x c) and the
+    settled flags; a batch whose solve fails settles nothing.
+    """
+    passive = x0 > 0.0
+    x = np.zeros(f.shape)
+    try:
+        z = np.linalg.solve(gram[:, passive][:, :, passive],
+                            f[:, passive, None])[..., 0]
+    except np.linalg.LinAlgError:
+        return x, np.zeros(f.shape[0], dtype=bool)
+    x[:, passive] = z
+    dual = f - (gram @ x[..., None])[..., 0]
+    tol = _DUAL_TOL * np.linalg.norm(f, axis=1)
+    settled = (np.all(z > 0.0, axis=1)
+               & np.all(dual[:, ~passive] <= tol[:, None], axis=1))
+    return x, settled
+
+
 # ---------------------------------------------------------------------------
 # deconvolution driver
 
@@ -445,7 +491,7 @@ def solve_problem(problem: DeconvolutionProblem,
     nonnegative full-length coefficient vector ``x0``."""
     stacked = problem.stacked
     col_norms = np.linalg.norm(stacked, axis=0)
-    active = col_norms > 1e-12 * float(col_norms.max())
+    active = col_norms > _VOID * float(col_norms.max())
     if np.all(active):
         return nnls(stacked, problem.target, x0=x0)
     # columns of near-void parameter cells carry no information and only
@@ -495,6 +541,47 @@ def deconvolve_deterministic(det: DiscreteTimeOps, tac: np.ndarray,
     problem = _stacked_problem(kern[:, None], None, tac, det.tau, r1, r2, m)
     sol = solve_problem(problem, x0=x0)
     return problem.sample @ sol.x, sol
+
+
+def _warm_scalar_solves(q: np.ndarray, mesh: SpatialMesh, tac: np.ndarray,
+                        tau: float, r1: float, r2: float, m: int | None,
+                        x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Single-subject deconvolutions of one TAC at the parameter pairs ``q``
+    (n x 2), each warm-started from ``x0``.
+
+    Row i of the returned curves (n x K) and its converged flag are those of
+    ``deconvolve_deterministic(deterministic_ops(q[i], mesh, tau), tac, r1,
+    r2, m, x0)``.  The kernels come from one batched spectral call, the
+    designs from one batched Toeplitz build, and one batched first step
+    (``_first_step``) on their Grams settles every problem that ``nnls``
+    would finish in one iteration.  The rest go through ``solve_problem``
+    on their already-built designs.  Memory grows with n * K^2.
+    """
+    bad = q[:, 0] <= 0.0
+    if np.any(bad):
+        raise ParameterError(
+            f"diffusivity must be positive, got {q[bad, 0][0]}")
+    r1, r2 = _snap_regs(r1, r2)
+    n_grid = tac.size
+    tm = _time_mesh(n_grid, tau, m)
+    sample = _time_basis(tm)[2]
+    root = _penalty_root(tm, r1, r2)
+    kernels = q[:, 1:] * _spectral_kernels(mesh, q[:, 0], tau, n_grid - 1)
+    designs = _toeplitz_design(kernels, n_grid) @ sample
+    gram = np.swapaxes(designs, 1, 2) @ designs + root.T @ root
+    x, settled = _first_step(gram, tac @ designs, x0)
+    col_norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+    settled &= np.all(col_norms > _VOID * col_norms.max(axis=1, keepdims=True),
+                      axis=1)
+    converged = np.ones(q.shape[0], dtype=bool)
+    for i in np.flatnonzero(~settled):
+        problem = DeconvolutionProblem(
+            variant="scalar", tac=tac, time_mesh=tm, sample=sample,
+            design=designs[i], penalty_sqrt=root[None], r1=r1, r2=r2,
+            cell_masses=None)
+        sol = solve_problem(problem, x0=x0)
+        x[i], converged[i] = sol.x, sol.converged
+    return x @ sample.T, converged
 
 
 class SearchEpisode:

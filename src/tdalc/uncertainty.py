@@ -5,10 +5,12 @@ population distribution, keep the ones inside the central credible disk, and
 take pointwise extrema of the per-sample curves.  The tensor-basis estimate
 is piecewise constant in the parameters, so a sample's curve is a cell
 lookup; the band and the statistics intervals share that lookup, on the
-result's own time grid.  The single-input variant instead solves one
-single-subject deconvolution per kept sample (the one-cell system at that
-sample), on shared time-mesh and penalty parts, each warm-started from the
-solution at q = mu.
+result's own time grid.  The single-input variant instead takes the
+envelope of one single-subject deconvolution per kept sample (the one-cell
+system at that sample), each warm-started from the solution at q = mu.
+The samples go in chunks: one batched kernel, design and first active-set
+step per chunk, and a full solve only for the samples that step does not
+settle.
 
 All statistics are reported in percent-alcohol and hours.
 """
@@ -20,15 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density
-from .deconvolution import DeconvolutionResult, deconvolve_deterministic
+from .deconvolution import (DeconvolutionResult, _time_basis,
+                            _warm_scalar_solves, deconvolve_deterministic)
 from .errors import ConfigurationError, NumericalError, SamplingError
 from .forward_model import deterministic_ops
-from .grid_basis import (DiscretizationGrid, ParamMesh,
-                         temporal_basis_matrices)
+from .grid_basis import DiscretizationGrid, ParamMesh
 
 DEFAULT_ALPHA = 0.75
 DEFAULT_SAMPLES = 1000
 DEFAULT_THRESHOLD = 0.001
+
+#: kept samples per batched solve of the scalar band; bounds its transient
+#: memory (chunk x K x K Toeplitz matrices, 5 MB at K = 199)
+_CHUNK = 16
 
 STAT_NAMES = ("peak", "peak_time", "auc", "elimination_rate", "absorption_rate")
 
@@ -72,7 +78,7 @@ def _cell_curves(result: DeconvolutionResult) -> np.ndarray:
     if result.variant != "tq":
         raise ConfigurationError(
             "cell-lookup bands need a tensor-variant result")
-    sample = temporal_basis_matrices(result.time_mesh)[2]
+    sample = _time_basis(result.time_mesh)[2]
     return np.einsum("km,mij->kij", sample, result.coeffs)
 
 
@@ -108,25 +114,25 @@ def credible_band_scalar(tac: np.ndarray, params: density.PopulationParams,
     """Band by per-sample deterministic deconvolution of the same TAC.
 
     Each kept parameter pair gets its own single-subject inverse problem.
-    The pair q = mu (the last kept sample) is solved from zero and every
-    other pair is warm-started from its solution.  Solves that hit the
-    iteration cap are left out of the envelope and counted in ``dropped``,
-    up to 10% of the kept set.
+    The pair q = mu (the last kept sample) is solved from zero, and every
+    other pair is warm-started from its solution, ``_CHUNK`` pairs at a
+    time: one batched kernel, design and first active-set step per chunk,
+    and a full solve only for the pairs that step does not settle.  Solves
+    that hit the iteration cap are left out of the envelope and counted in
+    ``dropped``, up to 10% of the kept set.
     """
     tac = np.asarray(tac, dtype=float)
     kept = kept_samples(params, alpha, n_samples, seed)
-    curves = []
-    dropped = 0
-    start = None
-    for q in kept[::-1]:
-        det = deterministic_ops(q, grid.spatial, grid.tau)
-        curve, sol = deconvolve_deterministic(det, tac, r1, r2, m=m, x0=start)
-        if start is None:
-            start = sol.x
-        if sol.converged:
-            curves.append(curve)
-        else:
-            dropped += 1
+    det = deterministic_ops(kept[-1], grid.spatial, grid.tau)
+    curve, sol = deconvolve_deterministic(det, tac, r1, r2, m=m)
+    curves = [curve[None]] if sol.converged else []
+    dropped = int(not sol.converged)
+    rest = kept[:-1]
+    for lo in range(0, rest.shape[0], _CHUNK):
+        chunk, ok = _warm_scalar_solves(rest[lo:lo + _CHUNK], grid.spatial,
+                                        tac, grid.tau, r1, r2, m, sol.x)
+        curves.append(chunk[ok])
+        dropped += int(np.sum(~ok))
     if dropped > 0.10 * kept.shape[0]:
         raise NumericalError(
             f"{dropped} of {kept.shape[0]} per-sample deconvolutions failed")

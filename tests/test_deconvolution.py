@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdalc import deconvolution, forward_model
 from tdalc.data_io import build_episode
@@ -204,6 +206,48 @@ class TestToeplitzDesign:
         col = np.concatenate([[0.0], kern[:n - 1]])
         assert np.array_equal(deconvolution._toeplitz_design(kern, n),
                               toeplitz(col, np.zeros(n)))
+
+
+    def test_batched_equals_one_by_one(self):
+        kern = np.random.default_rng(3).random((2, 3, 40))
+        batch = deconvolution._toeplitz_design(kern, 31)
+        assert batch.shape == (2, 3, 31, 31)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(
+                    batch[i, j], deconvolution._toeplitz_design(kern[i, j], 31))
+
+
+class TestFirstStep:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cols=st.integers(1, 10), extra=st.integers(0, 20),
+           problems=st.integers(1, 4),
+           noise=st.sampled_from([0.0, 1e-8, 1e-4, 1.0]),
+           seed=st.integers(0, 2 ** 16))
+    def test_settles_exactly_the_one_iteration_solves(self, cols, extra,
+                                                      problems, noise, seed):
+        # settled problems are exactly those nnls finishes in its first
+        # step from x0, at the same point; noise-free data put the optimum
+        # on the start's passive set, so those all settle
+        rng = np.random.default_rng(seed)
+        x0 = rng.random(cols) * (rng.random(cols) < 0.7)
+        a = rng.standard_normal((problems, 2 * cols + extra, cols))
+        x_true = (x0 > 0.0) * (0.5 + rng.random(cols))
+        b = a @ x_true + noise * rng.standard_normal(a.shape[:2])
+        gram = np.swapaxes(a, 1, 2) @ a
+        f = np.einsum("pkc,pk->pc", a, b)
+        x, settled = deconvolution._first_step(gram, f, x0)
+        if noise == 0.0:
+            assert np.all(settled)
+        # the step solves the passive system once; from an empty passive
+        # set there is nothing to solve
+        steps = int(np.any(x0 > 0.0))
+        for i in range(problems):
+            res = nnls(a[i], b[i], x0=x0)
+            assert settled[i] == (res.converged and res.iterations == steps)
+            if settled[i]:
+                scale = max(float(np.linalg.norm(res.x)), 1e-300)
+                assert np.linalg.norm(x[i] - res.x) <= 1e-10 * scale
 
 
 class TestBuildProblem:

@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tdalc import forward_model, uncertainty
+from tdalc import deconvolution, forward_model
 from tdalc.deconvolution import deconvolve, deconvolve_deterministic
 from tdalc.density import PopulationParams, credible_region_radius
-from tdalc.errors import ConfigurationError, NumericalError, SamplingError
+from tdalc.errors import (ConfigurationError, NumericalError, ParameterError,
+                          SamplingError)
 from tdalc.grid_basis import DiscretizationGrid
 from tdalc.uncertainty import (STAT_NAMES, CredibleBand, EpisodeStats,
                                band_overlap_fraction, credible_band,
@@ -144,28 +145,106 @@ class TestCredibleBandScalar:
         assert np.max(np.abs(band.lower - curves.min(axis=0))) <= tol
         assert np.max(np.abs(band.upper - curves.max(axis=0))) <= tol
 
+    @pytest.mark.parametrize("r1, r2", [(1e-3, 1e-3), (0.0, 1e-3)])
+    @pytest.mark.parametrize("shape, to_nnls", [("smooth", False),
+                                                ("pulse", True)])
+    def test_equals_per_sample_reference(self, monkeypatch, shape, to_nnls,
+                                         r1, r2):
+        # the smooth TAC keeps every kept sample on the passive set of
+        # q = mu, so the batched first step settles all of them; the short
+        # pulse moves the end of the support, and some go to nnls
+        params = make_params()
+        tac, grid = (make_result(k=181)[1:] if shape == "smooth"
+                     else pulse_tac())
+        curves, _ = per_sample_reference(tac, params, grid, r1, r2, 200, 3)
+        warm = spy_warm_nnls(monkeypatch)
+        band = credible_band_scalar(tac, params, grid, r1, r2,
+                                    n_samples=200, seed=3)
+        assert (len(warm) > 0) == to_nnls
+        assert len(warm) < len(curves) - 1
+        tol = 1e-12 * float(np.max(curves))
+        assert band.dropped == 0
+        assert np.max(np.abs(band.lower - curves.min(axis=0))) <= tol
+        assert np.max(np.abs(band.upper - curves.max(axis=0))) <= tol
+
     def test_capped_solves_dropped_and_counted(self, monkeypatch):
         params = make_params()
-        _, tac, grid = make_result(k=181)
-        solve = uncertainty.deconvolve_deterministic
-        calls, curves = [], []
-
-        def every_tenth_capped(det, *args, **kwargs):
-            curve, sol = solve(det, *args, **kwargs)
-            calls.append(det.qbar1[0])
-            if len(calls) % 10 == 0:
-                return curve, replace(sol, converged=False)
-            curves.append(curve)
-            return curve, sol
-
-        monkeypatch.setattr(uncertainty, "deconvolve_deterministic",
-                            every_tenth_capped)
+        tac, grid = pulse_tac()
+        curves, xs = per_sample_reference(tac, params, grid, 1e-3, 1e-3, 60, 5)
+        capped = spy_warm_nnls(monkeypatch, cap_every=3)
         band = credible_band_scalar(tac, params, grid, 1e-3, 1e-3,
                                     n_samples=60, seed=5)
-        assert len(calls) == len(kept_samples(params, 0.75, 60, 5))
-        assert band.dropped == len(calls) // 10 > 0
-        assert np.array_equal(band.lower, np.min(curves, axis=0))
-        assert np.array_equal(band.upper, np.max(curves, axis=0))
+        lost = [x for x, converged in capped if not converged]
+        assert band.dropped == len(lost) > 0
+        # the capped solves' samples, found by their solutions
+        gone = [int(np.argmin(np.linalg.norm(xs - x, axis=1))) for x in lost]
+        assert np.allclose(xs[gone], lost, rtol=0.0, atol=1e-10)
+        rest = np.delete(curves, gone, axis=0)
+        tol = 1e-12 * float(np.max(curves))
+        assert np.max(np.abs(band.lower - rest.min(axis=0))) <= tol
+        assert np.max(np.abs(band.upper - rest.max(axis=0))) <= tol
+
+    def test_too_many_capped_solves_raise(self, monkeypatch):
+        params = make_params()
+        tac, grid = pulse_tac()
+        spy_warm_nnls(monkeypatch, cap_every=1)
+        with pytest.raises(NumericalError):
+            credible_band_scalar(tac, params, grid, 1e-3, 1e-3,
+                                 n_samples=60, seed=5)
+
+    def test_nonpositive_diffusivity_raises(self):
+        # the support box admits q1 <= 0, and some kept samples fall there
+        params = PopulationParams(a=(-0.5, 0.0), b=(1.5, 2.0), mu=(0.1, 1.0),
+                                  sigma=((0.01, 0.0), (0.0, 0.03)))
+        assert np.any(kept_samples(params, 0.75, 200, 3)[:, 0] <= 0.0)
+        _, tac, grid = make_result(k=181)
+        with pytest.raises(ParameterError):
+            credible_band_scalar(tac, params, grid, 1e-3, 1e-3,
+                                 n_samples=200, seed=3)
+
+
+def pulse_tac(k=181):
+    """TAC of a triangular input that is back at zero after 90 minutes."""
+    params = make_params()
+    grid = DiscretizationGrid.from_params(params)
+    ops = forward_model.assemble(params, grid)
+    t = np.arange(k, dtype=float)
+    u = np.clip(0.08 * (1.0 - np.abs(t - 45.0) / 45.0), 0.0, None)
+    return np.concatenate([[0.0], forward_model.simulate(ops, u[:-1])]), grid
+
+
+def per_sample_reference(tac, params, grid, r1, r2, n_samples, seed):
+    """Curves and coefficients of the kept samples, one deconvolution each:
+    q = mu from zero, every other sample warm-started from its solution."""
+    kept = kept_samples(params, 0.75, n_samples, seed)
+    det = forward_model.deterministic_ops(kept[-1], grid.spatial, grid.tau)
+    curve, start = deconvolve_deterministic(det, tac, r1, r2)
+    curves, xs = [curve], [start.x]
+    for q in kept[:-1]:
+        det = forward_model.deterministic_ops(q, grid.spatial, grid.tau)
+        curve, sol = deconvolve_deterministic(det, tac, r1, r2, x0=start.x)
+        assert sol.converged
+        curves.append(curve)
+        xs.append(sol.x)
+    return np.array(curves), np.array(xs)
+
+
+def spy_warm_nnls(monkeypatch, cap_every=0):
+    """Record (x, converged) of every warm-started ``nnls`` call; with
+    ``cap_every`` k, report every k-th of them as having hit the cap."""
+    solve = deconvolution.nnls
+    calls = []
+
+    def spy(a, b, *args, x0=None, **kwargs):
+        res = solve(a, b, *args, x0=x0, **kwargs)
+        if x0 is not None:
+            if cap_every and (len(calls) + 1) % cap_every == 0:
+                res = replace(res, converged=False)
+            calls.append((res.x, res.converged))
+        return res
+
+    monkeypatch.setattr(deconvolution, "nnls", spy)
+    return calls
 
 
 class TestBandOverlap:
