@@ -7,8 +7,9 @@ values).  Writing the discrete model as a convolution with its impulse
 kernels turns the TAC fidelity term into a linear least-squares block; the
 penalty  r1 * \\int ||u||^2 + r2 * \\int ||u'||^2  contributes a second block
 through a positive-semidefinite square root, block diagonal over the
-parameter cells.  The resulting stacked problem is solved under a
-nonnegativity constraint by an active-set method.
+parameter cells.  The stacked problem is solved under a nonnegativity
+constraint by block principal pivoting (``nnls``) on its normal equations,
+read from the design and the penalty blocks without forming them.
 
 One builder makes the stacked problem from kernel columns: one per
 parameter cell in the tq variant, one (the mean kernel) in the scalar
@@ -19,13 +20,13 @@ subject is the one-cell system of ``forward_model.deterministic_ops``, so
 basis, and the temporal penalty root are cached, so a band's many
 single-subject solves on one TAC differ only in their kernel; they run in
 batches (``_warm_scalar_solves``), which settle most of them with one
-batched first active-set step.
+batched first pivoting step.
 
 Only the penalty depends on (r1, r2).  The weight search therefore builds
 each training episode's kernels, design and cell masses once, rebuilds only
-the penalty per candidate (r1, r2), and warm-starts each active-set solve
-from that episode's previous solution.  ``deconvolve`` is the same solve at
-one (r1, r2), started from zero.
+the penalty per candidate (r1, r2), and starts each solve from the free set
+of that episode's previous solution.  ``deconvolve`` solves at one (r1, r2)
+from an empty free set.
 
 Column ordering of the tq design follows the global convention: temporal
 index fastest, then the first parameter cell index, then the second.
@@ -39,8 +40,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.blas import dtpsv
+from scipy.linalg import block_diag
+from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf
 from scipy.optimize import minimize
+from scipy.sparse.linalg import LinearOperator
 
 from .data_io import Episode
 from .errors import ConfigurationError, NumericalError, ParameterError
@@ -101,14 +104,8 @@ class DeconvolutionProblem:
 
     @property
     def stacked(self) -> np.ndarray:
-        """Design rows over the block-diagonal penalty root."""
-        n_grid, m = self.tac.size, self.time_mesh.m
-        out = np.zeros((n_grid + self.n_cols, self.n_cols))
-        out[:n_grid] = self.design
-        for c, block in enumerate(self.penalty_sqrt):
-            rows = slice(n_grid + c * m, n_grid + (c + 1) * m)
-            out[rows, c * m:(c + 1) * m] = block
-        return out
+        """Design rows over the block-diagonal penalty root, dense."""
+        return np.vstack([self.design, block_diag(*self.penalty_sqrt)])
 
     @property
     def target(self) -> np.ndarray:
@@ -224,7 +221,7 @@ def build_problem(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
 
 @dataclass(frozen=True)
 class NnlsResult:
-    """Active-set solution; ``converged`` is False when the iteration cap hit
+    """NNLS solution; ``converged`` is False when the iteration cap hit
     and the best feasible iterate was returned instead."""
 
     x: np.ndarray
@@ -241,224 +238,228 @@ _DUAL_TOL = 1e-9
 #: is void: ``solve_problem`` fixes its coefficient at zero
 _VOID = 1e-12
 
-#: a column whose pivot d^2 falls below this fraction of its Gram diagonal
-#: is numerically dependent on the passive columns: the factor breaks down
+#: a free column whose Cholesky pivot d^2 falls below this fraction of its
+#: Gram diagonal depends numerically on the others: it is held at zero
 _BREAKDOWN = 1e-14
 
+#: full exchanges that may leave no fewer infeasible variables before
+#: ``nnls`` turns to single exchanges (Kim and Park's backup rule)
+_BACKUP = 3
 
-class _PassiveFactor:
-    """Upper Cholesky factor R of the Gram restricted to the passive
-    variables, R^T R = G[order][:, order], packed by columns.
 
-    Column j of R (rows 0..j) is stored right after column j - 1, so adding
-    a variable appends one column at O(k^2) cost and the storage grows with
-    the passive set.  ``order`` is None while the factor is invalid: after a
-    breakdown or a dropped variable, until ``reset`` factors afresh.
-    """
+def _scales(diag: np.ndarray) -> np.ndarray:
+    """Column norms from a Gram diagonal; a zero column keeps scale 1."""
+    return np.where(diag > 0.0, np.sqrt(diag), 1.0)
 
-    def __init__(self, gram: np.ndarray):
-        self.gram = gram
-        self.order: list[int] | None = []
-        self.packed = np.empty(0)
-        self.used = 0
 
-    def _append(self, column: np.ndarray) -> None:
-        end = self.used + column.size
-        if end > self.packed.size:
-            grown = np.empty(max(2 * self.packed.size, end))
-            grown[:self.used] = self.packed[:self.used]
-            self.packed = grown
-        self.packed[self.used:end] = column
-        self.used = end
+class _StackedOperator(LinearOperator):
+    """The stacked matrix [design; block-diagonal penalty root] as a linear
+    operator on vectors; ``nnls`` solves on its blocks."""
 
-    def reset(self, idx: np.ndarray) -> None:
-        """Factor the Gram of the passive set ``idx`` afresh."""
-        sub = self.gram[np.ix_(idx, idx)]
+    def __init__(self, design: np.ndarray, roots: np.ndarray):
+        self.design, self.roots = design, roots
+        super().__init__(float, (sum(design.shape), design.shape[1]))
+
+    def _matvec(self, v: np.ndarray) -> np.ndarray:
+        pen = self.roots @ v.reshape(*self.roots.shape[:2], 1)
+        return np.concatenate([self.design @ v, pen.ravel()])
+
+    def _rmatvec(self, v: np.ndarray) -> np.ndarray:
+        k, (cells, m, _) = self.design.shape[0], self.roots.shape
+        pen = np.swapaxes(self.roots, 1, 2) @ v[k:].reshape(cells, m, 1)
+        return self.design.T @ v[:k] + pen.ravel()
+
+
+class _Normal:
+    """Column-scaled normal equations (D^T D + P) x = D^T t of a design D
+    (K x n) and a penalty Gram P given by its diagonal blocks ``pen``
+    (cells x m x m); D^T D is never formed.  A free set of at most K
+    columns is solved on its scaled Gram; a larger one on the K x K
+    capacitance system of the Woodbury identity, x_F = W (I + D_F W)^-1 t
+    with W = P_FF^-1 D_F^T, when the penalty blocks factor on it (P with
+    identity rows and columns at the bound variables, D with zero columns
+    there).  Otherwise (P singular there, as at r1 = 0) its Gram is used."""
+
+    def __init__(self, design: np.ndarray, pen: np.ndarray, t: np.ndarray):
+        self.s = _scales(np.einsum("kj,kj->j", design, design)
+                         + np.diagonal(pen, axis1=1, axis2=2).ravel())
+        block_s = self.s.reshape(pen.shape[0], -1, 1)
+        self.pen = pen / (block_s * np.swapaxes(block_s, 1, 2))
+        self.dt = np.ascontiguousarray((design / self.s).T)
+        self.t, self.f = t, self.dt @ t
+
+    def gx(self, x: np.ndarray) -> np.ndarray:
+        pen = self.pen @ x.reshape(self.pen.shape[0], -1, 1)
+        return self.dt @ (self.dt.T @ x) + pen.ravel()
+
+    def solve(self, free: np.ndarray) -> np.ndarray:
+        """The free set's solution, zero elsewhere.  When a Cholesky pivot
+        d^2 of its Gram falls to ``_BREAKDOWN``, a pivoted factor holds the
+        columns dependent on the others at zero."""
+        if np.count_nonzero(free) > self.t.size:
+            x = self._capacitance_solve(free)
+            if x is not None:
+                return x
+        idx = np.flatnonzero(free)
+        cell, t = np.divmod(idx, self.pen.shape[1])
+        dt, x = self.dt[idx], np.zeros(free.size)
+        gram = dt @ dt.T + np.where(cell[:, None] == cell,
+                                    self.pen[cell[:, None], t[:, None], t], 0.0)
+        low, info = dpotrf(gram, lower=1)
+        if info == 0 and np.all(np.diag(low) ** 2 > _BREAKDOWN):
+            x[idx] = dpotrs(low, self.f[idx], lower=1)[0]
+            return x
+        low, piv, rank, _ = dpstrf(gram, tol=_BREAKDOWN, lower=1)
+        if rank:
+            idx = idx[piv[:rank] - 1]
+            x[idx] = dpotrs(low[:rank, :rank], self.f[idx], lower=1)[0]
+        return x
+
+    def _capacitance_solve(self, free: np.ndarray) -> np.ndarray | None:
+        """The Woodbury solve; None unless the penalty blocks factor."""
+        cells, m, _ = self.pen.shape
+        on = free.reshape(cells, m)
+        blocks = np.where(on[:, :, None] & on[:, None, :], self.pen, np.eye(m))
         try:
-            low = np.linalg.cholesky(sub)
+            low = np.linalg.cholesky(blocks)
         except np.linalg.LinAlgError:
-            self.order = None
-            return
-        if np.any(np.diag(low) ** 2 <= _BREAKDOWN * np.diag(sub)):
-            self.order = None
-            return
-        # row i of the lower factor is column i of R
-        self.used = 0
-        self._append(low[np.tril_indices(idx.size)])
-        self.order = idx.tolist()
-
-    def add(self, j: int) -> None:
-        """Extend the factor by variable j, or invalidate it on breakdown."""
-        k = len(self.order)
-        col = np.empty(k + 1)
-        if k:
-            col[:k] = dtpsv(k, self.packed, self.gram[self.order, j], trans=1)
-        d2 = self.gram[j, j] - col[:k] @ col[:k]
-        if not d2 > _BREAKDOWN * self.gram[j, j]:
-            self.order = None
-            return
-        col[k] = np.sqrt(d2)
-        self._append(col)
-        self.order.append(j)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solution of G[order][:, order] z = rhs."""
-        k = len(self.order)
-        return dtpsv(k, self.packed, dtpsv(k, self.packed, rhs, trans=1))
+            return None
+        if np.any(np.diagonal(low, axis1=1, axis2=2) ** 2
+                  <= _BREAKDOWN * np.diagonal(blocks, axis1=1, axis2=2)):
+            return None
+        # P = L L^T and V = L^-1 D^T give x = L^-T V (I + V^T V)^-1 t; numpy
+        # solves it, as scipy's BLAS threads would contend with numpy's
+        inv = np.linalg.inv(low)
+        v = inv @ (self.dt * free[:, None]).reshape(cells, m, -1)
+        flat = v.reshape(free.size, -1)[free]     # V is zero at bound rows
+        cap = flat.T @ flat
+        cap[np.diag_indices_from(cap)] += 1.0
+        z = np.linalg.solve(cap, self.t)
+        return (np.swapaxes(inv, 1, 2) @ (v @ z)[..., None]).ravel() * free
 
 
 def nnls(a: np.ndarray, b: np.ndarray, tol: float | None = None,
          max_iter: int | None = None, x0: np.ndarray | None = None) -> NnlsResult:
-    """Lawson-Hanson active-set method for min ||a x - b|| s.t. x >= 0.
+    """Block principal pivoting for min ||a x - b|| s.t. x >= 0.
 
-    Runs on the normal equations.  The passive-set systems are solved on an
-    upper Cholesky factor of the passive Gram that grows by one column per
-    added variable (Lawson and Hanson, 1974, ch. 23); after a variable drops,
-    or when an added column is numerically dependent on the passive ones,
-    that step solves the passive system afresh (LU, least squares if it is
-    singular), and the factor is rebuilt at the next added variable.
-    ``tol`` bounds the admissible dual (KKT) violation and defaults to 1e-9
-    times the norm of a^T b.
+    Runs on the column-scaled normal equations.  Each iteration solves the
+    free set's system with the bound variables at zero, then exchanges
+    every infeasible variable at once: free ones below zero and bound ones
+    whose dual breaks the stop rule (Portugal, Judice and Vicente, 1994;
+    Kim and Park, 2011).  After ``_BACKUP`` full exchanges that leave no
+    fewer infeasible variables, it goes on from the best iterate by single
+    exchanges that keep x feasible and lower the objective (Lawson and
+    Hanson, 1974), which cannot cycle on a singular Gram.  A free column
+    dependent on the others is held at zero and rejoins the bound set.
+    ``tol`` bounds the admissible dual (KKT) violation, by default 1e-9
+    times the norm of a^T b.  An iteration is one free-set solve.
 
-    ``x0`` warm-starts the method from any nonnegative point, typically the
-    solution of a nearby problem: the passive set starts as x0 > 0 and the
-    iterate first moves from x0 toward that set's least-squares solution,
-    dropping variables that reach zero, before the usual outer loop adds
-    variables by dual violation (the initial-passive-set form of Bro and
-    De Jong, 1997).  Without ``x0`` the method starts from zero.
+    ``a`` is a matrix or the stacked operator of ``solve_problem``.  The
+    free set starts as x0 > 0 (empty without ``x0``), typically from the
+    solution of a nearby problem.  A solve that hits ``max_iter`` warns
+    and returns the best of x0 and the iterates projected onto x >= 0.
     """
-    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.size:
+    stacked = isinstance(a, _StackedOperator)
+    a = a if stacked else np.asarray(a, dtype=float)
+    if len(a.shape) != 2 or b.ndim != 1 or a.shape[0] != b.size:
         raise ConfigurationError(
             f"incompatible nnls shapes {a.shape} and {b.shape}")
-    m, n = a.shape
-    if x0 is None:
-        x = np.zeros(n)
-    else:
-        x = np.array(x0, dtype=float)
-        if x.shape != (n,) or not np.all(np.isfinite(x)) or np.any(x < 0.0):
+    n = a.shape[1]
+    if x0 is not None:
+        x0 = np.array(x0, dtype=float)
+        if x0.shape != (n,) or not np.all(np.isfinite(x0)) or np.any(x0 < 0.0):
             raise ConfigurationError(
                 f"nnls start x0 must be finite, nonnegative and of shape "
-                f"({n},); got shape {x.shape}, min {np.min(x, initial=0.0)}")
-    gram = a.T @ a
-    f = a.T @ b
-    fscale = float(np.linalg.norm(f))
-    if tol is None:
-        tol = _DUAL_TOL * fscale
-    if max_iter is None:
-        max_iter = 3 * n
-    btb = float(b @ b)
+                f"({n},); got shape {x0.shape}, min {np.min(x0, initial=0.0)}")
+    if stacked:     # the target's penalty rows are zero
+        normal = _Normal(a.design, np.swapaxes(a.roots, 1, 2) @ a.roots,
+                         b[:a.design.shape[0]])
+    else:           # a plain matrix is a design with a zero penalty
+        normal = _Normal(a, np.zeros((1, n, n)), b)
+    s, f = normal.s, normal.f
+    tol = _DUAL_TOL * float(np.linalg.norm(s * f)) if tol is None else tol
+    max_iter = 3 * n if max_iter is None else max_iter
 
-    passive = x > 0.0
-    iterations = 0
-    gx = gram @ x       # of the current iterate: dual and objective
-    best_obj = btb - 2.0 * f @ x + x @ gx
-    best_x = x.copy()
-    converged = False
-    factor = _PassiveFactor(gram)
+    def objective(z: np.ndarray) -> float:     # ||a z - b||^2 - ||b||^2
+        return z @ normal.gx(z) - 2.0 * f @ z
 
-    def solve_passive() -> tuple[np.ndarray, np.ndarray]:
-        if factor.order is not None:
-            idx = np.array(factor.order, dtype=np.intp)
-            return idx, factor.solve(f[idx])
-        idx = np.flatnonzero(passive)
-        sub = gram[np.ix_(idx, idx)]
-        try:
-            return idx, np.linalg.solve(sub, f[idx])
-        except np.linalg.LinAlgError:
-            return idx, np.linalg.lstsq(a[:, idx], b, rcond=None)[0]
-
-    def descend() -> None:
-        """Move from the feasible x toward the passive set's unconstrained
-        solution, dropping variables that reach zero on the way, until
-        that solution is strictly positive or the cap is hit."""
-        nonlocal x, passive, iterations, gx
-        while True:
-            iterations += 1
-            idx, z = solve_passive()
-            if np.all(z > 0.0):
-                x = np.zeros(n)
-                x[idx] = z
-                break
-            xp = x[idx]
-            neg = z <= 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(neg, xp / (xp - z), np.inf)
-            alpha = float(np.min(ratios))
-            xp = xp + alpha * (z - xp)
-            xp[neg & (ratios <= alpha + 1e-14)] = 0.0
-            x = np.zeros(n)
-            x[idx] = np.maximum(xp, 0.0)
-            passive = x > 0.0
-            factor.order = None
+    free = np.zeros(n, dtype=bool) if x0 is None else x0 > 0.0
+    best = np.zeros(n) if x0 is None else s * x0
+    best_obj = objective(best)
+    iterations, converged, descent = 0, False, False
+    fewest, backup = n + 1, _BACKUP
+    while True:
+        z = np.zeros(n)
+        if np.any(free):
             if iterations >= max_iter:
                 break
-        gx = gram @ x
-
-    def record_best() -> None:
-        nonlocal best_obj, best_x
-        obj = btb - 2.0 * f @ x + x @ gx
-        if obj < best_obj:
-            best_obj = obj
-            best_x = x.copy()
-
-    if np.any(passive) and max_iter > 0:
-        factor.reset(np.flatnonzero(passive))
-        descend()
-        record_best()
-    while iterations < max_iter:
-        if not np.any(~passive):
-            converged = True
+            iterations += 1
+            z = normal.solve(free)
+        neg = free & (z < 0.0)
+        if descent and np.any(neg):
+            # step from the feasible x toward z until a variable hits zero
+            ratio = x[neg] / (x[neg] - z[neg])
+            step = ratio.min()
+            x = np.maximum(np.where(free, x + step * (z - x), 0.0), 0.0)
+            x[np.flatnonzero(neg)[ratio == step]] = 0.0
+            free = x > 0.0
+            continue
+        held = free & (z == 0.0)
+        x, free = z, free & ~held
+        dual = s * (normal.gx(x) - f)
+        infeasible = np.where(free, x < 0.0, dual < -tol) & ~(descent & held)
+        if converged := not np.any(infeasible):
             break
-        w_free = np.where(passive, -np.inf, f - gx)
-        j = int(np.argmax(w_free))
-        if w_free[j] <= tol:
-            converged = True
-            break
-        passive[j] = True
-        if factor.order is None:
-            factor.reset(np.flatnonzero(passive))
+        if descent:     # the bound variable of most negative dual enters
+            enter = np.argmin(np.where(infeasible, dual, np.inf))
+            infeasible = np.arange(n) == enter
         else:
-            factor.add(j)
-        descend()
-        record_best()
+            proj = np.maximum(x, 0.0)
+            if (obj := objective(proj)) < best_obj:
+                best_obj, best = obj, proj
+            if (count := np.count_nonzero(infeasible)) < fewest:
+                fewest, backup = count, _BACKUP
+            elif backup:
+                backup -= 1
+            else:
+                descent, x, free = True, best, best > 0.0
+                continue
+        free ^= infeasible
 
     if not converged:
-        final_obj = btb - 2.0 * f @ x + x @ gx
-        if best_obj < final_obj:
-            x = best_x
+        x = x if descent else best
         warnings.warn("nnls hit the iteration cap; returning best feasible "
                       "iterate", RuntimeWarning, stacklevel=2)
-    resid = float(np.linalg.norm(a @ x - b))
+    x = x / s
     return NnlsResult(x=x, converged=converged, iterations=iterations,
-                      residual=resid)
+                      residual=float(np.linalg.norm(a @ x - b)))
 
 
 def _first_step(gram: np.ndarray, f: np.ndarray,
                 x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first Lawson-Hanson step from ``x0`` for a batch of problems with
+    """``nnls``'s first iteration from ``x0`` for a batch of problems with
     normal equations ``gram`` (n x c x c) and ``f`` (n x c), all at once.
-
-    Each problem's passive system on P = {x0 > 0} is solved in one batched
-    call.  A problem is settled when that solution z is positive and the
-    dual f - G z over the variables outside P stays within ``nnls``'s stop
-    rule: exactly the problems that ``nnls(a, b, x0=x0)`` finishes in one
-    iteration, at the same x.  Returns the stepped points (n x c) and the
-    settled flags; a batch whose solve fails settles nothing.
-    """
-    passive = x0 > 0.0
+    A problem is settled when its scaled system on F = {x0 > 0} factors
+    without breakdown, the solution is nonnegative, and the dual outside F
+    meets ``nnls``'s stop rule: exactly when ``nnls(a, b, x0=x0)`` ends in
+    one iteration (none from an empty F), at the same x.  Returns the
+    stepped points (n x c) and the settled flags; a batch whose
+    factorization fails settles nothing."""
+    free = x0 > 0.0
     x = np.zeros(f.shape)
+    s = _scales(gram[:, free, free])
+    sub = gram[:, free][:, :, free] / (s[:, :, None] * s[:, None, :])
     try:
-        z = np.linalg.solve(gram[:, passive][:, :, passive],
-                            f[:, passive, None])[..., 0]
+        pivots = np.diagonal(np.linalg.cholesky(sub), axis1=1, axis2=2)
     except np.linalg.LinAlgError:
         return x, np.zeros(f.shape[0], dtype=bool)
-    x[:, passive] = z
+    x[:, free] = np.linalg.solve(sub, (f[:, free] / s)[..., None])[..., 0] / s
     dual = f - (gram @ x[..., None])[..., 0]
     tol = _DUAL_TOL * np.linalg.norm(f, axis=1)
-    settled = (np.all(z > 0.0, axis=1)
-               & np.all(dual[:, ~passive] <= tol[:, None], axis=1))
+    settled = (np.all(pivots ** 2 > _BREAKDOWN, axis=1)
+               & np.all(x[:, free] >= 0.0, axis=1)
+               & np.all(dual[:, ~free] <= tol[:, None], axis=1))
     return x, settled
 
 
@@ -488,20 +489,19 @@ class DeconvolutionResult:
 def solve_problem(problem: DeconvolutionProblem,
                   x0: np.ndarray | None = None) -> NnlsResult:
     """NNLS solution of the stacked problem, optionally warm-started from a
-    nonnegative full-length coefficient vector ``x0``."""
-    stacked = problem.stacked
-    col_norms = np.linalg.norm(stacked, axis=0)
-    active = col_norms > _VOID * float(col_norms.max())
-    if np.all(active):
-        return nnls(stacked, problem.target, x0=x0)
-    # columns of near-void parameter cells carry no information and only
-    # poison the active-set solves; their coefficients stay zero
-    red = nnls(stacked[:, active], problem.target,
-               x0=None if x0 is None else x0[active])
-    x = np.zeros(stacked.shape[1])
-    x[active] = red.x
-    return NnlsResult(x=x, converged=red.converged,
-                      iterations=red.iterations, residual=red.residual)
+    nonnegative full-length coefficient vector ``x0``; ``nnls`` reads the
+    matrix through its design and penalty blocks, never forming it."""
+    design, roots = problem.design, problem.penalty_sqrt
+    col_norms = np.sqrt(np.einsum("kj,kj->j", design, design)
+                        + np.einsum("cij,cij->cj", roots, roots).ravel())
+    keep = col_norms > _VOID * float(col_norms.max())
+    if not np.all(keep):
+        # columns of near-void parameter cells carry no information and only
+        # poison the free-set solves; zeroed, their coefficients stay zero
+        design = design * keep
+        roots = roots * keep.reshape(roots.shape[0], 1, -1)
+        x0 = None if x0 is None else x0 * keep
+    return nnls(_StackedOperator(design, roots), problem.target, x0=x0)
 
 
 def deconvolve(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,

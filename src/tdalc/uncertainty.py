@@ -8,7 +8,7 @@ lookup; the band and the statistics intervals share that lookup, on the
 result's own time grid.  The single-input variant instead takes the
 envelope of one single-subject deconvolution per kept sample (the one-cell
 system at that sample), each warm-started from the solution at q = mu.
-The samples go in chunks: one batched kernel, design and first active-set
+The samples go in chunks: one batched kernel, design and first pivoting
 step per chunk, and a full solve only for the samples that step does not
 settle.
 
@@ -116,7 +116,7 @@ def credible_band_scalar(tac: np.ndarray, params: density.PopulationParams,
     Each kept parameter pair gets its own single-subject inverse problem.
     The pair q = mu (the last kept sample) is solved from zero, and every
     other pair is warm-started from its solution, ``_CHUNK`` pairs at a
-    time: one batched kernel, design and first active-set step per chunk,
+    time: one batched kernel, design and first pivoting step per chunk,
     and a full solve only for the pairs that step does not settle.  Solves
     that hit the iteration cap are left out of the envelope and counted in
     ``dropped``, up to 10% of the kept set.

@@ -153,8 +153,9 @@ class TestNnls:
                     assert np.max(np.abs(warm.x - cold.x)) <= 1e-10
 
     def test_warm_start_from_solution_is_immediate(self):
+        # a problem whose cold solve needs more than one exchange
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((30, 8))
+        a = rng.standard_normal((30, 20))
         b = rng.standard_normal(30)
         cold = nnls(a, b)
         assert nnls(a, b, x0=cold.x).iterations <= 1 < cold.iterations
@@ -175,17 +176,77 @@ class TestNnls:
         assert res.converged
         assert scaled_kkt(a, b, res.x) <= 1e-8
 
+    def test_tq_answer_independent_of_start(self):
+        # every start ends on the same free set, whose system the
+        # pivoting solve solves exactly: one curve for every start
+        ops = make_ops(m1=8, m2=8)
+        prob = build_problem(ops, make_tac(ops, pulse(163)), 1e-3, 1e-3)
+        cold = deconvolution.solve_problem(prob)
+        curve = prob.mean_curve(cold.x)
+        rng = np.random.default_rng(29)
+        for x0 in (cold.x, rng.random(prob.n_cols) + 0.01):
+            warm = deconvolution.solve_problem(prob, x0=x0)
+            assert warm.converged
+            assert np.max(np.abs(prob.mean_curve(warm.x) - curve)) \
+                <= 1e-9 * np.max(curve)
+
+    @pytest.mark.parametrize("cells", [4, 8])
+    @pytest.mark.parametrize("r1, r2", [(0.0, 1e-3), (0.0, 0.0)])
+    def test_tq_rank_deficient_free_sets(self, cells, r1, r2):
+        # at r1 = 0 the penalty blocks are singular, and at r2 = 0 the
+        # stacked matrix is wide: large free sets are rank deficient
+        ops = make_ops(m1=cells, m2=cells)
+        tac = make_tac(ops, pulse(163))
+        res = deconvolve(ops, tac, r1, r2)
+        prob = build_problem(ops, tac, r1, r2)
+        assert res.converged
+        assert scaled_kkt(prob.stacked, prob.target, res.nnls.x) <= 1e-8
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(rows=st.integers(2, 40), cols=st.integers(1, 25),
+           copies=st.integers(0, 4), seed=st.integers(0, 2 ** 16))
+    def test_warm_and_cold_solves_agree(self, rows, cols, copies, seed):
+        # tall and wide problems, some with duplicated columns, from zero
+        # and from a random start
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((rows, cols))
+        a = np.hstack([base, base[:, rng.integers(0, cols, copies)]])
+        b = rng.standard_normal(rows)
+        x0 = rng.random(a.shape[1]) * (rng.random(a.shape[1]) < 0.6)
+        cold = nnls(a, b)
+        for res in (cold, nnls(a, b, x0=x0)):
+            assert res.converged
+            assert np.all(res.x >= 0.0)
+            assert scaled_kkt(a, b, res.x) <= 1e-8
+            assert np.max(np.abs(a @ (res.x - cold.x))) <= 1e-10
+
+    @pytest.mark.parametrize("rows, cols, copies, seed, warm",
+                             [(6, 16, 1, 4319, True), (10, 25, 0, 48528, False)])
+    def test_singular_gram_does_not_cycle(self, rows, cols, copies, seed,
+                                          warm):
+        # wide problems on which single principal pivots cycle or wander
+        # until the cap; the feasible single exchanges end them
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((rows, cols))
+        a = np.hstack([base, base[:, rng.integers(0, cols, copies)]])
+        b = rng.standard_normal(rows)
+        x0 = rng.random(a.shape[1]) * (rng.random(a.shape[1]) < 0.6)
+        res = nnls(a, b, x0=x0 if warm else None)
+        assert res.converged
+        assert scaled_kkt(a, b, res.x) <= 1e-8
+
     def test_duplicated_columns_fall_back(self, monkeypatch):
-        # a passive set holding a column twice has a singular Gram: the
-        # factor breaks down and the passive solves fall back
+        # a free set holding a column twice has a singular Gram: the
+        # pivoted factor stops short of full rank and holds the copy at zero
         breakdowns = []
-        reset = deconvolution._PassiveFactor.reset
+        pstrf = deconvolution.dpstrf
 
-        def spy(factor, idx):
-            reset(factor, idx)
-            breakdowns.append(factor.order is None)
+        def spy(gram, **kwargs):
+            out = pstrf(gram, **kwargs)
+            breakdowns.append(out[2] < gram.shape[0])
+            return out
 
-        monkeypatch.setattr(deconvolution._PassiveFactor, "reset", spy)
+        monkeypatch.setattr(deconvolution, "dpstrf", spy)
         rng = np.random.default_rng(23)
         base = rng.standard_normal((40, 6))
         a = np.hstack([base, base[:, :3]])
@@ -397,8 +458,10 @@ class TestDeconvolve:
         assert rel < 0.10 and sol.converged
 
     def test_deterministic_warm_start_matches_cold(self):
+        # a complete excursion: the input is back at zero before the end,
+        # so the cold solve needs several exchanges
         mesh = SpatialMesh(4)
-        u = pulse(181)
+        u = bump(181, 40.0, 120.0, 0.08)
         tac = np.concatenate([[0.0], forward_model.simulate_deterministic(
             forward_model.deterministic_ops((0.62, 1.0), mesh, 1.0), u[:-1])])
         _, start = deconvolve_deterministic(
