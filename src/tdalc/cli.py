@@ -21,8 +21,9 @@ Config files are flat ``key = value`` lines; ``#`` starts a comment.  Any
 flag with the same name overrides the config value.  All randomness in a
 subcommand descends from its single ``--seed`` value: the generator seeds
 ``numpy.random.SeedSequence(seed)`` and spawns one child stream per episode
-in index order, and the band samplers draw from ``default_rng(seed)``
-directly, so equal seeds give byte-identical outputs.
+in index order, and the scalar band draws from ``default_rng(seed)``
+directly, so equal seeds give byte-identical outputs.  The tq band draws
+nothing, and its ``meta.json`` sets ``samples`` and ``seed`` to null.
 """
 
 from __future__ import annotations
@@ -226,16 +227,16 @@ def _deconvolve(args, caught: list) -> int:
         r1, r2 = args.r1, args.r2
     result = deconvolve(ops, episode.y, r1, r2, m=args.m, variant=args.variant)
     if args.variant == "tq":
-        band = credible_band(result, params, alpha=args.alpha,
-                             n_samples=args.samples, seed=args.seed)
-        intervals = stats_credible_intervals(
-            result, params, alpha=args.alpha, n_samples=args.samples,
-            seed=args.seed, threshold=args.threshold)
+        band = credible_band(result, params, alpha=args.alpha)
+        intervals = stats_credible_intervals(result, params, alpha=args.alpha,
+                                             threshold=args.threshold)
+        samples = seed = None
     else:
         band = credible_band_scalar(episode.y, params, grid, r1, r2,
                                     alpha=args.alpha, n_samples=args.samples,
                                     seed=args.seed, m=args.m)
         intervals = None
+        samples, seed = args.samples, args.seed
     estimated = episode_stats(result.mean_curve, args.tau, args.threshold)
     measured = (episode_stats(episode.u, args.tau, args.threshold)
                 if episode.has_brac else None)
@@ -250,7 +251,7 @@ def _deconvolve(args, caught: list) -> int:
     write_stats_report(stats_path,
                        [(episode.ident, measured, estimated, intervals)])
     meta = {"variant": args.variant, "r1": r1, "r2": r2,
-            "alpha": args.alpha, "samples": args.samples, "seed": args.seed,
+            "alpha": args.alpha, "samples": samples, "seed": seed,
             "converged": bool(result.converged),
             "residual": float(result.residual),
             "nnls_iterations": int(result.nnls.iterations),
@@ -388,8 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="BrAC+TAC episodes for --auto-reg")
     dec.add_argument("--variant", choices=("tq", "scalar"), default="tq")
     dec.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    dec.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    dec.add_argument("--seed", type=int, default=0)
+    dec.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                     help="draws for the scalar band (tq reads its cells)")
+    dec.add_argument("--seed", type=int, default=0,
+                     help="seed of the scalar band's draws")
     dec.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     dec.add_argument("--out-prefix", default=None,
                      help="artifact prefix (default: TAC file stem)")

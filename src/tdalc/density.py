@@ -113,6 +113,12 @@ def gauss_density(params: PopulationParams, q: np.ndarray) -> np.ndarray:
     return params._gauss_norm * np.exp(-0.5 * expo)
 
 
+def _peak_breaks(lo: float, hi: float, center: float, sd: float) -> list:
+    """Break points that split a normal peak at ``center`` off the quadrature
+    interval (lo, hi), so the adaptive rule cannot step over a narrow one."""
+    return [p for p in center + sd * np.array([-8.0, 0.0, 8.0]) if lo < p < hi]
+
+
 def _box_mass_quad(params: PopulationParams) -> float:
     """High-accuracy normal mass of the support box.
 
@@ -131,7 +137,8 @@ def _box_mass_quad(params: PopulationParams) -> float:
         slab = ndtr((params.b[1] - m) / cond_sd) - ndtr((params.a[1] - m) / cond_sd)
         return math.exp(-0.5 * ((x - mu1) / sd1) ** 2) / (sd1 * math.sqrt(2 * math.pi)) * slab
 
-    val, _ = quad(integrand, params.a[0], params.b[0], epsabs=1e-13, epsrel=1e-11, limit=200)
+    val, _ = quad(integrand, params.a[0], params.b[0], epsabs=1e-13, epsrel=1e-11, limit=200,
+                  points=_peak_breaks(params.a[0], params.b[0], mu1, sd1) or None)
     return val
 
 
@@ -364,7 +371,9 @@ def _disk_mass(params: PopulationParams, r: float, z: float) -> float:
         marg = math.exp(-0.5 * ((x - mu1) / sd1) ** 2) / (sd1 * math.sqrt(2 * math.pi))
         return marg * slab * r * math.cos(th)
 
-    val, _ = quad(integrand, th_lo, th_hi, epsabs=1e-12, epsrel=1e-10, limit=200)
+    breaks = [math.asin((x - mu1) / r) for x in _peak_breaks(x_lo, x_hi, mu1, sd1)]
+    val, _ = quad(integrand, th_lo, th_hi, epsabs=1e-12, epsrel=1e-10, limit=200,
+                  points=breaks or None)
     return val / z
 
 

@@ -1,16 +1,16 @@
 """Credible bands and clinical statistics for estimated BrAC curves.
 
-Bands follow the sampling construction: draw parameter pairs from the fitted
-population distribution, keep the ones inside the central credible disk, and
-take pointwise extrema of the per-sample curves.  The tensor-basis estimate
-is piecewise constant in the parameters, so a sample's curve is a cell
-lookup; the band and the statistics intervals share that lookup, on the
-result's own time grid.  The single-input variant instead takes the
-envelope of one single-subject deconvolution per kept sample (the one-cell
-system at that sample), each warm-started from the solution at q = mu.
-The samples go in chunks: one batched kernel, design and first pivoting
-step per chunk, and a full solve only for the samples that step does not
-settle.
+A band is the pointwise envelope of the curves at the parameter pairs
+inside the central credible disk of the fitted population law.  The
+tensor-basis estimate is piecewise constant in the parameters, so that set
+of curves is the set of cell curves whose rectangles meet the disk: the
+band and the statistics intervals read those cells directly, on the
+result's own time grid, with no sampling.  The single-input variant has no
+cell structure; its band is the envelope of one single-subject
+deconvolution per kept sample of the disk (the one-cell system at that
+sample), each warm-started from the solution at q = mu.  The samples go
+in chunks: one batched kernel, design and first pivoting step per chunk,
+and a full solve only for the samples that step does not settle.
 
 All statistics are reported in percent-alcohol and hours.
 """
@@ -41,13 +41,11 @@ STAT_NAMES = ("peak", "peak_time", "auc", "elimination_rate", "absorption_rate")
 
 @dataclass(frozen=True)
 class CredibleBand:
-    """Pointwise envelope of sampled BrAC curves."""
+    """Pointwise envelope of the BrAC curves over the credible disk."""
 
     lower: np.ndarray
     upper: np.ndarray
     alpha: float
-    n_samples: int
-    seed: int
     dropped: int = 0    # kept-sample solves that hit the cap, left out
 
     def __post_init__(self):
@@ -73,37 +71,43 @@ def kept_samples(params: density.PopulationParams, alpha: float,
     return np.vstack([kept, params.mu])
 
 
-def _cell_curves(result: DeconvolutionResult) -> np.ndarray:
-    """Curve of every parameter cell on the time grid, K x m1 x m2."""
+def _disk_cells(result: DeconvolutionResult,
+                params: density.PopulationParams, alpha: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Cell curves of a tensor-variant result (K x m1 x m2) and the m1 x m2
+    mask of the cells whose rectangle meets the open credible disk.
+
+    A cell is in when the squared distances from mu to its interval on each
+    axis sum to less than the squared radius; mu may lie outside the box.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
     if result.variant != "tq":
-        raise ConfigurationError(
-            "cell-lookup bands need a tensor-variant result")
-    sample = _time_basis(result.time_mesh)[2]
-    return np.einsum("km,mij->kij", sample, result.coeffs)
-
-
-def _kept_cells(result: DeconvolutionResult,
-                params: density.PopulationParams, alpha: float,
-                n_samples: int, seed: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cell curves of a tensor-variant result (K x m1 x m2) and the cell
-    indices (i1, i2) of every kept sample."""
-    curves = _cell_curves(result)
-    _, m1, m2 = curves.shape
-    pm1 = ParamMesh(m1, params.a[0], params.b[0])
-    pm2 = ParamMesh(m2, params.a[1], params.b[1])
-    kept = kept_samples(params, alpha, n_samples, seed)
-    return curves, pm1.cell_index(kept[:, 0]), pm2.cell_index(kept[:, 1])
+        raise ConfigurationError("cell bands need a tensor-variant result")
+    curves = np.einsum("km,mij->kij", _time_basis(result.time_mesh)[2],
+                       result.coeffs)
+    radius = density.credible_region_radius(params, alpha).radius
+    dist2 = 0.0
+    for axis, count in enumerate(result.coeffs.shape[1:]):
+        edges = ParamMesh(count, params.a[axis], params.b[axis]).edges
+        mu = params.mu[axis]
+        gap = np.maximum(np.maximum(edges[:-1] - mu, mu - edges[1:]), 0.0)
+        dist2 = np.add.outer(dist2, gap ** 2)
+    inside = dist2 < radius ** 2
+    if not inside.any():
+        raise NumericalError(
+            f"no parameter cell meets the {alpha:g} credible disk")
+    return curves, inside
 
 
 def credible_band(result: DeconvolutionResult, params: density.PopulationParams,
-                  alpha: float = DEFAULT_ALPHA,
-                  n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> CredibleBand:
-    """Band for a tensor-variant estimate by cell lookup over kept samples."""
-    curves, i1, i2 = _kept_cells(result, params, alpha, n_samples, seed)
-    picked = curves[:, i1, i2]          # K x n_kept
+                  alpha: float = DEFAULT_ALPHA) -> CredibleBand:
+    """Band for a tensor-variant estimate: the pointwise min and max of the
+    curves of the cells that meet the credible disk."""
+    curves, inside = _disk_cells(result, params, alpha)
+    picked = curves[:, inside]          # K x cells in the disk
     return CredibleBand(lower=picked.min(axis=1), upper=picked.max(axis=1),
-                        alpha=alpha, n_samples=n_samples, seed=seed)
+                        alpha=alpha)
 
 
 def credible_band_scalar(tac: np.ndarray, params: density.PopulationParams,
@@ -138,8 +142,7 @@ def credible_band_scalar(tac: np.ndarray, params: density.PopulationParams,
             f"{dropped} of {kept.shape[0]} per-sample deconvolutions failed")
     stack = np.vstack(curves)
     return CredibleBand(lower=stack.min(axis=0), upper=stack.max(axis=0),
-                        alpha=alpha, n_samples=n_samples, seed=seed,
-                        dropped=dropped)
+                        alpha=alpha, dropped=dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -204,48 +207,29 @@ def episode_stats(curve: np.ndarray, tau: float,
 
 @dataclass(frozen=True)
 class StatsIntervals:
-    """Per-statistic (lo, hi) ranges over the kept sample set."""
+    """Per-statistic (lo, hi) ranges over the cells that meet the credible
+    disk; None for a statistic that no such cell defines."""
 
     intervals: dict
-    undefined_counts: dict
-    n_kept: int
     alpha: float
-    seed: int
 
 
 def stats_credible_intervals(result: DeconvolutionResult,
                              params: density.PopulationParams,
                              alpha: float = DEFAULT_ALPHA,
-                             n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
                              threshold: float = DEFAULT_THRESHOLD
                              ) -> StatsIntervals:
-    """Ranges of the clinical statistics over kept population samples, on
-    the result's time grid."""
-    curves, i1, i2 = _kept_cells(result, params, alpha, n_samples, seed)
-    m2 = curves.shape[2]
-    # one stats evaluation per distinct cell; samples map onto cells
-    flat = i1 * m2 + i2
-    cells, inverse = np.unique(flat, return_inverse=True)
-    per_cell = []
-    for f in cells:
-        c1, c2 = divmod(int(f), m2)
-        per_cell.append(episode_stats(curves[:, c1, c2], result.time_mesh.tau,
-                                      threshold))
-    values = {name: [] for name in STAT_NAMES}
-    undefined = {name: 0 for name in STAT_NAMES}
-    for s_idx in inverse:
-        stats = per_cell[s_idx]
-        for name, val in zip(STAT_NAMES, stats.values()):
-            if val is None:
-                undefined[name] += 1
-            else:
-                values[name].append(val)
+    """Ranges of the clinical statistics of a tensor-variant estimate, on
+    its time grid: one ``episode_stats`` per cell that meets the credible
+    disk, and each statistic's min and max over the cells that define it."""
+    curves, inside = _disk_cells(result, params, alpha)
+    per_cell = [episode_stats(c, result.time_mesh.tau, threshold).values()
+                for c in curves[:, inside].T]
     intervals = {}
-    for name in STAT_NAMES:
-        vals = values[name]
+    for name, vals in zip(STAT_NAMES, zip(*per_cell)):
+        vals = [v for v in vals if v is not None]
         intervals[name] = (float(min(vals)), float(max(vals))) if vals else None
-    return StatsIntervals(intervals=intervals, undefined_counts=undefined,
-                          n_kept=i1.size, alpha=alpha, seed=seed)
+    return StatsIntervals(intervals=intervals, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

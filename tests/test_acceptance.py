@@ -352,7 +352,7 @@ def test_criterion_10_variant_agreement_and_band_overlap():
     ops, grid = population_ops(params, tau=1.0)
     tac = np.concatenate([[0.0], forward_model.simulate(ops, u[:-1])])
     res = deconvolve(ops, tac, 1e-3, 1e-3)
-    band_tq = credible_band(res, params, n_samples=300, seed=1)
+    band_tq = credible_band(res, params)
     band_sc = credible_band_scalar(tac, params, grid, 1e-3, 1e-3,
                                    n_samples=300, seed=1)
     overlap = band_overlap_fraction(band_tq, band_sc)

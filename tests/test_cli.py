@@ -163,6 +163,21 @@ class TestDeconvolve:
         meta = json.loads((prefix.parent / "res.meta.json").read_text())
         assert meta["r1"] == 1e-3 and meta["variant"] == "tq"
         assert meta["converged"] is True
+        # the tq band reads the disk cells: no draws, no seed
+        assert meta["samples"] is None and meta["seed"] is None
+
+    def test_mean_outside_box(self, sim_dir, tmp_path):
+        rho = tmp_path / "rho.params"
+        save_params(PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0),
+                                     mu=(1.7, 1.0),
+                                     sigma=((0.01, 0.002), (0.002, 0.03))),
+                    rho)
+        prefix = tmp_path / "out"
+        assert main(["deconvolve", str(sim_dir / "synth-000.csv"),
+                     "--rho", str(rho), "--r1", "1e-3", "--r2", "1e-3",
+                     "--out-prefix", str(prefix)]) == 0
+        for suffix in ("curve.csv", "stats.csv", "meta.json"):
+            assert (tmp_path / f"out.{suffix}").stat().st_size > 0
 
     def test_meta_records_band_drops_and_warnings(self, sim_dir, tmp_path,
                                                   monkeypatch):
@@ -183,6 +198,7 @@ class TestDeconvolve:
         assert rc == 0
         meta = json.loads((tmp_path / "sc.meta.json").read_text())
         assert meta["band_dropped"] == 0
+        assert meta["samples"] == 60 and meta["seed"] == 0
         assert meta["warnings"] == ["solver note for the record"]
 
     def test_tac_only_leaves_measured_blank(self, sim_dir, tmp_path):

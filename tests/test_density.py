@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from tdalc.density import (PopulationParams, cell_masses,
@@ -148,6 +150,18 @@ class TestCredibleRadius:
         r2 = credible_region_radius(p, 0.9).radius
         assert r1 < r2
 
+    @pytest.mark.parametrize("mu", [(0.62, 0.9), (1.5, 2.0)])
+    @pytest.mark.parametrize("sd", [1e-3, 1e-6])
+    def test_narrow_law(self, mu, sd):
+        # a peak far narrower than the box, inside it or on its corner: the
+        # untruncated disk radius sd * sqrt(-2 ln(1 - alpha)) holds
+        p = PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0), mu=mu,
+                             sigma=((sd ** 2, 0.0), (0.0, sd ** 2)))
+        rad = credible_region_radius(p, 0.75)
+        assert rad.attained
+        assert rad.radius == pytest.approx(sd * np.sqrt(-2.0 * np.log(0.25)),
+                                           rel=1e-4)
+
 
 class TestSerialization:
     def test_text_round_trip(self):
@@ -155,6 +169,24 @@ class TestSerialization:
         q = parse_params(dump_params(p))
         assert np.allclose(q.a, p.a) and np.allclose(q.b, p.b)
         assert np.allclose(q.mu, p.mu) and np.allclose(q.sigma, p.sigma)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(lo=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+           width=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+           pos=st.tuples(st.floats(-2.0, 3.0), st.floats(-2.0, 3.0)),
+           var=st.tuples(st.floats(1e-8, 1e4), st.floats(1e-8, 1e4)),
+           corr=st.floats(-0.95, 0.95))
+    def test_text_round_trip_bit_equal(self, lo, width, pos, var, corr):
+        # random finite boxes, mu inside or outside them, and a
+        # positive-definite covariance
+        a = np.array(lo)
+        b = a + np.array(width)
+        s12 = corr * np.sqrt(var[0] * var[1])
+        p = PopulationParams(a=a, b=b, mu=a + np.array(pos) * (b - a),
+                             sigma=((var[0], s12), (s12, var[1])))
+        q = parse_params(dump_params(p))
+        for name in ("a", "b", "mu", "sigma"):
+            assert getattr(q, name).tobytes() == getattr(p, name).tobytes()
 
     def test_file_round_trip(self, tmp_path):
         p = make_params()

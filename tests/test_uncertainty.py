@@ -1,14 +1,17 @@
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdalc import deconvolution, forward_model
 from tdalc.deconvolution import deconvolve, deconvolve_deterministic
 from tdalc.density import PopulationParams, credible_region_radius
 from tdalc.errors import (ConfigurationError, NumericalError, ParameterError,
                           SamplingError)
-from tdalc.grid_basis import DiscretizationGrid
+from tdalc.grid_basis import DiscretizationGrid, temporal_basis_matrices
 from tdalc.uncertainty import (STAT_NAMES, CredibleBand, EpisodeStats,
                                band_overlap_fraction, credible_band,
                                credible_band_scalar, episode_stats,
@@ -22,9 +25,9 @@ def make_params(sigma=((0.01, 0.002), (0.002, 0.03))):
                             sigma=sigma)
 
 
-def make_result(params=None, k=301, **kw):
+def make_result(params=None, k=301, mesh=4, **kw):
     params = params or make_params()
-    grid = DiscretizationGrid.from_params(params)
+    grid = DiscretizationGrid.from_params(params, m1=mesh, m2=mesh)
     ops = forward_model.discrete_time(forward_model.assemble(params, grid))
     t = np.arange(k, dtype=float)
     u = 0.08 * (t / 55.0) * np.exp(1.0 - t / 55.0)
@@ -62,34 +65,33 @@ class TestKeptSamples:
 class TestCredibleBand:
     def test_orders_and_contains_single_cell_curve(self):
         res, _, _ = make_result()
-        band = credible_band(res, make_params(), alpha=0.75, n_samples=400,
-                             seed=2)
+        band = credible_band(res, make_params(), alpha=0.75)
         assert np.all(band.lower <= band.upper + 1e-15)
         assert band.lower.shape == res.mean_curve.shape
 
     def test_nested_in_credible_level(self):
         res, _, _ = make_result()
         params = make_params()
-        inner = credible_band(res, params, alpha=0.5, n_samples=400, seed=3)
-        outer = credible_band(res, params, alpha=0.9, n_samples=400, seed=3)
+        inner = credible_band(res, params, alpha=0.5)
+        outer = credible_band(res, params, alpha=0.9)
         assert np.all(outer.lower <= inner.lower + 1e-15)
         assert np.all(inner.upper <= outer.upper + 1e-15)
 
     def test_deterministic(self):
         res, _, _ = make_result()
-        a = credible_band(res, make_params(), n_samples=300, seed=5)
-        b = credible_band(res, make_params(), n_samples=300, seed=5)
+        a = credible_band(res, make_params())
+        b = credible_band(res, make_params())
         assert np.array_equal(a.lower, b.lower)
         assert np.array_equal(a.upper, b.upper)
 
     def test_width_collapses_with_population_spread(self):
-        # mu placed strictly inside one parameter cell so every kept draw
-        # lands there once the spread shrinks below the cell size
+        # mu placed strictly inside one parameter cell, so the credible
+        # disk meets no other cell once the spread shrinks below its size
         tight = PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0), mu=(0.62, 0.9),
                                  sigma=((1e-6, 0.0), (0.0, 1e-6)))
         res, _, _ = make_result(params=tight)
-        band = credible_band(res, tight, n_samples=200, seed=6)
-        # every kept draw lands in the cell holding mu
+        band = credible_band(res, tight)
+        # only the cell holding mu meets the disk
         assert np.max(band.upper - band.lower) == 0.0
 
     def test_scalar_variant_rejected(self):
@@ -97,10 +99,108 @@ class TestCredibleBand:
         with pytest.raises(ConfigurationError):
             credible_band(res, make_params())
 
+    def test_alpha_out_of_range(self):
+        res, _, _ = make_result()
+        for alpha in (0.0, 1.0, -0.5, 2.0):
+            with pytest.raises(ConfigurationError):
+                credible_band(res, make_params(), alpha=alpha)
+            with pytest.raises(ConfigurationError):
+                stats_credible_intervals(res, make_params(), alpha=alpha)
+
     def test_inverted_edges_rejected(self):
         with pytest.raises(NumericalError):
             CredibleBand(lower=np.array([1.0]), upper=np.array([0.0]),
-                         alpha=0.75, n_samples=1, seed=0)
+                         alpha=0.75)
+
+
+@lru_cache(maxsize=None)
+def outside_result():
+    """make_params() with mu beyond the box's right q1 edge, and a 4 x 4
+    tensor-variant estimate on its box."""
+    params = replace(make_params(), mu=(1.7, 1.0))
+    return params, make_result(params=params)[0]
+
+
+def cell_curves(result):
+    """Curve of every parameter cell of a tensor-variant result, K x m1 x m2."""
+    sample = temporal_basis_matrices(result.time_mesh)[2]
+    return np.einsum("km,mij->kij", sample, result.coeffs)
+
+
+@lru_cache(maxsize=None)
+def fine_result():
+    """One 8 x 8 tensor-variant estimate on make_params()'s box."""
+    return make_result(k=163, mesh=8)[0]
+
+
+@st.composite
+def diagonal_laws(draw):
+    """Diagonal-covariance laws on make_params()'s box.  A position in
+    [0, 1] puts mu inside the box on that axis; beyond, up to 1.5 standard
+    deviations past the edge."""
+    a, b = np.array([0.0, 0.0]), np.array([1.5, 2.0])
+    sd = np.array([draw(st.floats(0.01, 0.4)) for _ in b]) * (b - a)
+    pos = np.array([draw(st.floats(-0.5, 1.5)) for _ in b])
+    mu = np.where(pos < 0.0, a + 3.0 * pos * sd,
+                  np.where(pos > 1.0, b + 3.0 * (pos - 1.0) * sd,
+                           a + pos * (b - a)))
+    return PopulationParams(a=a, b=b, mu=mu, sigma=np.diag(sd ** 2))
+
+
+class TestDirectBand:
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @given(params=diagonal_laws(), alpha=st.floats(0.3, 0.95))
+    def test_band_holds_disk_cells(self, params, alpha):
+        res = fine_result()
+        curves = cell_curves(res)
+        tol = 1e-12 * float(np.max(np.abs(curves)))
+        grid = DiscretizationGrid.from_params(params, m1=8, m2=8)
+
+        def held(picked, band):
+            return (np.all(band.lower[:, None] <= picked + tol)
+                    and np.all(picked <= band.upper[:, None] + tol))
+
+        band = credible_band(res, params, alpha=alpha)
+        assert np.all(band.lower <= band.upper)
+        if np.all((params.a <= params.mu) & (params.mu <= params.b)):
+            i1, i2 = (grid.pm1.cell_index(params.mu[0]),
+                      grid.pm2.cell_index(params.mu[1]))
+            assert held(curves[:, [i1], i2], band)
+        inner = credible_band(res, params, alpha=0.5)
+        outer = credible_band(res, params, alpha=0.9)
+        assert np.all(outer.lower <= inner.lower)
+        assert np.all(inner.upper <= outer.upper)
+        # never narrower than a sampled band; the appended mean may lie
+        # outside the box, so only the draws are looked up
+        for seed in (0, 1):
+            kept = kept_samples(params, alpha, 400, seed)[:-1]
+            picked = curves[:, grid.pm1.cell_index(kept[:, 0]),
+                            grid.pm2.cell_index(kept[:, 1])]
+            assert held(picked, band)
+
+
+class TestMeanOutsideBox:
+    def test_band_and_intervals(self):
+        params, res = outside_result()
+        band = credible_band(res, params)
+        assert np.all(np.isfinite(band.lower) & np.isfinite(band.upper))
+        assert np.all(band.lower <= band.upper)
+        assert np.max(band.upper) > 0.0
+        intervals = stats_credible_intervals(res, params).intervals
+        assert intervals["peak"] is not None
+        for pair in intervals.values():
+            if pair is not None:
+                assert np.all(np.isfinite(pair)) and pair[0] <= pair[1]
+
+    def test_disk_short_of_box_raises(self):
+        # at a vanishing level the radius bisection stops short of the box,
+        # 0.2 away from mu, and no cell meets the disk
+        params, res = outside_result()
+        assert credible_region_radius(params, 1e-7).radius < 0.2
+        with pytest.raises(NumericalError):
+            credible_band(res, params, alpha=1e-7)
+        with pytest.raises(NumericalError):
+            stats_credible_intervals(res, params, alpha=1e-7)
 
 
 class TestCredibleBandScalar:
@@ -250,19 +350,15 @@ def spy_warm_nnls(monkeypatch, cap_every=0):
 class TestBandOverlap:
     def test_counts_pointwise_intersections(self):
         a = CredibleBand(lower=np.array([0.0, 0.0, 2.0]),
-                         upper=np.array([1.0, 1.0, 3.0]),
-                         alpha=0.75, n_samples=1, seed=0)
+                         upper=np.array([1.0, 1.0, 3.0]), alpha=0.75)
         b = CredibleBand(lower=np.array([0.5, 1.5, 0.0]),
-                         upper=np.array([2.0, 2.0, 1.0]),
-                         alpha=0.75, n_samples=1, seed=0)
+                         upper=np.array([2.0, 2.0, 1.0]), alpha=0.75)
         assert band_overlap_fraction(a, b) == pytest.approx(1.0 / 3.0)
         assert band_overlap_fraction(a, a) == 1.0
 
     def test_grid_mismatch_rejected(self):
-        a = CredibleBand(lower=np.zeros(3), upper=np.ones(3),
-                         alpha=0.75, n_samples=1, seed=0)
-        b = CredibleBand(lower=np.zeros(4), upper=np.ones(4),
-                         alpha=0.75, n_samples=1, seed=0)
+        a = CredibleBand(lower=np.zeros(3), upper=np.ones(3), alpha=0.75)
+        b = CredibleBand(lower=np.zeros(4), upper=np.ones(4), alpha=0.75)
         with pytest.raises(ConfigurationError):
             band_overlap_fraction(a, b)
 
@@ -313,9 +409,9 @@ class TestStatsIntervals:
     def test_ranges_ordered_and_deterministic(self):
         res, _, _ = make_result()
         params = make_params()
-        a = stats_credible_intervals(res, params, n_samples=300, seed=12)
-        b = stats_credible_intervals(res, params, n_samples=300, seed=12)
-        assert a.n_kept > 0
+        a = stats_credible_intervals(res, params)
+        b = stats_credible_intervals(res, params)
+        assert a.intervals["peak"] is not None
         for name in STAT_NAMES:
             pair = a.intervals[name]
             if pair is not None:
