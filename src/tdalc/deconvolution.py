@@ -13,14 +13,15 @@ read from the design and the penalty blocks without forming them.
 
 One builder makes the stacked problem from kernel columns: one per
 parameter cell in the tq variant, one (the mean kernel) in the scalar
-variant.  The kernels come from ``forward_model.impulse_kernels``.  A single
-subject is the one-cell system of ``forward_model.deterministic_ops``, so
-``deconvolve_deterministic`` is the scalar problem of that system, and
-``deconvolve`` takes it too.  The temporal mesh, its Grams and sampled
-basis, and the temporal penalty root are cached, so a band's many
-single-subject solves on one TAC differ only in their kernel; they run in
-batches (``_warm_scalar_solves``), which settle most of them with one
-batched first pivoting step.
+variant.  The kernels come from ``forward_model.impulse_kernels``, and the
+designs from one product of the kernels with the lag tensor of the sampled
+time basis (``_designs``).  A single subject is the one-cell system of
+``forward_model.deterministic_ops``, so ``deconvolve_deterministic`` is the
+scalar problem of that system, and ``deconvolve`` takes it too.  The
+temporal mesh, its Grams and sampled basis, and the temporal penalty root
+are cached, so a band's many single-subject solves on one TAC differ only
+in their kernel; they run in batches (``_warm_scalar_solves``) through
+``nnls``'s first exchanges at once.
 
 Only the penalty depends on (r1, r2).  The weight search therefore builds
 each training episode's kernels, design and cell masses once, rebuilds only
@@ -67,21 +68,36 @@ def sqrtm_psd(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def _toeplitz_design(kernel: np.ndarray, n_grid: int) -> np.ndarray:
-    """Lower-triangular convolution matrix: row k pairs lags k..1 with
-    inputs 0..k-1; row 0 is zero (the initial output is identically zero).
+def _span(sample: np.ndarray) -> int:
+    """Time rows per lag-tensor block and kernels per group of the band's
+    solves for S of K x m: 8 K / m, so neither exceeds 8 K^2 entries."""
+    return max(1, 8 * sample.shape[0] // sample.shape[1])
 
-    ``kernel`` may carry leading batch axes (one kernel per problem); the
-    matrices then carry the same axes.  Entry (k, j) is
-    vals[n_grid - 1 + k - j], read through a strided view and copied, the
-    way ``scipy.linalg.toeplitz`` builds the same matrix.
-    """
-    batch = kernel.shape[:-1]
-    vals = np.zeros((*batch, 2 * n_grid - 1))
-    vals[..., n_grid:] = kernel[..., :n_grid - 1]
-    step = vals.strides[-1]
-    return as_strided(vals[..., n_grid - 1:], shape=(*batch, n_grid, n_grid),
-                      strides=(*vals.strides[:-1], step, -step)).copy()
+
+def _lag_blocks(sample: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The lag tensor Lambda[l, (k, j)] = S[k-1-l, j] of S (K x m), by
+    blocks of ``_span`` time rows [k0, k1) and the lags l < k1 - 1 that
+    reach them, copied from a strided view of S under K zero rows; each
+    with its first column k0 m."""
+    n_grid, width = sample.shape
+    padded = np.concatenate([np.zeros((n_grid, width)), sample])
+    step, col = padded.strides
+    return [(k0 * width, np.ascontiguousarray(as_strided(
+        padded[n_grid - 1 + k0:], strides=(-step, step, col),
+        shape=(k1 - 1, k1 - k0, width))).reshape(k1 - 1, -1))
+        for k0 in range(0, n_grid, _span(sample))
+        for k1 in [min(k0 + _span(sample), n_grid)]]
+
+
+def _designs(kernels: np.ndarray, lags: list) -> np.ndarray:
+    """Designs of lag kernels (n x at least K-1) with the sampled time basis
+    S of ``lags``: n x K m, entry k m + j of a design sum_l kernel[l]
+    S[k-1-l, j] over the lags l < k (row 0 is zero: the initial output is
+    identically zero).  Each block of rows is one product with its lags."""
+    out = np.empty((len(kernels), lags[-1][0] + lags[-1][1].shape[1]))
+    for col, lag in lags:
+        np.matmul(kernels[:, :len(lag)], lag, out=out[:, col:col + lag.shape[1]])
+    return out
 
 
 @dataclass(frozen=True)
@@ -180,11 +196,9 @@ def _stacked_problem(columns: np.ndarray, masses: np.ndarray | None,
     n_grid = tac.size
     tm = _time_mesh(n_grid, tau, m)
     sample = _time_basis(tm)[2]
-    width = tm.m
-    design = np.empty((n_grid, width * columns.shape[1]))
-    for c, kernel in enumerate(columns.T):
-        design[:, c * width:(c + 1) * width] = (
-            _toeplitz_design(kernel, n_grid) @ sample)
+    # column c's block of m design columns is the design of kernel c
+    designs = _designs(columns.T, _lag_blocks(sample)).reshape(-1, n_grid, tm.m)
+    design = np.moveaxis(designs, 0, 1).reshape(n_grid, -1)
     return DeconvolutionProblem(variant="scalar" if masses is None else "tq",
                                 tac=tac, time_mesh=tm,
                                 sample=sample, design=design,
@@ -436,30 +450,44 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float | None = None,
                       residual=float(np.linalg.norm(a @ x - b)))
 
 
-def _first_step(gram: np.ndarray, f: np.ndarray,
-                x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``nnls``'s first iteration from ``x0`` for a batch of problems with
-    normal equations ``gram`` (n x c x c) and ``f`` (n x c), all at once.
-    A problem is settled when its scaled system on F = {x0 > 0} factors
-    without breakdown, the solution is nonnegative, and the dual outside F
-    meets ``nnls``'s stop rule: exactly when ``nnls(a, b, x0=x0)`` ends in
-    one iteration (none from an empty F), at the same x.  Returns the
-    stepped points (n x c) and the settled flags; a batch whose
-    factorization fails settles nothing."""
-    free = x0 > 0.0
-    x = np.zeros(f.shape)
-    s = _scales(gram[:, free, free])
-    sub = gram[:, free][:, :, free] / (s[:, :, None] * s[:, None, :])
+def _factor_pivots(mats: np.ndarray) -> np.ndarray:
+    """Diagonals of the Cholesky factors of symmetric matrices (n x c x c);
+    zeros for a matrix that does not factor."""
     try:
-        pivots = np.diagonal(np.linalg.cholesky(sub), axis1=1, axis2=2)
-    except np.linalg.LinAlgError:
-        return x, np.zeros(f.shape[0], dtype=bool)
-    x[:, free] = np.linalg.solve(sub, (f[:, free] / s)[..., None])[..., 0] / s
-    dual = f - (gram @ x[..., None])[..., 0]
+        return np.diagonal(np.linalg.cholesky(mats), axis1=1, axis2=2)
+    except np.linalg.LinAlgError:   # find the ones that do not
+        return np.zeros(mats.shape[:2]) if len(mats) == 1 else np.concatenate(
+            [_factor_pivots(mat[None]) for mat in mats])
+
+
+def _pivots(gram: np.ndarray, f: np.ndarray,
+            x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``nnls``'s first ``_BACKUP`` + 1 full exchanges from ``x0`` (its
+    backup rule cannot fire before), for problems with normal equations
+    ``gram`` (n x c x c) and ``f`` (n x c) at once, on fixed-shape masked
+    Grams: identity at the bound rows and columns, zero right-hand side
+    there.  A problem settles when its factor has no breakdown, no free
+    variable is exactly zero and none is infeasible: exactly when
+    ``nnls(a, b, x0=x0)`` converges within as many iterations (an empty free
+    set costs none), at the same x.  Returns the solutions (zero where
+    unsettled) and the settled flags."""
+    s = _scales(np.diagonal(gram, axis1=1, axis2=2))
+    scaled = gram / (s[:, :, None] * s[:, None, :])
     tol = _DUAL_TOL * np.linalg.norm(f, axis=1)
-    settled = (np.all(pivots ** 2 > _BREAKDOWN, axis=1)
-               & np.all(x[:, free] >= 0.0, axis=1)
-               & np.all(dual[:, ~free] <= tol[:, None], axis=1))
+    x, settled, todo = np.zeros(f.shape), np.zeros(len(f), bool), np.arange(len(f))
+    free, eye = np.tile(x0 > 0.0, (len(f), 1)), np.eye(f.shape[1])
+    for _ in range(_BACKUP + 1):
+        g, fs = scaled[todo], f[todo] / s[todo]
+        sub = np.where(free[:, :, None] & free[:, None, :], g, eye)
+        stop = np.any(_factor_pivots(sub) ** 2 <= _BREAKDOWN, axis=1)
+        sub[stop] = eye     # a stopped problem solves nothing
+        z = np.linalg.solve(sub, np.where(free, fs, 0.0)[..., None])[..., 0]
+        dual = s[todo] * ((g @ z[..., None])[..., 0] - fs)
+        infeasible = np.where(free, z < 0.0, dual < -tol[todo, None])
+        stop |= np.any(free & (z == 0.0), axis=1)
+        done = ~stop & ~np.any(infeasible, axis=1)
+        settled[todo[done]], x[todo[done]] = True, z[done] / s[todo[done]]
+        todo, free = todo[~stop & ~done], (free ^ infeasible)[~stop & ~done]
     return x, settled
 
 
@@ -551,11 +579,10 @@ def _warm_scalar_solves(q: np.ndarray, mesh: SpatialMesh, tac: np.ndarray,
 
     Row i of the returned curves (n x K) and its converged flag are those of
     ``deconvolve_deterministic(deterministic_ops(q[i], mesh, tau), tac, r1,
-    r2, m, x0)``.  The kernels come from one batched spectral call, the
-    designs from one batched Toeplitz build, and one batched first step
-    (``_first_step``) on their Grams settles every problem that ``nnls``
-    would finish in one iteration.  The rest go through ``solve_problem``
-    on their already-built designs.  Memory grows with n * K^2.
+    r2, m, x0)``.  Groups of ``_span`` pairs get one spectral call, one
+    product with the lag tensor for their designs, and one batched run of
+    ``nnls``'s first exchanges (``_pivots``) on their Grams; the problems
+    it leaves go through ``solve_problem`` on their designs.
     """
     bad = q[:, 0] <= 0.0
     if np.any(bad):
@@ -566,22 +593,26 @@ def _warm_scalar_solves(q: np.ndarray, mesh: SpatialMesh, tac: np.ndarray,
     tm = _time_mesh(n_grid, tau, m)
     sample = _time_basis(tm)[2]
     root = _penalty_root(tm, r1, r2)
-    kernels = q[:, 1:] * _spectral_kernels(mesh, q[:, 0], tau, n_grid - 1)
-    designs = _toeplitz_design(kernels, n_grid) @ sample
-    gram = np.swapaxes(designs, 1, 2) @ designs + root.T @ root
-    x, settled = _first_step(gram, tac @ designs, x0)
-    col_norms = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
-    settled &= np.all(col_norms > _VOID * col_norms.max(axis=1, keepdims=True),
-                      axis=1)
-    converged = np.ones(q.shape[0], dtype=bool)
-    for i in np.flatnonzero(~settled):
-        problem = DeconvolutionProblem(
-            variant="scalar", tac=tac, time_mesh=tm, sample=sample,
-            design=designs[i], penalty_sqrt=root[None], r1=r1, r2=r2,
-            cell_masses=None)
-        sol = solve_problem(problem, x0=x0)
-        x[i], converged[i] = sol.x, sol.converged
-    return x @ sample.T, converged
+    lags = _lag_blocks(sample)
+    curves, converged = np.empty((q.shape[0], n_grid)), np.ones(q.shape[0], bool)
+    for lo in range(0, q.shape[0], _span(sample)):
+        part = q[lo:lo + _span(sample)]
+        kernels = part[:, 1:] * _spectral_kernels(mesh, part[:, 0], tau,
+                                                  n_grid - 1)
+        designs = _designs(kernels, lags).reshape(-1, n_grid, tm.m)
+        gram = np.swapaxes(designs, 1, 2) @ designs + root.T @ root
+        f, designs = tac @ designs, None    # rebuilt for a problem left to nnls
+        x, settled = _pivots(gram, f, x0)
+        sq = np.diagonal(gram, axis1=1, axis2=2)    # solve_problem's void rule
+        settled &= np.all(sq > _VOID ** 2 * sq.max(axis=1, keepdims=True), axis=1)
+        for i in np.flatnonzero(~settled):
+            sol = solve_problem(DeconvolutionProblem(
+                variant="scalar", tac=tac, time_mesh=tm, sample=sample,
+                design=_designs(kernels[i:i + 1], lags).reshape(n_grid, -1),
+                penalty_sqrt=root[None], r1=r1, r2=r2, cell_masses=None), x0=x0)
+            x[i], converged[lo + i] = sol.x, sol.converged
+        curves[lo:lo + part.shape[0]] = x @ sample.T
+    return curves, converged
 
 
 class SearchEpisode:

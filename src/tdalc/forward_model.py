@@ -298,6 +298,9 @@ def deterministic_kernels(det: DiscreteTimeOps, count: int) -> np.ndarray:
 # of their divided difference
 _CLOSE = 1e-8
 
+# exp rounds to zero below log(2^-1075) = -745.13
+_UNDERFLOW = -746.0
+
 
 @dataclass(frozen=True)
 class _Pencil:
@@ -362,10 +365,15 @@ def _decays(lam: np.ndarray, tau: float, count: int) -> np.ndarray:
 
     The exponentials are taken mode by mode, lags contiguous: the fast
     modes underflow after a few lags, and numpy's vectorized exp is several
-    times slower on vectors that mix underflowing and normal values.
+    times slower on vectors that mix underflowing and normal values.  An
+    argument below ``_UNDERFLOW``, where exp rounds to zero, is set to zero
+    without calling it.
     """
-    return np.ascontiguousarray(np.swapaxes(
-        np.exp(-tau * np.arange(count) * lam[..., :, None]), -1, -2))
+    decay = -tau * np.arange(count) * lam[..., :, None]
+    under = decay < _UNDERFLOW
+    np.exp(decay, out=decay, where=~under)
+    np.copyto(decay, 0.0, where=under)
+    return np.ascontiguousarray(np.swapaxes(decay, -1, -2))
 
 
 def _spectral_kernels(mesh: SpatialMesh, qbar1, tau: float,

@@ -8,9 +8,8 @@ band and the statistics intervals read those cells directly, on the
 result's own time grid, with no sampling.  The single-input variant has no
 cell structure; its band is the envelope of one single-subject
 deconvolution per kept sample of the disk (the one-cell system at that
-sample), each warm-started from the solution at q = mu.  The samples go
-in chunks: one batched kernel, design and first pivoting step per chunk,
-and a full solve only for the samples that step does not settle.
+sample), each warm-started from the solution at q = mu, all solved in
+batches through ``nnls``'s first exchanges.
 
 All statistics are reported in percent-alcohol and hours.
 """
@@ -31,10 +30,6 @@ from .grid_basis import DiscretizationGrid, ParamMesh
 DEFAULT_ALPHA = 0.75
 DEFAULT_SAMPLES = 1000
 DEFAULT_THRESHOLD = 0.001
-
-#: kept samples per batched solve of the scalar band; bounds its transient
-#: memory (chunk x K x K Toeplitz matrices, 5 MB at K = 199)
-_CHUNK = 16
 
 STAT_NAMES = ("peak", "peak_time", "auc", "elimination_rate", "absorption_rate")
 
@@ -119,29 +114,23 @@ def credible_band_scalar(tac: np.ndarray, params: density.PopulationParams,
 
     Each kept parameter pair gets its own single-subject inverse problem.
     The pair q = mu (the last kept sample) is solved from zero, and every
-    other pair is warm-started from its solution, ``_CHUNK`` pairs at a
-    time: one batched kernel, design and first pivoting step per chunk,
-    and a full solve only for the pairs that step does not settle.  Solves
-    that hit the iteration cap are left out of the envelope and counted in
-    ``dropped``, up to 10% of the kept set.
+    other pair is warm-started from its solution, in batches
+    (``_warm_scalar_solves``).  Solves that hit the iteration cap are left
+    out of the envelope and counted in ``dropped``, up to 10% of the kept
+    set.
     """
     tac = np.asarray(tac, dtype=float)
     kept = kept_samples(params, alpha, n_samples, seed)
     det = deterministic_ops(kept[-1], grid.spatial, grid.tau)
     curve, sol = deconvolve_deterministic(det, tac, r1, r2, m=m)
-    curves = [curve[None]] if sol.converged else []
-    dropped = int(not sol.converged)
-    rest = kept[:-1]
-    for lo in range(0, rest.shape[0], _CHUNK):
-        chunk, ok = _warm_scalar_solves(rest[lo:lo + _CHUNK], grid.spatial,
-                                        tac, grid.tau, r1, r2, m, sol.x)
-        curves.append(chunk[ok])
-        dropped += int(np.sum(~ok))
+    rest, ok = _warm_scalar_solves(kept[:-1], grid.spatial, tac, grid.tau,
+                                   r1, r2, m, sol.x)
+    curves = np.vstack([rest, curve])[np.append(ok, sol.converged)]
+    dropped = kept.shape[0] - curves.shape[0]
     if dropped > 0.10 * kept.shape[0]:
         raise NumericalError(
             f"{dropped} of {kept.shape[0]} per-sample deconvolutions failed")
-    stack = np.vstack(curves)
-    return CredibleBand(lower=stack.min(axis=0), upper=stack.max(axis=0),
+    return CredibleBand(lower=curves.min(axis=0), upper=curves.max(axis=0),
                         alpha=alpha, dropped=dropped)
 
 

@@ -1,8 +1,11 @@
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdalc import cli, forward_model
 from tdalc.cli import main, read_config
@@ -60,6 +63,55 @@ class TestReadConfig:
         p.write_text("just words\n")
         with pytest.raises(ConfigurationError, match="key = value"):
             read_config(p)
+
+
+_KEYS = st.text("abcdefghijklmnopqrstuvwxyz_0123456789.", min_size=1, max_size=8)
+_VALUES = st.text("abcxyz0123456789 .,-+=e", max_size=12)
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def config_files(draw):
+    """A config file's lines (padding, comments, blank lines) and the
+    key -> value map it holds."""
+    keys = draw(st.lists(_KEYS, unique=True, max_size=8))
+    values = {k: draw(_VALUES).strip() for k in keys}
+    lines = []
+    for key in keys:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# note", "  # x = 1"])))
+        comment = draw(st.sampled_from(["", " # tail", "#=#"]))
+        lines.append(f"{draw(_PAD)}{key}{draw(_PAD)}={draw(_PAD)}"
+                     f"{values[key]}{draw(_PAD)}{comment}")
+    return lines, values
+
+
+class TestReadConfigProperties:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(config_files())
+    def test_valid_files_read_back(self, tmp_path_factory, drawn):
+        lines, values = drawn
+        path = tmp_path_factory.mktemp("cfg") / "a.cfg"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        assert read_config(path) == values
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(drawn=config_files(), where=st.integers(0, 20),
+           bad=st.sampled_from(["just words", " = 1", "=", "duplicate"]))
+    def test_malformed_line_names_its_line(self, tmp_path_factory, drawn,
+                                           where, bad):
+        lines, values = drawn
+        at = min(where, len(lines))
+        if bad == "duplicate":      # of the first key above, if there is one
+            above = [ln.split("=")[0].strip() for ln in lines[:at]
+                     if "=" in ln.split("#")[0]]
+            bad = f"{above[0]} = again" if above else "words"
+        lines.insert(at, bad)
+        path = tmp_path_factory.mktemp("cfg") / "a.cfg"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        with pytest.raises(ConfigurationError,
+                           match=f"^{re.escape(str(path))}:{at + 1}: "):
+            read_config(path)
 
 
 class TestSimulate:

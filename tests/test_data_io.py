@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdalc.data_io import (build_episode, dump_episode, parse_episode,
                            parse_episode_text, resample, write_episode)
@@ -112,6 +114,60 @@ class TestRoundTrip:
         again = parse_episode_text(dump_episode(ep), "p", tau=0.5)
         assert np.array_equal(ep.brac_times, again.brac_times)
         assert np.array_equal(ep.brac_values, again.brac_values)
+
+
+@st.composite
+def episode_files(draw):
+    """An episode file's lines (the channels interleaved in order, blank
+    lines between) with its TAC and BrAC series; BrAC is None for a
+    TAC-only file.  Times run from 0 past one grid step."""
+    def series():
+        steps = draw(st.lists(st.floats(1e-3, 30.0), max_size=8))
+        times = np.concatenate([[0.0], 1.0 + np.cumsum([0.0] + steps)])
+        values = draw(st.lists(st.floats(0.0, 1.0), min_size=times.size,
+                               max_size=times.size))
+        return times, np.array(values)
+
+    tac = series()
+    brac = series() if draw(st.booleans()) else None
+    rows = [[f"{t:.17g},{name},{v:.17g}" for t, v in zip(*ser)]
+            for name, ser in (("tac", tac), (" BrAC ", brac)) if ser is not None]
+    lines = ["t_minutes, channel ,value"]
+    while any(rows):
+        pick = [r for r in rows if r]
+        lines.append(pick[draw(st.integers(0, len(pick) - 1))].pop(0))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+    return lines, tac, brac
+
+
+class TestParseProperties:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(episode_files())
+    def test_valid_files_parse_to_their_values(self, drawn):
+        lines, tac, brac = drawn
+        ep = parse_episode_text("\n".join(lines) + "\n", "gen")
+        assert np.array_equal(ep.tac_times, tac[0])
+        assert np.array_equal(ep.tac_values, tac[1])
+        if brac is None:
+            assert not ep.has_brac
+        else:
+            assert np.array_equal(ep.brac_times, brac[0])
+            assert np.array_equal(ep.brac_values, brac[1])
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(drawn=episode_files(), where=st.integers(1, 40),
+           bad=st.sampled_from(["1,tac", "1,tac,0.5,2", "x,tac,0.5",
+                                "1,tac,zero", "1,blood,0.5", "1,tac,-0.5",
+                                "-1,tac,0.5", "1,tac,nan", "inf,brac,0.1"]))
+    def test_malformed_line_names_its_line(self, drawn, where, bad):
+        lines = drawn[0]
+        at = min(where, len(lines))
+        lines.insert(at, bad)
+        with pytest.raises(ParseError) as err:
+            parse_episode_text("\n".join(lines) + "\n", "gen")
+        assert err.value.line == at + 1
+        assert str(err.value).startswith(f"line {at + 1}: ")
 
 
 class TestResample:

@@ -259,56 +259,80 @@ class TestNnls:
         assert any(breakdowns)
 
 
-class TestToeplitzDesign:
+class TestDesigns:
     @pytest.mark.parametrize("n", [2, 3, 17, 163])
     def test_equals_scipy_toeplitz(self, n):
+        # m = 2 + n // 3 basis columns gives one lag block for small n and
+        # several for n = 163
         from scipy.linalg import toeplitz
-        kern = np.random.default_rng(n).random(n + 4)
-        col = np.concatenate([[0.0], kern[:n - 1]])
-        assert np.array_equal(deconvolution._toeplitz_design(kern, n),
-                              toeplitz(col, np.zeros(n)))
-
+        rng = np.random.default_rng(n)
+        sample = rng.random((n, 2 + n // 3))
+        kern = rng.random((3, n + 4))
+        got = deconvolution._designs(kern, deconvolution._lag_blocks(sample))
+        for i in range(3):
+            col = np.concatenate([[0.0], kern[i, :n - 1]])
+            want = toeplitz(col, np.zeros(n)) @ sample
+            assert np.max(np.abs(got[i].reshape(want.shape) - want)) <= (
+                1e-13 * np.max(np.abs(want)))
 
     def test_batched_equals_one_by_one(self):
-        kern = np.random.default_rng(3).random((2, 3, 40))
-        batch = deconvolution._toeplitz_design(kern, 31)
-        assert batch.shape == (2, 3, 31, 31)
-        for i in range(2):
-            for j in range(3):
-                assert np.array_equal(
-                    batch[i, j], deconvolution._toeplitz_design(kern[i, j], 31))
+        sample = np.random.default_rng(5).random((31, 12))
+        lags = deconvolution._lag_blocks(sample)
+        assert len(lags) > 1 and lags[1][0] > 0
+        kern = np.random.default_rng(3).random((6, 40))
+        batch = deconvolution._designs(kern, lags)
+        assert batch.shape == (6, 31 * 12)
+        for i in range(6):
+            one = deconvolution._designs(kern[i:i + 1], lags)[0]
+            assert np.max(np.abs(batch[i] - one)) <= 1e-13 * np.max(np.abs(one))
 
 
-class TestFirstStep:
+class TestPivots:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(cols=st.integers(1, 10), extra=st.integers(0, 20),
            problems=st.integers(1, 4),
            noise=st.sampled_from([0.0, 1e-8, 1e-4, 1.0]),
+           kind=st.sampled_from(["plain", "plain", "duplicate", "zero"]),
            seed=st.integers(0, 2 ** 16))
-    def test_settles_exactly_the_one_iteration_solves(self, cols, extra,
-                                                      problems, noise, seed):
-        # settled problems are exactly those nnls finishes in its first
-        # step from x0, at the same point; noise-free data put the optimum
-        # on the start's passive set, so those all settle
+    def test_settles_exactly_the_converging_solves(self, cols, extra, problems,
+                                                   noise, kind, seed):
+        # a problem settles iff nnls from x0 converges within the batched
+        # exchanges, at the same point, unless nnls held a free column at
+        # exactly zero on the way: a duplicated column breaks the factor
+        # down, and a zero target gives exact zeros
         rng = np.random.default_rng(seed)
         x0 = rng.random(cols) * (rng.random(cols) < 0.7)
         a = rng.standard_normal((problems, 2 * cols + extra, cols))
-        x_true = (x0 > 0.0) * (0.5 + rng.random(cols))
+        if kind == "duplicate":
+            a[0, :, -1] = a[0, :, 0]
+        x_true = (rng.random(cols) < 0.7) * (0.5 + rng.random(cols))
         b = a @ x_true + noise * rng.standard_normal(a.shape[:2])
+        if kind == "zero":
+            b[0] = 0.0
         gram = np.swapaxes(a, 1, 2) @ a
         f = np.einsum("pkc,pk->pc", a, b)
-        x, settled = deconvolution._first_step(gram, f, x0)
-        if noise == 0.0:
-            assert np.all(settled)
-        # the step solves the passive system once; from an empty passive
-        # set there is nothing to solve
-        steps = int(np.any(x0 > 0.0))
+        x, settled = deconvolution._pivots(gram, f, x0)
+        steps = deconvolution._BACKUP + 1 - int(not np.any(x0 > 0.0))
+        solve = deconvolution._Normal.solve
         for i in range(problems):
-            res = nnls(a[i], b[i], x0=x0)
-            assert settled[i] == (res.converged and res.iterations == steps)
+            zeros = []
+
+            def spy(normal, free):
+                z = solve(normal, free)
+                zeros.append(bool(np.any(z[free] == 0.0)))
+                return z
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(deconvolution._Normal, "solve", spy)
+                res = nnls(a[i], b[i], x0=x0)
+            within = res.converged and res.iterations <= steps
             if settled[i]:
+                assert within
                 scale = max(float(np.linalg.norm(res.x)), 1e-300)
                 assert np.linalg.norm(x[i] - res.x) <= 1e-10 * scale
+            else:
+                assert not within or any(zeros)
+                assert not np.any(x[i])
 
 
 class TestBuildProblem:

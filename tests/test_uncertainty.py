@@ -250,13 +250,15 @@ class TestCredibleBandScalar:
                                                 ("pulse", True)])
     def test_equals_per_sample_reference(self, monkeypatch, shape, to_nnls,
                                          r1, r2):
-        # the smooth TAC keeps every kept sample on the passive set of
-        # q = mu, so the batched first step settles all of them; the short
-        # pulse moves the end of the support, and some go to nnls
+        # the batched pivots settle every kept sample of both TACs; with
+        # to_nnls every other one is left to nnls instead, so both paths
+        # meet the same reference
         params = make_params()
         tac, grid = (make_result(k=181)[1:] if shape == "smooth"
                      else pulse_tac())
         curves, _ = per_sample_reference(tac, params, grid, r1, r2, 200, 3)
+        if to_nnls:
+            leave_to_nnls(monkeypatch, every=2)
         warm = spy_warm_nnls(monkeypatch)
         band = credible_band_scalar(tac, params, grid, r1, r2,
                                     n_samples=200, seed=3)
@@ -267,10 +269,26 @@ class TestCredibleBandScalar:
         assert np.max(np.abs(band.lower - curves.min(axis=0))) <= tol
         assert np.max(np.abs(band.upper - curves.max(axis=0))) <= tol
 
+    def test_support_ending_inside_settles_every_sample(self, monkeypatch):
+        # a TAC back at zero well before the record ends moves the end of
+        # the support between kept samples, so their free sets differ from
+        # that of q = mu; nnls's first exchanges, batched, settle them all
+        params = make_params()
+        tac, grid = pulse_tac()
+        curves, _ = per_sample_reference(tac, params, grid, 1e-3, 1e-3,
+                                         1000, 0)
+        warm = spy_warm_nnls(monkeypatch)
+        band = credible_band_scalar(tac, params, grid, 1e-3, 1e-3)
+        assert curves.shape[0] > 500 and not warm
+        tol = 1e-12 * float(np.max(curves))
+        assert np.max(np.abs(band.lower - curves.min(axis=0))) <= tol
+        assert np.max(np.abs(band.upper - curves.max(axis=0))) <= tol
+
     def test_capped_solves_dropped_and_counted(self, monkeypatch):
         params = make_params()
         tac, grid = pulse_tac()
         curves, xs = per_sample_reference(tac, params, grid, 1e-3, 1e-3, 60, 5)
+        leave_to_nnls(monkeypatch, every=4)
         capped = spy_warm_nnls(monkeypatch, cap_every=3)
         band = credible_band_scalar(tac, params, grid, 1e-3, 1e-3,
                                     n_samples=60, seed=5)
@@ -287,6 +305,7 @@ class TestCredibleBandScalar:
     def test_too_many_capped_solves_raise(self, monkeypatch):
         params = make_params()
         tac, grid = pulse_tac()
+        leave_to_nnls(monkeypatch, every=1)
         spy_warm_nnls(monkeypatch, cap_every=1)
         with pytest.raises(NumericalError):
             credible_band_scalar(tac, params, grid, 1e-3, 1e-3,
@@ -327,6 +346,19 @@ def per_sample_reference(tac, params, grid, r1, r2, n_samples, seed):
         curves.append(curve)
         xs.append(sol.x)
     return np.array(curves), np.array(xs)
+
+
+def leave_to_nnls(monkeypatch, every):
+    """Make the band's batched pivots leave every ``every``-th problem of a
+    group unsettled, so that its sample goes through ``nnls``."""
+    pivots = deconvolution._pivots
+
+    def spy(gram, f, x0):
+        x, settled = pivots(gram, f, x0)
+        settled[::every] = False
+        return x, settled
+
+    monkeypatch.setattr(deconvolution, "_pivots", spy)
 
 
 def spy_warm_nnls(monkeypatch, cap_every=0):
