@@ -11,16 +11,17 @@ parameter cells.  The stacked problem is solved under a nonnegativity
 constraint by block principal pivoting (``nnls``) on its normal equations,
 read from the design and the penalty blocks without forming them.
 
-One builder makes the stacked problem from kernel columns: one per
-parameter cell in the tq variant, one (the mean kernel) in the scalar
-variant.  The kernels come from ``forward_model.impulse_kernels``, and the
-designs from one product of the kernels with the lag tensor of the sampled
-time basis (``_designs``).  A single subject is the one-cell system of
+One builder makes the stacked problem from kernel columns and cell masses:
+one per parameter cell in the tq variant; the scalar variant is the one-cell
+case, the mean kernel on a cell of unit mass.  The kernels come from
+``forward_model.impulse_kernels``, and the designs from one product of the
+kernels with the lag tensor of the sampled time basis (``_designs``).  A
+single subject is the one-cell system of
 ``forward_model.deterministic_ops``, so ``deconvolve_deterministic`` is the
 scalar problem of that system, and ``deconvolve`` takes it too.  The
 temporal mesh, its Grams and sampled basis, and the temporal penalty root
-are cached, so a band's many single-subject solves on one TAC differ only
-in their kernel; they run in batches (``_warm_scalar_solves``) through
+are cached, so a band's many single-subject solves on one TAC differ only in
+their kernel; they run in batches (``_warm_scalar_solves``) through
 ``nnls``'s first exchanges at once.
 
 Only the penalty depends on (r1, r2).  The weight search therefore builds
@@ -104,7 +105,6 @@ def _designs(kernels: np.ndarray, lags: list) -> np.ndarray:
 class DeconvolutionProblem:
     """Assembled stacked least-squares data for one TAC signal."""
 
-    variant: str
     tac: np.ndarray
     time_mesh: TimeMesh
     sample: np.ndarray        # grid evaluation of the temporal basis, K x m
@@ -112,7 +112,7 @@ class DeconvolutionProblem:
     penalty_sqrt: np.ndarray  # diagonal blocks of the penalty root, cells x m x m
     r1: float
     r2: float
-    cell_masses: np.ndarray | None   # None in the scalar variant
+    cell_masses: np.ndarray   # [1.0] in the scalar variant
 
     @property
     def n_cols(self) -> int:
@@ -135,8 +135,6 @@ class DeconvolutionProblem:
 
     def mean_curve(self, x: np.ndarray) -> np.ndarray:
         """Population-mean input on the grid for coefficient vector x."""
-        if self.cell_masses is None:
-            return self.sample @ x
         per_cell = x.reshape(self.cell_masses.size, self.time_mesh.m).T
         return self.sample @ (per_cell @ self.cell_masses)
 
@@ -168,15 +166,12 @@ def _penalty_root(tm: TimeMesh, r1: float, r2: float) -> np.ndarray:
     return root
 
 
-def _penalty_sqrt(tm: TimeMesh, masses: np.ndarray | None,
+def _penalty_sqrt(tm: TimeMesh, masses: np.ndarray,
                   r1: float, r2: float) -> np.ndarray:
-    """Diagonal blocks of the penalty root, one per cell (one in the scalar
-    variant).  The penalty of the tensor basis factorizes into cell masses
-    times the temporal quadratic form, so it is cell-block diagonal."""
-    root = _penalty_root(tm, r1, r2)
-    if masses is None:
-        return root[None]
-    return np.sqrt(masses)[:, None, None] * root
+    """Diagonal blocks of the penalty root, one per cell.  The penalty of
+    the tensor basis factorizes into cell masses times the temporal
+    quadratic form, so it is cell-block diagonal."""
+    return np.sqrt(masses)[:, None, None] * _penalty_root(tm, r1, r2)
 
 
 def _time_mesh(n_grid: int, tau: float, m: int | None) -> TimeMesh:
@@ -187,20 +182,19 @@ def _time_mesh(n_grid: int, tau: float, m: int | None) -> TimeMesh:
     return TimeMesh(m, (n_grid - 1) * tau, tau)
 
 
-def _stacked_problem(columns: np.ndarray, masses: np.ndarray | None,
+def _stacked_problem(columns: np.ndarray, masses: np.ndarray,
                      tac: np.ndarray, tau: float, r1: float, r2: float,
                      m: int | None) -> DeconvolutionProblem:
-    """The stacked problem for kernel ``columns`` (K-1 lags x columns): one
-    design block per column, and a penalty block per cell weighted by
-    ``masses``, or None for the scalar variant's single column."""
+    """The stacked problem for kernel ``columns`` (K-1 lags x cells): one
+    design block per column, and a penalty block per cell weighted by its
+    mass in ``masses``."""
     n_grid = tac.size
     tm = _time_mesh(n_grid, tau, m)
     sample = _time_basis(tm)[2]
     # column c's block of m design columns is the design of kernel c
     designs = _designs(columns.T, _lag_blocks(sample)).reshape(-1, n_grid, tm.m)
     design = np.moveaxis(designs, 0, 1).reshape(n_grid, -1)
-    return DeconvolutionProblem(variant="scalar" if masses is None else "tq",
-                                tac=tac, time_mesh=tm,
+    return DeconvolutionProblem(tac=tac, time_mesh=tm,
                                 sample=sample, design=design,
                                 penalty_sqrt=_penalty_sqrt(tm, masses, r1, r2),
                                 r1=r1, r2=r2, cell_masses=masses)
@@ -221,7 +215,7 @@ def build_problem(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
     if not np.any(kernels.functional):
         raise NumericalError("impulse kernels are identically zero")
     if variant == "scalar":
-        columns, masses = kernels.mean[:, None], None
+        columns, masses = kernels.mean[:, None], np.ones(1)
     elif variant == "tq":
         columns, masses = kernels.functional, ops.p
     else:
@@ -244,8 +238,8 @@ class NnlsResult:
     residual: float
 
 
-#: default stop rule of ``nnls``: dual (KKT) violation at most this times
-#: the norm of a^T b
+#: stop rule of ``nnls``: dual (KKT) violation at most this times the norm
+#: of a^T b
 _DUAL_TOL = 1e-9
 
 #: a stacked column whose norm falls below this fraction of the largest one
@@ -259,6 +253,9 @@ _BREAKDOWN = 1e-14
 #: full exchanges that may leave no fewer infeasible variables before
 #: ``nnls`` turns to single exchanges (Kim and Park's backup rule)
 _BACKUP = 3
+
+#: largest free-set Gram ``nnls`` forms, in bytes (8 n_F^2 for n_F columns)
+_GRAM_BUDGET = 1 << 30
 
 
 def _scales(diag: np.ndarray) -> np.ndarray:
@@ -315,6 +312,11 @@ class _Normal:
             if x is not None:
                 return x
         idx = np.flatnonzero(free)
+        if 8 * idx.size ** 2 > _GRAM_BUDGET:
+            raise ConfigurationError(
+                f"a free set of {idx.size} columns needs a "
+                f"{8 * idx.size ** 2}-byte Gram, over the {_GRAM_BUDGET}-byte "
+                f"budget; use r1 > 0 or a coarser cell grid")
         cell, t = np.divmod(idx, self.pen.shape[1])
         dt, x = self.dt[idx], np.zeros(free.size)
         gram = dt @ dt.T + np.where(cell[:, None] == cell,
@@ -352,8 +354,8 @@ class _Normal:
         return (np.swapaxes(inv, 1, 2) @ (v @ z)[..., None]).ravel() * free
 
 
-def nnls(a: np.ndarray, b: np.ndarray, tol: float | None = None,
-         max_iter: int | None = None, x0: np.ndarray | None = None) -> NnlsResult:
+def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None,
+         x0: np.ndarray | None = None) -> NnlsResult:
     """Block principal pivoting for min ||a x - b|| s.t. x >= 0.
 
     Runs on the column-scaled normal equations.  Each iteration solves the
@@ -364,9 +366,9 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float | None = None,
     fewer infeasible variables, it goes on from the best iterate by single
     exchanges that keep x feasible and lower the objective (Lawson and
     Hanson, 1974), which cannot cycle on a singular Gram.  A free column
-    dependent on the others is held at zero and rejoins the bound set.
-    ``tol`` bounds the admissible dual (KKT) violation, by default 1e-9
-    times the norm of a^T b.  An iteration is one free-set solve.
+    dependent on the others is held at zero and rejoins the bound set.  It
+    stops when no dual (KKT) violation exceeds ``_DUAL_TOL`` (1e-9) times
+    the norm of a^T b.  An iteration is one free-set solve.
 
     ``a`` is a matrix or the stacked operator of ``solve_problem``.  The
     free set starts as x0 > 0 (empty without ``x0``), typically from the
@@ -392,7 +394,7 @@ def nnls(a: np.ndarray, b: np.ndarray, tol: float | None = None,
     else:           # a plain matrix is a design with a zero penalty
         normal = _Normal(a, np.zeros((1, n, n)), b)
     s, f = normal.s, normal.f
-    tol = _DUAL_TOL * float(np.linalg.norm(s * f)) if tol is None else tol
+    tol = _DUAL_TOL * float(np.linalg.norm(s * f))
     max_iter = 3 * n if max_iter is None else max_iter
 
     def objective(z: np.ndarray) -> float:     # ||a z - b||^2 - ||b||^2
@@ -566,7 +568,8 @@ def deconvolve_deterministic(det: DiscreteTimeOps, tac: np.ndarray,
     r1, r2 = _snap_regs(r1, r2)
     tac = np.asarray(tac, dtype=float)
     kern = impulse_kernels(det, tac.size - 1).mean
-    problem = _stacked_problem(kern[:, None], None, tac, det.tau, r1, r2, m)
+    problem = _stacked_problem(kern[:, None], np.ones(1), tac, det.tau,
+                               r1, r2, m)
     sol = solve_problem(problem, x0=x0)
     return problem.sample @ sol.x, sol
 
@@ -606,10 +609,8 @@ def _warm_scalar_solves(q: np.ndarray, mesh: SpatialMesh, tac: np.ndarray,
         sq = np.diagonal(gram, axis1=1, axis2=2)    # solve_problem's void rule
         settled &= np.all(sq > _VOID ** 2 * sq.max(axis=1, keepdims=True), axis=1)
         for i in np.flatnonzero(~settled):
-            sol = solve_problem(DeconvolutionProblem(
-                variant="scalar", tac=tac, time_mesh=tm, sample=sample,
-                design=_designs(kernels[i:i + 1], lags).reshape(n_grid, -1),
-                penalty_sqrt=root[None], r1=r1, r2=r2, cell_masses=None), x0=x0)
+            sol = solve_problem(_stacked_problem(
+                kernels[i][:, None], np.ones(1), tac, tau, r1, r2, m), x0=x0)
             x[i], converged[lo + i] = sol.x, sol.converged
         curves[lo:lo + part.shape[0]] = x @ sample.T
     return curves, converged

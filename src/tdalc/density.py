@@ -7,10 +7,10 @@ integrals (mass and first moments) over a parameter-cell mesh, derivatives of
 those integrals with respect to the distribution parameters, rejection
 sampling, the credible-disk radius, and the on-disk key-value format.
 
-Cell integrals use tensor-product Gauss-Legendre quadrature per cell.  The
-starting order is 5 per axis and the order is doubled until the normalization
-constant is stable to 1e-8 in relative terms, so downstream assembly sees
-integrals that are smooth functions of the distribution parameters.
+Cell integrals use tensor-product Gauss-Legendre quadrature per cell, from
+order ``_START_ORDER`` = 5 per axis, doubled until the normalization constant
+is stable to 1e-8 in relative terms, so downstream assembly sees integrals
+that are smooth functions of the distribution parameters.
 """
 
 from __future__ import annotations
@@ -22,12 +22,14 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .errors import ParameterError, SamplingError
 from .grid_basis import ParamMesh
 
 _NORM_STABLE_RTOL = 1e-8
+_START_ORDER = 5
 _MAX_QUAD_ORDER = 80
 
 #: names of the scalar parameters a cell-weight derivative can be taken in
@@ -197,13 +199,15 @@ def _raw_cell_integrals(params: PopulationParams, pm1: ParamMesh, pm2: ParamMesh
     return raw_p, raw_w1, raw_w2
 
 
-def moment_weights(params: PopulationParams, pm1: ParamMesh, pm2: ParamMesh,
-                   order: int = 5) -> CellWeights:
+def moment_weights(params: PopulationParams, pm1: ParamMesh,
+                   pm2: ParamMesh) -> CellWeights:
     """Cell masses and first-moment weights of the truncated density.
 
-    The order doubles until the normalization constant (the sum of the raw
-    cell integrals) is stable; the masses then sum to 1 by construction.
+    The order doubles from ``_START_ORDER`` until the normalization
+    constant (the sum of the raw cell integrals) is stable; the masses then
+    sum to 1 by construction.
     """
+    order = _START_ORDER
     raw = _raw_cell_integrals(params, pm1, pm2, order)
     z = float(raw[0].sum())
     while order < _MAX_QUAD_ORDER:
@@ -237,10 +241,10 @@ def _normalized(raw: tuple[np.ndarray, np.ndarray, np.ndarray],
     return CellWeights(p=raw[0] / z, w1=raw[1] / z, w2=raw[2] / z, order=order)
 
 
-def cell_masses(params: PopulationParams, pm1: ParamMesh, pm2: ParamMesh,
-                order: int = 5) -> np.ndarray:
+def cell_masses(params: PopulationParams, pm1: ParamMesh,
+                pm2: ParamMesh) -> np.ndarray:
     """Probability mass of every parameter cell; entries sum to 1."""
-    return moment_weights(params, pm1, pm2, order=order).p
+    return moment_weights(params, pm1, pm2).p
 
 
 def _score_factors(params: PopulationParams, q1: np.ndarray, q2: np.ndarray) -> dict[str, np.ndarray]:
@@ -265,19 +269,18 @@ def _score_factors(params: PopulationParams, q1: np.ndarray, q2: np.ndarray) -> 
 
 
 def moment_weight_derivatives(params: PopulationParams, pm1: ParamMesh, pm2: ParamMesh,
-                              weights: CellWeights | None = None,
-                              order: int | None = None) -> dict[str, CellWeights]:
+                              weights: CellWeights | None = None
+                              ) -> dict[str, CellWeights]:
     """Analytic derivatives of the cell weights in mu and chol(Sigma) entries.
 
     Differentiates under the integral sign; the support box is held fixed, so
     these are exactly the derivatives the assembly chain rule needs for the
     location and covariance parameters.  Returns one CellWeights of
-    derivatives per name in DERIV_NAMES.
+    derivatives per name in DERIV_NAMES, at the order of ``weights``.
     """
     if weights is None:
         weights = moment_weights(params, pm1, pm2)
-    if order is None:
-        order = weights.order
+    order = weights.order
     q1, q2, w = _cell_quad_points(pm1, pm2, order)
     phi = gauss_density(params, np.stack([q1, q2], axis=-1))
     z = float((phi @ w).sum())
@@ -377,13 +380,13 @@ def _disk_mass(params: PopulationParams, r: float, z: float) -> float:
     return val / z
 
 
-def credible_region_radius(params: PopulationParams, alpha: float,
-                           tol: float = 1e-4) -> CredibleRadius:
+def credible_region_radius(params: PopulationParams,
+                           alpha: float) -> CredibleRadius:
     """Radius of the Euclidean disk centered at mu holding mass alpha.
 
-    Bisection on the quadrature-evaluated disk mass.  When the whole support
-    box holds less than alpha (mu far outside the box), the radius covering
-    the entire support is returned with ``attained=False``.
+    Brent's method on the quadrature-evaluated disk mass.  When the whole
+    support box holds less than alpha - 1e-12 (mu far outside the box), the
+    radius covering the entire support is returned with ``attained=False``.
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
@@ -394,23 +397,13 @@ def credible_region_radius(params: PopulationParams, alpha: float,
                         [params.b[0], params.a[1]], [params.b[0], params.b[1]]])
     r_max = float(np.max(np.linalg.norm(corners - params.mu, axis=1)))
     top = _disk_mass(params, r_max, z)
-    if top < alpha - 1e-12:
-        return CredibleRadius(radius=r_max, alpha=alpha, mass=top, attained=False)
-    lo, hi = 0.0, r_max
-    mass = top
-    mid = r_max
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        mass = _disk_mass(params, mid, z)
-        if abs(mass - alpha) <= 0.01 * tol:
-            break
-        if mass < alpha:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, r_max):
-            break
-    return CredibleRadius(radius=mid, alpha=alpha, mass=mass, attained=True)
+    if top <= alpha:    # no sign change for the root finder
+        return CredibleRadius(radius=r_max, alpha=alpha, mass=top,
+                              attained=top >= alpha - 1e-12)
+    radius = brentq(lambda r: _disk_mass(params, r, z) - alpha, 0.0, r_max,
+                    xtol=1e-14 * max(1.0, r_max))
+    return CredibleRadius(radius=radius, alpha=alpha,
+                          mass=_disk_mass(params, radius, z), attained=True)
 
 
 _PARAM_KEYS = ("a1", "a2", "b1", "b2", "mu1", "mu2", "s11", "s12", "s22")

@@ -32,6 +32,9 @@ each sampling interval, which makes the discrete flow map a true semigroup
 (stepping with 2*tau equals stepping twice with tau).  ``DiscreteTimeOps``
 builds its matrices lazily, and ``state_trajectory`` and ``simulate`` march
 it; the tests compare the spectral kernels against it.
+
+A 1-d input ``u`` is common to every cell, a (steps, n_cells) one gives each
+cell its own; any other shape raises ``ConfigurationError``.
 """
 
 from __future__ import annotations
@@ -113,8 +116,8 @@ def _flat_cells(arr: np.ndarray) -> np.ndarray:
     return np.asarray(arr).ravel(order="F")
 
 
-def assemble(params: density.PopulationParams, grid: DiscretizationGrid,
-             order: int = 5) -> DiscreteTimeOps:
+def assemble(params: density.PopulationParams,
+             grid: DiscretizationGrid) -> DiscreteTimeOps:
     """Assemble the density-weighted Galerkin system on ``grid``, sampled at
     the grid's tau.
 
@@ -125,7 +128,7 @@ def assemble(params: density.PopulationParams, grid: DiscretizationGrid,
             f"grid support [{grid.pm1.lo}, {grid.pm1.hi}] x "
             f"[{grid.pm2.lo}, {grid.pm2.hi}] does not match the distribution "
             f"box {params.a.tolist()} .. {params.b.tolist()}")
-    weights = density.moment_weights(params, grid.pm1, grid.pm2, order=order)
+    weights = density.moment_weights(params, grid.pm1, grid.pm2)
     return assemble_from_weights(weights, grid)
 
 
@@ -188,46 +191,42 @@ def deterministic_ops(q, mesh: SpatialMesh, tau: float) -> DiscreteTimeOps:
                            p=np.ones(1), qbar1=q[:1], qbar2=q[1:])
 
 
-def _check_input(u: np.ndarray, variant: str, n_cells: int) -> np.ndarray:
-    """``u`` as floats: 1-d for the scalar variant, (steps, n_cells) for tq."""
+def _check_input(u: np.ndarray, n_cells: int) -> np.ndarray:
+    """``u`` as floats: 1-d (one input common to every cell) or
+    (steps, n_cells) (one input per cell)."""
     u = np.asarray(u, dtype=float)
-    if variant == "scalar":
-        if u.ndim != 1:
-            raise ConfigurationError(f"scalar-variant input must be 1-d, got shape {u.shape}")
-    elif variant == "tq":
-        if u.ndim != 2 or u.shape[1] != n_cells:
-            raise ConfigurationError(
-                f"tq-variant input must have shape (steps, {n_cells}), got {u.shape}")
-    else:
-        raise ConfigurationError(f"unknown variant {variant!r}")
+    if u.ndim != 1 and (u.ndim != 2 or u.shape[1] != n_cells):
+        raise ConfigurationError(
+            f"input must have shape (steps,) or (steps, {n_cells}), "
+            f"got {u.shape}")
     return u
 
 
-def state_trajectory(ops: DiscreteTimeOps, u: np.ndarray,
-                     variant: str = "scalar") -> tuple[np.ndarray, np.ndarray]:
+def state_trajectory(ops: DiscreteTimeOps,
+                     u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """March the reference recursion from the zero state.
 
     Returns (states, y): states[j] is the block state before step j's output,
     j = 0..steps, and y[k-1] is the observed output after k steps, k = 1..steps.
     """
-    u = _check_input(u, variant, ops.n_cells)
+    u = _check_input(u, ops.n_cells)
     steps = u.shape[0]
+    drives = (u[:, None] if u.ndim == 1 else u)[:, :, None]
     nc, nb = ops.bhat.shape
     states = np.zeros((steps + 1, nc, nb))
     y = np.zeros(steps)
     x = np.zeros((nc, nb))
     for j in range(steps):
-        drive = ops.bhat * (u[j] if variant == "scalar" else u[j][:, None])
-        x = np.einsum("cij,cj->ci", ops.ahat, x) + drive
+        x = np.einsum("cij,cj->ci", ops.ahat, x) + ops.bhat * drives[j]
         states[j + 1] = x
         y[j] = float(np.sum(ops.c_out * x))
     return states, y
 
 
-def simulate(ops: DiscreteTimeOps, u: np.ndarray, variant: str = "scalar") -> np.ndarray:
+def simulate(ops: DiscreteTimeOps, u: np.ndarray) -> np.ndarray:
     """Output samples y_1..y_steps for a zero-order-hold input u_0..u_{steps-1},
     by the reference recursion."""
-    _, y = state_trajectory(ops, u, variant)
+    _, y = state_trajectory(ops, u)
     return y
 
 
@@ -259,20 +258,20 @@ def impulse_kernels(ops: DiscreteTimeOps, count: int) -> Kernels:
     return Kernels(functional=functional, mean=functional.sum(axis=1))
 
 
-def convolve(kernels: Kernels, u: np.ndarray, variant: str = "scalar") -> np.ndarray:
+def convolve(kernels: Kernels, u: np.ndarray) -> np.ndarray:
     """Evaluate the output by kernel convolution instead of state marching.
 
     y_k = sum_{l=1..k} h_l u_{k-l}: one ``np.convolve`` with the mean kernel
-    for the scalar variant, one per cell, summed, for tq.
+    for a 1-d ``u``, one per cell, summed, for a (steps, n_cells) ``u``.
     """
-    u = _check_input(u, variant, kernels.functional.shape[1])
+    u = _check_input(u, kernels.functional.shape[1])
     steps = u.shape[0]
     if steps > kernels.count:
         raise ConfigurationError(
             f"need {steps} kernels for {steps} steps, have {kernels.count}")
     if steps == 0:
         return np.zeros(0)
-    if variant == "scalar":
+    if u.ndim == 1:
         kern, u = kernels.mean[:steps, None], u[:, None]
     else:
         kern = kernels.functional[:steps]

@@ -248,9 +248,9 @@ class DiscretizationGrid:
     def n_cells(self) -> int:
         return self.pm1.count * self.pm2.count
 
-    def matches_support(self, params, rtol: float = 1e-12) -> bool:
-        scale = max(1.0, abs(params.b[0]), abs(params.b[1]))
-        return (abs(self.pm1.lo - params.a[0]) <= rtol * scale
-                and abs(self.pm1.hi - params.b[0]) <= rtol * scale
-                and abs(self.pm2.lo - params.a[1]) <= rtol * scale
-                and abs(self.pm2.hi - params.b[1]) <= rtol * scale)
+    def matches_support(self, params) -> bool:
+        tol = 1e-12 * max(1.0, abs(params.b[0]), abs(params.b[1]))
+        return (abs(self.pm1.lo - params.a[0]) <= tol
+                and abs(self.pm1.hi - params.b[0]) <= tol
+                and abs(self.pm2.lo - params.a[1]) <= tol
+                and abs(self.pm2.hi - params.b[1]) <= tol)

@@ -53,6 +53,7 @@ from .grid_basis import DiscretizationGrid
 _BOUND_FD_STEP = 1e-6
 _DEFAULT_TOL = 1e-6
 _DEFAULT_MAX_ITER = 500
+_RIDGE = 1e-4    # floor of the start covariance's smallest eigenvalue
 
 
 def active_parameter_names(fit_lower: bool = False) -> tuple[str, ...]:
@@ -81,15 +82,14 @@ def unpack_theta(theta: np.ndarray, a: np.ndarray,
                             mu=theta[2:4], sigma=low @ low.T)
 
 
-def _check_episodes(episodes: list[Episode], grid: DiscretizationGrid,
-                    need_brac: bool = True) -> None:
+def _check_episodes(episodes: list[Episode], grid: DiscretizationGrid) -> None:
     if not episodes:
         raise ConfigurationError("need at least one episode")
     for ep in episodes:
         if abs(ep.tau - grid.tau) > 1e-12:
             raise ConfigurationError(
                 f"episode {ep.ident!r} has tau {ep.tau}, grid has {grid.tau}")
-        if need_brac and not ep.has_brac:
+        if not ep.has_brac:
             raise ConfigurationError(
                 f"episode {ep.ident!r} has no BrAC channel; cannot train on it")
         if ep.fit_indices.size == 0:
@@ -114,12 +114,12 @@ def _residuals(kernel: np.ndarray, ep: Episode) -> np.ndarray:
 
 
 def cost(params: PopulationParams, episodes: list[Episode],
-         grid: DiscretizationGrid, order: int = 5) -> float:
+         grid: DiscretizationGrid) -> float:
     """Sum of squared TAC residuals at the measured instants, all episodes."""
     _check_episodes(episodes, grid)
     grid = grid.rebind(params)
     mean = forward_model.impulse_kernels(
-        forward_model.assemble(params, grid, order=order),
+        forward_model.assemble(params, grid),
         _kernel_count(episodes)).mean
     total = 0.0
     for ep in episodes:
@@ -134,7 +134,7 @@ def _weight_derivative_stack(params: PopulationParams, grid: DiscretizationGrid,
     """Stack (dp, dw1, dw2) per active parameter, flattened over cells."""
     names = active_parameter_names(fit_lower)
     analytic = density.moment_weight_derivatives(
-        params, grid.pm1, grid.pm2, weights=weights, order=weights.order)
+        params, grid.pm1, grid.pm2, weights=weights)
 
     def flat(cw: density.CellWeights) -> np.ndarray:
         return np.stack([cw.p.ravel(order="F"), cw.w1.ravel(order="F"),
@@ -183,12 +183,12 @@ def _mean_kernel_derivatives(sys: forward_model.DiscreteTimeOps,
 
 
 def cost_and_gradient(params: PopulationParams, episodes: list[Episode],
-                      grid: DiscretizationGrid, fit_lower: bool = False,
-                      order: int = 5) -> tuple[float, np.ndarray]:
+                      grid: DiscretizationGrid,
+                      fit_lower: bool = False) -> tuple[float, np.ndarray]:
     """Total cost and its gradient in the packed parameter vector."""
     _check_episodes(episodes, grid)
     grid = grid.rebind(params)
-    weights = density.moment_weights(params, grid.pm1, grid.pm2, order=order)
+    weights = density.moment_weights(params, grid.pm1, grid.pm2)
     sys = forward_model.assemble_from_weights(weights, grid)
     kern, dkern = forward_model._spectral_kernel_derivatives(
         grid.spatial, sys.qbar1, grid.tau, _kernel_count(episodes))
@@ -293,7 +293,9 @@ def fit_episode_deterministic(ep: Episode, grid: DiscretizationGrid,
                             ident=ep.ident)
 
 
-def initial_guess(per_episode_qs, ridge: float = 1e-4) -> PopulationParams:
+
+
+def initial_guess(per_episode_qs) -> PopulationParams:
     """Population starting point from per-episode estimates.
 
     Location and covariance are the sample mean and covariance of the
@@ -308,8 +310,8 @@ def initial_guess(per_episode_qs, ridge: float = 1e-4) -> PopulationParams:
         sig = np.cov(qs, rowvar=False)
     else:
         sig = np.zeros((2, 2))
-    if np.linalg.eigvalsh(sig).min() < ridge:
-        sig = sig + ridge * np.eye(2)
+    if np.linalg.eigvalsh(sig).min() < _RIDGE:
+        sig = sig + _RIDGE * np.eye(2)
     b = mu + 4.0 * np.sqrt(np.diag(sig))
     return PopulationParams(a=np.zeros(2), b=b, mu=mu, sigma=sig)
 
@@ -389,7 +391,7 @@ _FIRST_STEP = 0.1
 def fit_population(episodes: list[Episode], grid: DiscretizationGrid,
                    init: PopulationParams | None = None, *,
                    fit_lower: bool = False, tol: float = _DEFAULT_TOL,
-                   max_iter: int = _DEFAULT_MAX_ITER, order: int = 5) -> FitResult:
+                   max_iter: int = _DEFAULT_MAX_ITER) -> FitResult:
     """Projected quasi-Newton fit of the population distribution.
 
     The verdict is measured against the data energy E, the sum of squared
@@ -430,7 +432,7 @@ def fit_population(episodes: list[Episode], grid: DiscretizationGrid,
         """Cost and gradient in data units; the latest point is cached."""
         if "theta" not in cache or not np.array_equal(cache["theta"], theta):
             params = unpack_theta(theta, fixed_a, fit_lower)
-            val, grad = cost_and_gradient(params, episodes, grid, fit_lower, order)
+            val, grad = cost_and_gradient(params, episodes, grid, fit_lower)
             cache.update(theta=theta.copy(), val=val, grad=grad)
         return cache["val"], cache["grad"]
 

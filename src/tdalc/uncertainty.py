@@ -48,15 +48,20 @@ class CredibleBand:
             raise NumericalError("band lower edge exceeds upper edge")
 
 
+def _radius(params: density.PopulationParams, alpha: float) -> float:
+    """Radius of the central credible disk of mass ``alpha`` in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+    return density.credible_region_radius(params, alpha).radius
+
+
 def kept_samples(params: density.PopulationParams, alpha: float,
                  n_samples: int, seed: int) -> np.ndarray:
     """Draw from the population density and keep the points inside the
     central credible disk.  The population mean is always appended so every
     band and interval contains the value at q = mu."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+    radius = _radius(params, alpha)
     draws = density.sample(params, n_samples, seed)
-    radius = density.credible_region_radius(params, alpha).radius
     inside = np.linalg.norm(draws - params.mu, axis=1) <= radius
     kept = draws[inside]
     if kept.shape[0] == 0:
@@ -75,13 +80,11 @@ def _disk_cells(result: DeconvolutionResult,
     A cell is in when the squared distances from mu to its interval on each
     axis sum to less than the squared radius; mu may lie outside the box.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+    radius = _radius(params, alpha)
     if result.variant != "tq":
         raise ConfigurationError("cell bands need a tensor-variant result")
     curves = np.einsum("km,mij->kij", _time_basis(result.time_mesh)[2],
                        result.coeffs)
-    radius = density.credible_region_radius(params, alpha).radius
     dist2 = 0.0
     for axis, count in enumerate(result.coeffs.shape[1:]):
         edges = ParamMesh(count, params.a[axis], params.b[axis]).edges

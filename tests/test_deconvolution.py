@@ -202,6 +202,14 @@ class TestNnls:
         assert res.converged
         assert scaled_kkt(prob.stacked, prob.target, res.nnls.x) <= 1e-8
 
+    def test_gram_over_budget_raises(self, monkeypatch):
+        # at r1 = 0 the penalty blocks do not factor, so a free set larger
+        # than K (121) forms its Gram; over the budget that is a typed error
+        monkeypatch.setattr(deconvolution, "_GRAM_BUDGET", 8 * 177 ** 2 - 1)
+        ops = make_ops()
+        with pytest.raises(ConfigurationError, match="177 columns"):
+            deconvolve(ops, make_tac(ops, pulse(121)), 0.0, 1e-3)
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(rows=st.integers(2, 40), cols=st.integers(1, 25),
            copies=st.integers(0, 4), seed=st.integers(0, 2 ** 16))
@@ -366,6 +374,7 @@ class TestBuildProblem:
                         sqrtm_psd(2e-3 * g0 + 5e-2 * g1))
         assert np.array_equal(prob.stacked, np.vstack([prob.design, dense]))
         scalar = build_problem(ops, tac, 2e-3, 5e-2, variant="scalar")
+        assert np.array_equal(scalar.cell_masses, [1.0])
         assert np.array_equal(scalar.stacked, np.vstack(
             [scalar.design, sqrtm_psd(2e-3 * g0 + 5e-2 * g1)]))
 

@@ -124,8 +124,8 @@ class TestKernels:
         ops = make_ops()
         u = pulse(120)
         kern = forward_model.impulse_kernels(ops, u.size)
-        y_conv = forward_model.convolve(kern, u, variant="scalar")
-        y_rec = forward_model.simulate(ops, u, variant="scalar")
+        y_conv = forward_model.convolve(kern, u)
+        y_rec = forward_model.simulate(ops, u)
         assert np.max(np.abs(y_conv - y_rec)) < 1e-12
 
     def test_tq_convolution_matches_recursion(self):
@@ -133,15 +133,31 @@ class TestKernels:
         rng = np.random.default_rng(3)
         u = 0.1 * rng.random((60, ops.n_cells))
         kern = forward_model.impulse_kernels(ops, u.shape[0])
-        y_conv = forward_model.convolve(kern, u, variant="tq")
-        y_rec = forward_model.simulate(ops, u, variant="tq")
+        y_conv = forward_model.convolve(kern, u)
+        y_rec = forward_model.simulate(ops, u)
         assert np.max(np.abs(y_conv - y_rec)) < 1e-12 * np.max(np.abs(y_rec))
         # the direct lag sum, y_k = sum_l h_l . u_{k-l}
         direct = [np.sum(kern.functional[:k][::-1] * u[:k])
                   for k in range(1, u.shape[0] + 1)]
         assert np.allclose(y_conv, direct, rtol=1e-13, atol=0.0)
         with pytest.raises(ConfigurationError):
-            forward_model.convolve(kern, u[:, :3], variant="tq")
+            forward_model.convolve(kern, u[:, :3])
+
+    def test_input_shape_decides_the_variant(self):
+        # a 1-d input drives every cell alike; a (steps, n_cells) input gives
+        # each cell its own column; any other shape is rejected
+        ops = make_ops()
+        u = pulse(60)
+        kern = forward_model.impulse_kernels(ops, u.size)
+        tiled = np.tile(u[:, None], (1, ops.n_cells))
+        for run in (lambda v: forward_model.convolve(kern, v),
+                    lambda v: forward_model.simulate(ops, v)):
+            common, per_cell = run(u), run(tiled)
+            assert (np.max(np.abs(common - per_cell))
+                    <= 1e-13 * np.max(np.abs(per_cell)))
+            for bad in (tiled[:, :, None], tiled[:, :3]):
+                with pytest.raises(ConfigurationError):
+                    run(bad)
 
     def test_kernels_of_dead_cells_are_zero(self):
         params = PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0), mu=(0.3, 0.5),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdalc import deconvolution, forward_model
+from tdalc import deconvolution, density, forward_model
 from tdalc.deconvolution import deconvolve, deconvolve_deterministic
 from tdalc.density import PopulationParams, credible_region_radius
 from tdalc.errors import (ConfigurationError, NumericalError, ParameterError,
@@ -192,11 +192,21 @@ class TestMeanOutsideBox:
             if pair is not None:
                 assert np.all(np.isfinite(pair)) and pair[0] <= pair[1]
 
-    def test_disk_short_of_box_raises(self):
-        # at a vanishing level the radius bisection stops short of the box,
-        # 0.2 away from mu, and no cell meets the disk
+    def test_disk_short_of_box_raises(self, monkeypatch):
+        # at a vanishing level the disk still reaches the box, 0.2 away
+        # from mu, and holds the requested mass
         params, res = outside_result()
-        assert credible_region_radius(params, 1e-7).radius < 0.2
+        rad = credible_region_radius(params, 1e-7)
+        assert rad.radius >= 0.2 and rad.attained
+        assert abs(rad.mass - 1e-7) <= 1e-9 * 1e-7
+        band = credible_band(res, params, alpha=1e-7)
+        assert np.all(np.isfinite(band.lower) & np.isfinite(band.upper))
+        for pair in stats_credible_intervals(res, params,
+                                             alpha=1e-7).intervals.values():
+            assert pair is None or np.all(np.isfinite(pair))
+        # a disk that stops short of the box meets no cell
+        monkeypatch.setattr(density, "credible_region_radius",
+                            lambda p, alpha: replace(rad, radius=0.19))
         with pytest.raises(NumericalError):
             credible_band(res, params, alpha=1e-7)
         with pytest.raises(NumericalError):
