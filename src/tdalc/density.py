@@ -4,13 +4,16 @@ The two random parameters of the diffusion model are jointly distributed as a
 bivariate normal restricted to an axis-aligned support box and renormalized.
 This module owns everything distribution-related: the density itself, cell
 integrals (mass and first moments) over a parameter-cell mesh, derivatives of
-those integrals with respect to the distribution parameters, rejection
-sampling, the credible-disk radius, and the on-disk key-value format.
+those integrals in every distribution parameter, rejection sampling, the
+credible-disk radius, and the on-disk key-value format.
 
 Cell integrals use tensor-product Gauss-Legendre quadrature per cell, from
 order ``_START_ORDER`` = 5 per axis, doubled until the normalization constant
 is stable to 1e-8 in relative terms, so downstream assembly sees integrals
-that are smooth functions of the distribution parameters.
+that are smooth functions of the distribution parameters.  Their derivatives
+are analytic and use the same rule: under the integral sign in the location
+and covariance, and through the moving quadrature nodes in the support
+bounds, since the cells span the support box.
 """
 
 from __future__ import annotations
@@ -31,10 +34,6 @@ from .grid_basis import ParamMesh
 _NORM_STABLE_RTOL = 1e-8
 _START_ORDER = 5
 _MAX_QUAD_ORDER = 80
-
-#: names of the scalar parameters a cell-weight derivative can be taken in
-DERIV_NAMES = ("mu1", "mu2", "l11", "l21", "l22")
-
 
 @dataclass(frozen=True, eq=False)
 class PopulationParams:
@@ -88,11 +87,6 @@ class PopulationParams:
     def _gauss_norm(self) -> float:
         det = np.linalg.det(self.sigma)
         return 1.0 / (2.0 * math.pi * math.sqrt(det))
-
-    def replace(self, **kw) -> "PopulationParams":
-        fields = {"a": self.a, "b": self.b, "mu": self.mu, "sigma": self.sigma}
-        fields.update(kw)
-        return PopulationParams(**fields)
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -217,24 +211,6 @@ def moment_weights(params: PopulationParams, pm1: ParamMesh,
         raw, z, order = finer, z_fine, 2 * order
         if stable:
             break
-    return _normalized(raw, order)
-
-
-def moment_weights_fixed(params: PopulationParams, pm1: ParamMesh, pm2: ParamMesh,
-                         order: int) -> CellWeights:
-    """Cell weights at exactly one quadrature order, no adaptation.
-
-    Used by finite-difference derivatives in the support bounds, where both
-    sides of the difference must share the quadrature rule.
-    """
-    return _normalized(_raw_cell_integrals(params, pm1, pm2, order), order)
-
-
-def _normalized(raw: tuple[np.ndarray, np.ndarray, np.ndarray],
-                order: int) -> CellWeights:
-    """Cell weights from the raw cell integrals, divided by the
-    normalization constant (the sum of the raw masses)."""
-    z = float(raw[0].sum())
     if not np.isfinite(z) or z <= 0:
         raise ParameterError(
             f"support box carries no normal mass (normalization {z!r})")
@@ -271,12 +247,19 @@ def _score_factors(params: PopulationParams, q1: np.ndarray, q2: np.ndarray) -> 
 def moment_weight_derivatives(params: PopulationParams, pm1: ParamMesh, pm2: ParamMesh,
                               weights: CellWeights | None = None
                               ) -> dict[str, CellWeights]:
-    """Analytic derivatives of the cell weights in mu and chol(Sigma) entries.
+    """Analytic derivatives of the cell weights in every fit parameter.
 
-    Differentiates under the integral sign; the support box is held fixed, so
-    these are exactly the derivatives the assembly chain rule needs for the
-    location and covariance parameters.  Returns one CellWeights of
-    derivatives per name in DERIV_NAMES, at the order of ``weights``.
+    The meshes must span the support box.  The location and Cholesky entries
+    are differentiated under the integral sign.  A support bound moves the
+    cells with it: each node is q_k = a_k + (b_k - a_k) s_k with s_k in
+    [0, 1] fixed, so for each integrand g in (phi, q1 phi, q2 phi) the node
+    term of d/db_k is s_k dg/dq_k and that of d/da_k is (1 - s_k) dg/dq_k,
+    with dphi/dq_k = -v_k phi and v = Sigma^-1 (q - mu).  The quadrature
+    weights carry the factor (b_k - a_k), which scales every raw integral and
+    the normalization alike and so cancels.  These are the exact derivatives
+    of the quadrature rule at the order of ``weights``.  Returns one
+    CellWeights of derivatives per name a1, a2, b1, b2, mu1, mu2, l11, l21,
+    l22.
     """
     if weights is None:
         weights = moment_weights(params, pm1, pm2)
@@ -284,12 +267,18 @@ def moment_weight_derivatives(params: PopulationParams, pm1: ParamMesh, pm2: Par
     q1, q2, w = _cell_quad_points(pm1, pm2, order)
     phi = gauss_density(params, np.stack([q1, q2], axis=-1))
     z = float((phi @ w).sum())
+    g = np.stack([phi, phi * q1, phi * q2])
     scores = _score_factors(params, q1, q2)
+    raw = {}
+    for k, (q, pm) in enumerate(((q1, pm1), (q2, pm2))):
+        dg = -scores[f"mu{k + 1}"] * g    # d g / d q_k
+        dg[1 + k] += phi
+        s = (q - pm.lo) / (pm.hi - pm.lo)
+        raw[f"a{k + 1}"] = ((1.0 - s) * dg) @ w
+        raw[f"b{k + 1}"] = (s * dg) @ w
+    raw.update((name, (sc * g) @ w) for name, sc in scores.items())
     out = {}
-    for name, s in scores.items():
-        raw_dp = (phi * s) @ w
-        raw_dw1 = (phi * s * q1) @ w
-        raw_dw2 = (phi * s * q2) @ w
+    for name, (raw_dp, raw_dw1, raw_dw2) in raw.items():
         dz = float(raw_dp.sum())
         out[name] = CellWeights(
             p=(raw_dp - weights.p * dz) / z,
@@ -309,7 +298,7 @@ def sample(params: PopulationParams, count: int, seed) -> np.ndarray:
         raise ParameterError(f"sample count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
     low = params.chol
-    kept: list[np.ndarray] = []
+    kept = [np.empty((0, 2))]
     n_kept = 0
     proposed = 0
     while n_kept < count:

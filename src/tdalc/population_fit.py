@@ -14,9 +14,9 @@ where g is the unit-gain kernel of one cell from the spectral core in
 residuals r, d cost / d theta = 2 sum_l (dh_l / d theta) corr_l(r, u), one
 correlation per episode.  dh/dtheta follows by the chain rule from the
 derivative of g in the diffusivity (closed form in the core) and from the
-derivatives of the cell weights, which are analytic in the location/
-covariance parameters and central finite differences in the support bounds
-(moving the support moves the integration cells themselves).
+derivatives of the cell weights, analytic in every parameter: under the
+integral in the location and covariance, and through the quadrature nodes
+in the support bounds (moving the support moves the cells themselves).
 
 The fit is judged against the data energy E, the sum of squared measured TAC
 over the fit instants, so its verdict does not depend on the data's units.
@@ -50,7 +50,6 @@ from .density import PopulationParams
 from .errors import ConfigurationError, NumericalError, ParameterError
 from .grid_basis import DiscretizationGrid
 
-_BOUND_FD_STEP = 1e-6
 _DEFAULT_TOL = 1e-6
 _DEFAULT_MAX_ITER = 500
 _RIDGE = 1e-4    # floor of the start covariance's smallest eigenvalue
@@ -130,40 +129,14 @@ def cost(params: PopulationParams, episodes: list[Episode],
 
 def _weight_derivative_stack(params: PopulationParams, grid: DiscretizationGrid,
                              weights: density.CellWeights,
-                             fit_lower: bool) -> tuple[tuple[str, ...], np.ndarray]:
+                             fit_lower: bool) -> np.ndarray:
     """Stack (dp, dw1, dw2) per active parameter, flattened over cells."""
-    names = active_parameter_names(fit_lower)
-    analytic = density.moment_weight_derivatives(
+    derivs = density.moment_weight_derivatives(
         params, grid.pm1, grid.pm2, weights=weights)
-
-    def flat(cw: density.CellWeights) -> np.ndarray:
-        return np.stack([cw.p.ravel(order="F"), cw.w1.ravel(order="F"),
-                         cw.w2.ravel(order="F")])
-
-    def bound_fd(which: str, index: int) -> np.ndarray:
-        vec = params.b.copy() if which == "b" else params.a.copy()
-        h = _BOUND_FD_STEP * max(1.0, abs(vec[index]))
-        plus = vec.copy()
-        plus[index] += h
-        minus = vec.copy()
-        minus[index] -= h
-        sides = []
-        for v in (plus, minus):
-            pp = params.replace(**{which: v})
-            gg = grid.rebind(pp)
-            sides.append(flat(density.moment_weights_fixed(
-                pp, gg.pm1, gg.pm2, order=weights.order)))
-        return (sides[0] - sides[1]) / (2.0 * h)
-
-    stacks = []
-    for name in names:
-        if name in density.DERIV_NAMES:
-            stacks.append(flat(analytic[name]))
-        elif name in ("b1", "b2"):
-            stacks.append(bound_fd("b", int(name[1]) - 1))
-        else:  # a1, a2
-            stacks.append(bound_fd("a", int(name[1]) - 1))
-    return names, np.stack(stacks)  # (n_par, 3, ncells)
+    return np.stack([
+        [derivs[name].p.ravel(order="F"), derivs[name].w1.ravel(order="F"),
+         derivs[name].w2.ravel(order="F")]
+        for name in active_parameter_names(fit_lower)])  # (n_par, 3, ncells)
 
 
 def _mean_kernel_derivatives(sys: forward_model.DiscreteTimeOps,
@@ -193,7 +166,7 @@ def cost_and_gradient(params: PopulationParams, episodes: list[Episode],
     kern, dkern = forward_model._spectral_kernel_derivatives(
         grid.spatial, sys.qbar1, grid.tau, _kernel_count(episodes))
     mean = (sys.p * sys.qbar2) @ kern
-    _, dw = _weight_derivative_stack(params, grid, weights, fit_lower)
+    dw = _weight_derivative_stack(params, grid, weights, fit_lower)
     d_mean = _mean_kernel_derivatives(sys, dw, kern, dkern)
     total = 0.0
     grad = np.zeros(d_mean.shape[0])

@@ -11,6 +11,8 @@ from tdalc.density import (PopulationParams, cell_masses,
                            sample, save_params)
 from tdalc.errors import ParameterError
 from tdalc.grid_basis import ParamMesh
+from tdalc.population_fit import (active_parameter_names, pack_theta,
+                                  unpack_theta)
 
 
 def make_params(sigma12=0.012):
@@ -91,35 +93,46 @@ class TestMomentWeights:
         assert mean1 == pytest.approx(ref, rel=1e-8)
 
     def test_derivatives_match_finite_differences(self):
+        # every fit parameter, the support bounds through a mesh rebound to
+        # the moved box, on laws with a = 0 and with a != 0
         rng = np.random.default_rng(42)
-        pm1, pm2 = ParamMesh(3, 0.0, 1.5), ParamMesh(3, 0.0, 2.0)
-        for _ in range(4):
+        names = active_parameter_names(fit_lower=True)
+
+        def meshes(p):
+            return ParamMesh(3, p.a[0], p.b[0]), ParamMesh(3, p.a[1], p.b[1])
+
+        for a in ((0.0, 0.0), (0.0, 0.0), (0.1, 0.25), (0.3, 0.05)):
             mu = rng.uniform((0.4, 0.8), (0.8, 1.2))
             s1, s2 = rng.uniform(0.15, 0.3, size=2)
             corr = rng.uniform(-0.4, 0.4)
             p = PopulationParams(
-                a=(0.0, 0.0), b=(1.5, 2.0), mu=mu,
+                a=a, b=(1.5, 2.0), mu=mu,
                 sigma=((s1 * s1, corr * s1 * s2), (corr * s1 * s2, s2 * s2)))
-            derivs = moment_weight_derivatives(p, pm1, pm2)
+            derivs = moment_weight_derivatives(p, *meshes(p))
+            theta = pack_theta(p, fit_lower=True)
             h = 1e-6
-            for name, bump in (("mu1", (h, 0.0)), ("mu2", (0.0, h))):
-                pp = PopulationParams(a=p.a, b=p.b, mu=p.mu + bump,
-                                      sigma=p.sigma)
-                pm = PopulationParams(a=p.a, b=p.b, mu=p.mu - bump,
-                                      sigma=p.sigma)
-                fd = (moment_weights(pp, pm1, pm2).p
-                      - moment_weights(pm, pm1, pm2).p) / (2.0 * h)
-                got = derivs[name].p
-                scale = np.maximum(np.abs(fd).max(), 1e-8)
-                assert np.allclose(got, fd, atol=2e-5 * scale)
+            for j, name in enumerate(names):
+                sides = []
+                for step in (h, -h):
+                    moved = theta.copy()
+                    moved[j] += step
+                    q = unpack_theta(moved, None, fit_lower=True)
+                    sides.append(moment_weights(q, *meshes(q)))
+                for field in ("p", "w1", "w2"):
+                    fd = (getattr(sides[0], field)
+                          - getattr(sides[1], field)) / (2.0 * h)
+                    got = getattr(derivs[name], field)
+                    scale = np.maximum(np.abs(fd).max(), 1e-8)
+                    assert np.allclose(got, fd, atol=2e-5 * scale), (name, field)
 
 
 class TestSampling:
     def test_samples_stay_in_box(self):
         p = make_params()
-        draws = sample(p, 4000, seed=1)
-        assert draws.shape == (4000, 2)
-        assert np.all(draws >= p.a) and np.all(draws <= p.b)
+        for count in (4000, 0):
+            draws = sample(p, count, seed=1)
+            assert draws.shape == (count, 2)
+            assert np.all(draws >= p.a) and np.all(draws <= p.b)
 
     def test_seed_determinism(self):
         p = make_params()

@@ -57,9 +57,11 @@ class TestKeptSamples:
                 kept_samples(make_params(), alpha, 10, seed=0)
 
     def test_empty_disk_raises(self):
-        # a vanishing credible level shrinks the disk below any draw
-        with pytest.raises(SamplingError):
-            kept_samples(make_params(), 1e-9, 5, seed=1)
+        # a vanishing credible level shrinks the disk below any draw, and no
+        # draw at all leaves the disk empty at any level
+        for alpha, n_samples in ((1e-9, 5), (0.75, 0)):
+            with pytest.raises(SamplingError, match="n_samples"):
+                kept_samples(make_params(), alpha, n_samples, seed=1)
 
 
 class TestCredibleBand:
