@@ -289,7 +289,10 @@ class _Normal:
     capacitance system of the Woodbury identity, x_F = W (I + D_F W)^-1 t
     with W = P_FF^-1 D_F^T, when the penalty blocks factor on it (P with
     identity rows and columns at the bound variables, D with zero columns
-    there).  Otherwise (P singular there, as at r1 = 0) its Gram is used."""
+    there).  Otherwise (P singular there, as at r1 = 0) its Gram is used,
+    and so it is when the Woodbury solution leaves a free-set gradient
+    beyond the stop rule's ``tol``: ill-conditioned blocks can pass their
+    pivot check and still leave the capacitance system inaccurate."""
 
     def __init__(self, design: np.ndarray, pen: np.ndarray, t: np.ndarray):
         self.s = _scales(np.einsum("kj,kj->j", design, design)
@@ -298,6 +301,7 @@ class _Normal:
         self.pen = pen / (block_s * np.swapaxes(block_s, 1, 2))
         self.dt = np.ascontiguousarray((design / self.s).T)
         self.t, self.f = t, self.dt @ t
+        self.tol = _DUAL_TOL * float(np.linalg.norm(self.s * self.f))
 
     def gx(self, x: np.ndarray) -> np.ndarray:
         pen = self.pen @ x.reshape(self.pen.shape[0], -1, 1)
@@ -309,7 +313,8 @@ class _Normal:
         columns dependent on the others at zero."""
         if np.count_nonzero(free) > self.t.size:
             x = self._capacitance_solve(free)
-            if x is not None:
+            if x is not None and np.all(
+                    np.abs(self.s * (self.gx(x) - self.f))[free] <= self.tol):
                 return x
         idx = np.flatnonzero(free)
         if 8 * idx.size ** 2 > _GRAM_BUDGET:
@@ -393,8 +398,7 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None,
                          b[:a.design.shape[0]])
     else:           # a plain matrix is a design with a zero penalty
         normal = _Normal(a, np.zeros((1, n, n)), b)
-    s, f = normal.s, normal.f
-    tol = _DUAL_TOL * float(np.linalg.norm(s * f))
+    s, f, tol = normal.s, normal.f, normal.tol
     max_iter = 3 * n if max_iter is None else max_iter
 
     def objective(z: np.ndarray) -> float:     # ||a z - b||^2 - ||b||^2

@@ -7,33 +7,42 @@ integrals (mass and first moments) over a parameter-cell mesh, derivatives of
 those integrals in every distribution parameter, rejection sampling, the
 credible-disk radius, and the on-disk key-value format.
 
-Cell integrals use tensor-product Gauss-Legendre quadrature per cell, from
-order ``_START_ORDER`` = 5 per axis, doubled until the normalization constant
-is stable to 1e-8 in relative terms, so downstream assembly sees integrals
-that are smooth functions of the distribution parameters.  Their derivatives
-are analytic and use the same rule: under the integral sign in the location
-and covariance, and through the moving quadrature nodes in the support
-bounds, since the cells span the support box.
+Cell integrals are in closed form.  A cell mass is a rectangle probability
+of the bivariate normal: four corner values of its distribution function
+Phi_2, from Owen's T function (Owen, Ann. Math. Stat. 27, 1956) with each
+cell reflected so that its leading corner's quadrant holds the cell's
+nearest point to the mean, which keeps masses far in a tail to full relative
+accuracy.  Since grad phi = -Sigma^-1 (q - mu) phi, the first moments and the
+derivatives in the location, the covariance and the support bounds reduce to
+integrals of phi along the mesh lines, phi_1(x) times a conditional normal
+interval probability, and to phi at the mesh nodes.  No quadrature is
+involved, so the weights stay accurate for laws of any width: a law far
+narrower than its cell puts all the mass in that cell, at the mean.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.laguerre import laggauss
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from .errors import ParameterError, SamplingError
 from .grid_basis import ParamMesh
 
-_NORM_STABLE_RTOL = 1e-8
-_START_ORDER = 5
-_MAX_QUAD_ORDER = 80
+_SQRT2 = math.sqrt(2.0)
+# past a t / sqrt 2 = 1.5 an Owen tail is summed directly (``_owen_tail``):
+# the difference of owens_t values would lose more than a factor 30
+_TAIL_START = 1.5
+# smallest normal double: a subnormal cell mass is flushed to zero
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True, eq=False)
 class PopulationParams:
@@ -115,38 +124,199 @@ def _peak_breaks(lo: float, hi: float, center: float, sd: float) -> list:
     return [p for p in center + sd * np.array([-8.0, 0.0, 8.0]) if lo < p < hi]
 
 
-def _box_mass_quad(params: PopulationParams) -> float:
-    """High-accuracy normal mass of the support box.
+@cache
+def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """32-point Gauss-Laguerre nodes and weights, built on first use."""
+    return laggauss(32)
 
-    Factorizes the bivariate normal into marginal times conditional so only a
-    one-dimensional quadrature is needed.
+
+def _owen_tail(t: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """T(t, inf) - T(t, a) for t >= 0 and any a, to full relative accuracy.
+
+    Owen's T(t, a) is (1/2pi) int_0^a exp(-t^2 (1 + x^2)/2) / (1 + x^2) dx,
+    so this is the same integral from a to infinity.  With s = x t / sqrt 2 it
+    is exp(-t^2/2) / (pi sqrt(2) t) int_{s0}^inf exp(-s^2) / (1 + 2 s^2/t^2) ds,
+    s0 = a t / sqrt 2.  Up to s0 = ``_TAIL_START`` the difference of
+    ``owens_t`` values loses at most a factor 1/erfc(1.5) = 30; past it the
+    shift s = s0 + y / (2 s0) leaves exp(-y) times a smooth factor, which
+    Gauss-Laguerre sums with the leading exp(-t^2 (1 + a^2)/2) factored out.
     """
-    mu1, mu2 = params.mu
-    s11 = params.sigma[0, 0]
-    s12 = params.sigma[0, 1]
-    s22 = params.sigma[1, 1]
-    sd1 = math.sqrt(s11)
-    cond_sd = math.sqrt(max(s22 - s12 ** 2 / s11, 1e-300))
+    with np.errstate(invalid="ignore"):
+        s0 = a * t / _SQRT2    # nan at t = 0, a = +-inf: the direct branch
+    far = s0 > _TAIL_START
+    out = np.empty(t.shape)
+    near = ~far
+    out[near] = 0.5 * ndtr(-t[near]) - owens_t(t[near], a[near])
+    if far.any():
+        tf, sf = t[far], s0[far]
+        nodes, weights = _laguerre_rule()
+        y = nodes[:, None] / (2.0 * sf)
+        s = sf + y
+        f = np.exp(-y * y) * (0.5 * tf) / (0.5 * tf * tf + s * s)
+        out[far] = (np.exp(-0.5 * tf * tf - sf * sf) / (2.0 * math.pi * _SQRT2 * sf)
+                    * (weights @ f))
+    return out
 
-    def integrand(x):
-        m = mu2 + s12 / s11 * (x - mu1)
-        slab = ndtr((params.b[1] - m) / cond_sd) - ndtr((params.a[1] - m) / cond_sd)
-        return math.exp(-0.5 * ((x - mu1) / sd1) ** 2) / (sd1 * math.sqrt(2 * math.pi)) * slab
 
-    val, _ = quad(integrand, params.a[0], params.b[0], epsabs=1e-13, epsrel=1e-11, limit=200,
-                  points=_peak_breaks(params.a[0], params.b[0], mu1, sd1) or None)
-    return val
+def _bvn_cdf(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """P(X <= h, Y <= k) for standard normals X, Y of correlation rho.
+
+    Owen's (1956) form Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta,
+    with a_h = (k - rho h) / (h sqrt(1 - rho^2)) and beta = 1/2 where h k < 0.
+    Each half Phi(h)/2 - T(h, a_h) is the Owen tail beyond a_h, or 1/2 minus
+    the tail beyond -a_h where h > 0, and the constant halves are summed
+    apart, so a quadrant whose apex is its point nearest the mean keeps its
+    relative accuracy however far out it lies.
+    """
+    s = np.sqrt((1.0 - rho) * (1.0 + rho))
+    both = (h == 0.0) & (k == 0.0)
+    ends = np.stack([h, k])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # on an axis the half is 0 (a = +inf) and beta drops with it
+        slope = np.where(ends == 0.0, np.inf, (np.stack([k, h]) - rho * ends) / (ends * s))
+    upper = ends > 0.0
+    tail = _owen_tail(np.abs(ends), np.where(upper, -slope, slope))
+    halves = 0.5 * upper.sum(axis=0) - np.where(h * k < 0.0, 0.5, 0.0)
+    signed = np.where(upper, -tail, tail)
+    return np.where(both, 0.25 + np.arcsin(rho) / (2.0 * math.pi),
+                    (signed[0] + signed[1]) + halves)
+
+
+def _mesh_masses(x: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
+    """Mass of every cell [x_i, x_i+1] x [y_j, y_j+1] of a mesh with edges x
+    and y under the standard bivariate normal of correlation rho.
+
+    Four corner values of Phi_2 per cell, with the cell reflected along each
+    axis so that the quadrant at its leading corner is one whose point
+    nearest the mean is the cell's own nearest point, in the law's metric
+    x^2 - 2 rho x y + y^2.  Along x that point sits at x_i when the form's
+    minimum over the cell's y interval, F(x), rises there (F'(x_i) > 0: the
+    upper quadrant x >= x_i), at x_i+1 when it falls there, and between
+    otherwise; F'(x_i) + F'(x_i+1) > 0 decides all three, taking the nearer
+    bound in the last case.  The quadrants subtracted from the leading one
+    then hold less mass than the cell, so the corner sum does not cancel
+    even far in a tail.
+    """
+    def slope(u, v):
+        # F'(u) / 2 on each line u = const over each interval of v
+        return u[:, None] - rho * np.minimum(np.maximum(rho * u[:, None], v[None, :-1]),
+                                             v[None, 1:])
+
+    sx, sy = slope(x, y), slope(y, x).T
+    flip_x = sx[:-1] + sx[1:] > 0.0
+    flip_y = sy[:, :-1] + sy[:, 1:] > 0.0
+    x0, x1 = x[:-1, None], x[1:, None]
+    y0, y1 = y[None, :-1], y[None, 1:]
+    xl, xh = np.where(flip_x, -x1, x0), np.where(flip_x, -x0, x1)
+    yl, yh = np.where(flip_y, -y1, y0), np.where(flip_y, -y0, y1)
+    r = np.where(flip_x != flip_y, -rho, rho)
+    f = _bvn_cdf(np.stack([xh, xl, xh, xl]), np.stack([yh, yh, yl, yl]), r)
+    return np.maximum((f[0] - f[1]) - (f[2] - f[3]), 0.0)
+
+
+def _standard_box(params: PopulationParams, e1: np.ndarray, e2: np.ndarray):
+    """Mesh edges in standard units of each marginal, and the correlation."""
+    sd1 = math.sqrt(params.sigma[0, 0])
+    sd2 = math.sqrt(params.sigma[1, 1])
+    return ((e1 - params.mu[0]) / sd1, (e2 - params.mu[1]) / sd2,
+            float(params.sigma[0, 1] / (sd1 * sd2)))
+
+
+def _box_mass(params: PopulationParams) -> float:
+    """Normal mass of the support box, or ParameterError where none is left
+    in double precision."""
+    x, y, rho = _standard_box(params, np.array([params.a[0], params.b[0]]),
+                              np.array([params.a[1], params.b[1]]))
+    z = float(_mesh_masses(x, y, rho)[0, 0])
+    if not z >= _TINY:
+        raise ParameterError(
+            f"support box carries no normal mass (normalization {z!r})")
+    return z
 
 
 def pdf(params: PopulationParams, q) -> np.ndarray | float:
     """Truncated-normal density at q (shape (..., 2)); zero outside the box."""
     q = np.asarray(q, dtype=float)
-    z = _box_mass_quad(params)
-    if z <= 0 or not np.isfinite(z):
-        raise ParameterError("support box carries no normal mass")
+    z = _box_mass(params)
     inside = np.all((q >= params.a) & (q <= params.b), axis=-1)
     vals = np.where(inside, gauss_density(params, q) / z, 0.0)
     return vals if vals.shape else float(vals)
+
+
+class _Lines(NamedTuple):
+    """Integrals of the normal density along the mesh lines q_a = const,
+    over each interval of the other coordinate q_b.
+
+    With the q_a marginal density ``dens`` at each line and q_b | q_a of mean
+    ``mean`` and standard deviation ``sd`` (slope ``slope`` in q_a), the mesh
+    nodes sit at ``z`` in standard units, with standard normal density
+    ``phi``; an interval carries ``cdf`` = Phi(z1) - Phi(z0).  Node arrays
+    are (lines, nodes), interval arrays (lines, intervals); ``offset`` =
+    q_a - mu_a and ``var`` is the q_a variance.
+    """
+
+    offset: np.ndarray
+    var: float
+    dens: np.ndarray
+    mean: np.ndarray
+    sd: float
+    slope: float
+    z: np.ndarray
+    phi: np.ndarray
+    cdf: np.ndarray
+
+    @classmethod
+    def build(cls, pos, other, mu_a, mu_b, var, cov, sd):
+        """Lines q_a = ``pos`` over the intervals between the ``other``
+        edges; ``var`` and ``cov`` are Var q_a and Cov(q_a, q_b), ``sd`` the
+        conditional standard deviation of q_b."""
+        offset = pos - mu_a
+        dens = np.exp(-0.5 * offset * offset / var) / math.sqrt(2.0 * math.pi * var)
+        slope = cov / var
+        mean = mu_b + slope * offset
+        z = (other[None, :] - mean[:, None]) / sd
+        lo, hi = z[:, :-1], z[:, 1:]
+        # the difference of upper tails where the interval lies above the mean
+        cdf = np.where(lo > 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return cls(offset, var, dens, mean, sd, slope, z, phi, cdf)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The density at the mesh nodes on each line."""
+        return self.dens[:, None] * self.phi / self.sd
+
+    @property
+    def mass(self) -> np.ndarray:
+        """Integral of the density over each interval of each line."""
+        return self.dens[:, None] * self.cdf
+
+    def first(self) -> np.ndarray:
+        """Integral of q_b times the density over each interval."""
+        return self.dens[:, None] * (self.mean[:, None] * self.cdf
+                                     - self.sd * _along(self.phi))
+
+    def normal(self) -> tuple[np.ndarray, np.ndarray]:
+        """d/dq_a of ``mass`` and ``first``: the integrals of the density's
+        and of q_b times its derivative normal to the line."""
+        lead = -(self.offset / self.var)[:, None]
+        mean = self.mean[:, None]
+        d_phi, d_zphi = _along(self.phi), _along(self.z * self.phi)
+        d_mass = self.dens[:, None] * (lead * self.cdf - self.slope / self.sd * d_phi)
+        d_first = self.dens[:, None] * (
+            lead * (mean * self.cdf - self.sd * d_phi)
+            + self.slope * (self.cdf - mean / self.sd * d_phi - d_zphi))
+        return d_mass, d_first
+
+
+def _across(arr: np.ndarray) -> np.ndarray:
+    """Differences between consecutive vertical lines (first axis)."""
+    return arr[1:] - arr[:-1]
+
+
+def _along(arr: np.ndarray) -> np.ndarray:
+    """Differences between consecutive horizontal lines (second axis)."""
+    return arr[:, 1:] - arr[:, :-1]
 
 
 @dataclass(frozen=True)
@@ -154,67 +324,53 @@ class CellWeights:
     """Normalized cell integrals of the density and its first moments.
 
     ``p[i, j]`` is the probability mass of cell (i, j); ``w1``/``w2`` are the
-    cell integrals of q1*f and q2*f.  ``order`` records the Gauss-Legendre
-    order per axis that the adaptive loop settled on.
+    cell integrals of q1*f and q2*f.  ``mass`` is the normal mass of the
+    support box, which normalizes them.  The line integrals and raw cell
+    masses they came from are kept for ``moment_weight_derivatives``.
     """
 
     p: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
-    order: int
-
-
-def _cell_quad_points(pm1: ParamMesh, pm2: ParamMesh, order: int):
-    """Tensor quadrature nodes over every cell of the two meshes.
-
-    Returns (q1, q2, w) where q1/q2 have shape (m1, m2, order**2) and w is the
-    common weight vector already scaled by the cell Jacobian.
-    """
-    x, wx = leggauss(order)
-    e1, e2 = pm1.edges, pm2.edges
-    # map the reference nodes into every cell of each axis
-    n1 = 0.5 * (e1[:-1, None] + e1[1:, None]) + 0.5 * pm1.width * x[None, :]
-    n2 = 0.5 * (e2[:-1, None] + e2[1:, None]) + 0.5 * pm2.width * x[None, :]
-    q1 = np.broadcast_to(n1[:, None, :, None], (pm1.count, pm2.count, order, order))
-    q2 = np.broadcast_to(n2[None, :, None, :], (pm1.count, pm2.count, order, order))
-    w = np.outer(wx, wx).ravel() * (0.25 * pm1.width * pm2.width)
-    return (q1.reshape(pm1.count, pm2.count, order * order),
-            q2.reshape(pm1.count, pm2.count, order * order), w)
-
-
-def _raw_cell_integrals(params: PopulationParams, pm1: ParamMesh, pm2: ParamMesh,
-                        order: int):
-    """Unnormalized cell integrals of phi, q1*phi, q2*phi at a fixed order."""
-    q1, q2, w = _cell_quad_points(pm1, pm2, order)
-    phi = gauss_density(params, np.stack([q1, q2], axis=-1))
-    raw_p = phi @ w
-    raw_w1 = (phi * q1) @ w
-    raw_w2 = (phi * q2) @ w
-    return raw_p, raw_w1, raw_w2
+    mass: float
+    _lines: tuple = field(repr=False, compare=False)
 
 
 def moment_weights(params: PopulationParams, pm1: ParamMesh,
                    pm2: ParamMesh) -> CellWeights:
     """Cell masses and first-moment weights of the truncated density.
 
-    The order doubles from ``_START_ORDER`` until the normalization
-    constant (the sum of the raw cell integrals) is stable; the masses then
-    sum to 1 by construction.
+    In closed form: a cell mass is a rectangle probability, four corner
+    values of the bivariate normal distribution function (``_mesh_masses``),
+    and since grad phi = -Sigma^-1 (q - mu) phi the first moments are
+    int_R q phi = mu P(R) - Sigma int_R grad phi, whose components are the
+    differences of the density's integrals along the cell's opposite edges.
+    The masses sum to 1 by construction; a box with no normal mass left in
+    double precision raises ParameterError.
     """
-    order = _START_ORDER
-    raw = _raw_cell_integrals(params, pm1, pm2, order)
-    z = float(raw[0].sum())
-    while order < _MAX_QUAD_ORDER:
-        finer = _raw_cell_integrals(params, pm1, pm2, 2 * order)
-        z_fine = float(finer[0].sum())
-        stable = abs(z_fine - z) <= _NORM_STABLE_RTOL * max(abs(z_fine), 1e-300)
-        raw, z, order = finer, z_fine, 2 * order
-        if stable:
-            break
-    if not np.isfinite(z) or z <= 0:
+    e1, e2 = pm1.edges, pm2.edges
+    x, y, rho = _standard_box(params, e1, e2)
+    raw_p = _mesh_masses(x, y, rho)
+    # a subnormal mass has lost the digits its conditional means need
+    raw_p[raw_p < _TINY] = 0.0
+    z = float(raw_p.sum())
+    if not z > 0.0:
         raise ParameterError(
             f"support box carries no normal mass (normalization {z!r})")
-    return CellWeights(p=raw[0] / z, w1=raw[1] / z, w2=raw[2] / z, order=order)
+    sig, low = params.sigma, params.chol
+    mu1, mu2 = params.mu
+    # lines q1 = e1_i over q2 intervals, and q2 = e2_j over q1 intervals; the
+    # conditional standard deviations are L22 and det^(1/2) / sd2
+    vert = _Lines.build(e1, e2, mu1, mu2, sig[0, 0], sig[0, 1], low[1, 1])
+    horiz = _Lines.build(e2, e1, mu2, mu1, sig[1, 1], sig[0, 1],
+                         low[0, 0] * low[1, 1] / math.sqrt(sig[1, 1]))
+    grad1 = _across(vert.mass)      # int_R d phi / d q1
+    grad2 = _along(horiz.mass.T)    # int_R d phi / d q2
+    live = raw_p > 0.0
+    raw_w1 = np.where(live, mu1 * raw_p - (sig[0, 0] * grad1 + sig[0, 1] * grad2), 0.0)
+    raw_w2 = np.where(live, mu2 * raw_p - (sig[0, 1] * grad1 + sig[1, 1] * grad2), 0.0)
+    return CellWeights(p=raw_p / z, w1=raw_w1 / z, w2=raw_w2 / z, mass=z,
+                       _lines=(raw_p, vert, horiz))
 
 
 def cell_masses(params: PopulationParams, pm1: ParamMesh,
@@ -223,25 +379,13 @@ def cell_masses(params: PopulationParams, pm1: ParamMesh,
     return moment_weights(params, pm1, pm2).p
 
 
-def _score_factors(params: PopulationParams, q1: np.ndarray, q2: np.ndarray) -> dict[str, np.ndarray]:
-    """Log-density derivatives in mu and the Cholesky entries, per point."""
-    si = params.sigma_inv
-    low = params.chol
-    d1 = q1 - params.mu[0]
-    d2 = q2 - params.mu[1]
-    v1 = si[0, 0] * d1 + si[0, 1] * d2
-    v2 = si[1, 0] * d1 + si[1, 1] * d2
-    # S = 0.5 * (v v^T - Sigma^{-1}); score for L_ij is 2 * (S L)_ij
-    s00 = 0.5 * (v1 * v1 - si[0, 0])
-    s01 = 0.5 * (v1 * v2 - si[0, 1])
-    s11 = 0.5 * (v2 * v2 - si[1, 1])
-    return {
-        "mu1": v1,
-        "mu2": v2,
-        "l11": 2.0 * (s00 * low[0, 0] + s01 * low[1, 0]),
-        "l21": 2.0 * (s01 * low[0, 0] + s11 * low[1, 0]),
-        "l22": 2.0 * (s11 * low[1, 1]),
-    }
+def _cholesky_chain(a11, a12, a22, low) -> tuple:
+    """Derivatives in L11, L21, L22 of a quantity whose derivative in the
+    covariance is (1/2) A, A symmetric: with d Sigma = dL L^T + L dL^T they
+    are the lower entries of A L."""
+    return (a11 * low[0, 0] + a12 * low[1, 0],
+            a12 * low[0, 0] + a22 * low[1, 0],
+            a22 * low[1, 1])
 
 
 def moment_weight_derivatives(params: PopulationParams, pm1: ParamMesh, pm2: ParamMesh,
@@ -249,43 +393,73 @@ def moment_weight_derivatives(params: PopulationParams, pm1: ParamMesh, pm2: Par
                               ) -> dict[str, CellWeights]:
     """Analytic derivatives of the cell weights in every fit parameter.
 
-    The meshes must span the support box.  The location and Cholesky entries
-    are differentiated under the integral sign.  A support bound moves the
-    cells with it: each node is q_k = a_k + (b_k - a_k) s_k with s_k in
-    [0, 1] fixed, so for each integrand g in (phi, q1 phi, q2 phi) the node
-    term of d/db_k is s_k dg/dq_k and that of d/da_k is (1 - s_k) dg/dq_k,
-    with dphi/dq_k = -v_k phi and v = Sigma^-1 (q - mu).  The quadrature
-    weights carry the factor (b_k - a_k), which scales every raw integral and
-    the normalization alike and so cancels.  These are the exact derivatives
-    of the quadrature rule at the order of ``weights``.  Returns one
+    ``weights`` must be ``moment_weights(params, pm1, pm2)``; its line
+    integrals and box mass are reused.  The meshes must span the support
+    box.  Every derivative is an edge or corner term, with P, M1, M2 the
+    unnormalized cell integrals of phi, q1 phi, q2 phi:
+
+    * location: d phi / d mu = -grad phi, so dP/dmu_k is minus the edge
+      difference int_R d_k phi, and dM_l/dmu_k = delta_lk P - (the same
+      difference of q_l phi);
+    * covariance: d phi / d Sigma = (1/2) grad grad phi, whose cell integrals
+      against 1 and q_l are integrated by parts onto the edges (derivatives
+      of the line integrals normal to their line) and the corners (phi and
+      q_l phi at the mesh nodes), then chained to the Cholesky entries;
+    * support bounds: each node is q_k = a_k + (b_k - a_k) s_k with s_k in
+      [0, 1] fixed, so a moving edge adds its line integral weighted by s_k
+      for b_k and by 1 - s_k for a_k.
+
+    The normalization by the box mass is differentiated last.  Returns one
     CellWeights of derivatives per name a1, a2, b1, b2, mu1, mu2, l11, l21,
     l22.
     """
     if weights is None:
         weights = moment_weights(params, pm1, pm2)
-    order = weights.order
-    q1, q2, w = _cell_quad_points(pm1, pm2, order)
-    phi = gauss_density(params, np.stack([q1, q2], axis=-1))
-    z = float((phi @ w).sum())
-    g = np.stack([phi, phi * q1, phi * q2])
-    scores = _score_factors(params, q1, q2)
-    raw = {}
-    for k, (q, pm) in enumerate(((q1, pm1), (q2, pm2))):
-        dg = -scores[f"mu{k + 1}"] * g    # d g / d q_k
-        dg[1 + k] += phi
-        s = (q - pm.lo) / (pm.hi - pm.lo)
-        raw[f"a{k + 1}"] = ((1.0 - s) * dg) @ w
-        raw[f"b{k + 1}"] = (s * dg) @ w
-    raw.update((name, (sc * g) @ w) for name, sc in scores.items())
-    out = {}
-    for name, (raw_dp, raw_dw1, raw_dw2) in raw.items():
-        dz = float(raw_dp.sum())
-        out[name] = CellWeights(
-            p=(raw_dp - weights.p * dz) / z,
-            w1=(raw_dw1 - weights.w1 * dz) / z,
-            w2=(raw_dw2 - weights.w2 * dz) / z,
-            order=order)
-    return out
+    raw_p, vert, horiz = weights._lines
+    e1, e2 = pm1.edges, pm2.edges
+    low = params.chol
+    # vertical lines (m1 + 1, m2) and horizontal lines as (m1, m2 + 1)
+    v_mass, v_first = vert.mass, vert.first()
+    h_mass, h_first = horiz.mass.T, horiz.first().T
+    v_norm, v_norm_first = vert.normal()
+    h_norm, h_norm_first = (arr.T for arr in horiz.normal())
+    v_q1 = e1[:, None] * v_mass
+    h_q2 = e2[None, :] * h_mass
+    grad1, grad2 = _across(v_mass), _along(h_mass)
+    corner = vert.nodes    # phi at the mesh nodes
+
+    def corners(arr):
+        return _along(_across(arr))
+
+    raw = {
+        "mu1": (-grad1, raw_p - _across(v_q1), -_across(v_first)),
+        "mu2": (-grad2, -_along(h_first), raw_p - _along(h_q2)),
+    }
+    # int_R g d_a d_b phi as (11, 12, 22) for g = 1, q1, q2
+    second = (
+        (_across(v_norm), corners(corner), _along(h_norm)),
+        (_across(e1[:, None] * v_norm) - grad1, corners(e1[:, None] * corner) - grad2,
+         _along(h_norm_first)),
+        (_across(v_norm_first), corners(e2[None, :] * corner) - grad1,
+         _along(e2[None, :] * h_norm) - grad2),
+    )
+    chained = [_cholesky_chain(*hess, low) for hess in second]
+    for n, name in enumerate(("l11", "l21", "l22")):
+        raw[name] = tuple(chain[n] for chain in chained)
+    for k, (pm, moved) in enumerate(((pm1, (v_mass, v_q1, v_first)),
+                                     (pm2, (h_mass, h_first, h_q2)))):
+        s = (pm.edges - pm.lo) / (pm.hi - pm.lo)
+        diff = _across if k == 0 else _along
+        for name, weight in ((f"a{k + 1}", 1.0 - s), (f"b{k + 1}", s)):
+            weight = weight[:, None] if k == 0 else weight[None, :]
+            raw[name] = tuple(diff(weight * arr) for arr in moved)
+    names = list(raw)
+    d_raw = np.array([raw[name] for name in names])    # (names, 3, m1, m2)
+    d_mass = d_raw[:, 0].sum(axis=(1, 2))
+    base = np.stack([weights.p, weights.w1, weights.w2])
+    d_norm = (d_raw - base * d_mass[:, None, None, None]) / weights.mass
+    return {name: CellWeights(*d_norm[i], mass=float(d_mass[i]), _lines=())
+            for i, name in enumerate(names)}
 
 
 def sample(params: PopulationParams, count: int, seed) -> np.ndarray:
@@ -379,9 +553,7 @@ def credible_region_radius(params: PopulationParams,
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    z = _box_mass_quad(params)
-    if z <= 0 or not np.isfinite(z):
-        raise ParameterError("support box carries no normal mass")
+    z = _box_mass(params)
     corners = np.array([[params.a[0], params.a[1]], [params.a[0], params.b[1]],
                         [params.b[0], params.a[1]], [params.b[0], params.b[1]]])
     r_max = float(np.max(np.linalg.norm(corners - params.mu, axis=1)))

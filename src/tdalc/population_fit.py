@@ -14,8 +14,8 @@ where g is the unit-gain kernel of one cell from the spectral core in
 residuals r, d cost / d theta = 2 sum_l (dh_l / d theta) corr_l(r, u), one
 correlation per episode.  dh/dtheta follows by the chain rule from the
 derivative of g in the diffusivity (closed form in the core) and from the
-derivatives of the cell weights, analytic in every parameter: under the
-integral in the location and covariance, and through the quadrature nodes
+derivatives of the cell weights, closed-form edge and corner terms in every
+parameter: in the location and covariance, and through the moving mesh lines
 in the support bounds (moving the support moves the cells themselves).
 
 The fit is judged against the data energy E, the sum of squared measured TAC

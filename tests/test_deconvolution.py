@@ -266,6 +266,36 @@ class TestNnls:
             assert scaled_kkt(a, b, res.x) <= 1e-8
         assert any(breakdowns)
 
+    def test_inaccurate_woodbury_solve_falls_back(self, monkeypatch):
+        # free sets wider than the design go through the Woodbury
+        # capacitance system; penalty blocks of condition 1e13 pass its
+        # pivot check yet leave it inaccurate, so a solution whose free-set
+        # gradient breaks the stop rule gives way to the Gram solve
+        woodbury, refused = deconvolution._Normal._capacitance_solve, []
+
+        def spy(normal, free):
+            x = woodbury(normal, free)
+            if x is not None:
+                grad = normal.s * (normal.gx(x) - normal.f)
+                refused.append(np.max(np.abs(grad[free])) > normal.tol)
+            return x
+
+        monkeypatch.setattr(deconvolution._Normal, "_capacitance_solve", spy)
+        rng = np.random.default_rng(0)
+        cells, m, rows = 4, 10, 20
+        design = rng.standard_normal((rows, cells * m))
+        roots = np.stack([
+            np.diag(np.logspace(0.0, -6.5, m))
+            @ np.linalg.qr(rng.standard_normal((m, m)))[0].T
+            for _ in range(cells)])
+        a = deconvolution._StackedOperator(design, roots)
+        b = np.concatenate([design @ rng.uniform(0.5, 1.5, cells * m),
+                            np.zeros(cells * m)])
+        res = nnls(a, b)
+        assert res.converged
+        assert scaled_kkt(a, b, res.x) <= 1e-9
+        assert any(refused)
+
 
 class TestDesigns:
     @pytest.mark.parametrize("n", [2, 3, 17, 163])

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import ndtr
 
 from tdalc.density import (PopulationParams, cell_masses,
                            credible_region_radius, dump_params,
@@ -18,6 +21,52 @@ from tdalc.population_fit import (active_parameter_names, pack_theta,
 def make_params(sigma12=0.012):
     return PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0), mu=(0.62, 1.0),
                             sigma=((0.04, sigma12), (sigma12, 0.09)))
+
+
+def law(mu, sd, corr, b=(1.5, 2.0)):
+    s12 = corr * sd[0] * sd[1]
+    return PopulationParams(a=(0.0, 0.0), b=b, mu=mu,
+                            sigma=((sd[0] ** 2, s12), (s12, sd[1] ** 2)))
+
+
+def _slab(params, x, y0, y1):
+    """Marginal density of q1 at x, and the q2 | q1 = x interval mass, mean
+    and sd-weighted density difference over [y0, y1]."""
+    s11, s12, s22 = params.sigma[0, 0], params.sigma[0, 1], params.sigma[1, 1]
+    sd = math.sqrt(s22 - s12 * s12 / s11)
+    mean = params.mu[1] + s12 / s11 * (x - params.mu[0])
+    lo, hi = (y0 - mean) / sd, (y1 - mean) / sd
+    mass = ndtr(-lo) - ndtr(-hi) if lo > 0.0 else ndtr(hi) - ndtr(lo)
+    dphi = (math.exp(-0.5 * hi * hi) - math.exp(-0.5 * lo * lo)) / math.sqrt(2.0 * math.pi)
+    dens = (math.exp(-0.5 * (x - params.mu[0]) ** 2 / s11)
+            / math.sqrt(2.0 * math.pi * s11))
+    return dens, mass, mean * mass - sd * dphi
+
+
+def conditional_reference(params, e1, e2):
+    """Unnormalized cell integrals of phi, q1 phi and q2 phi by adaptive
+    quadrature in q1 of the closed-form q2 | q1 slab."""
+    sd1 = math.sqrt(params.sigma[0, 0])
+    out = np.zeros((3, e1.size - 1, e2.size - 1))
+    for i in range(e1.size - 1):
+        peak = [v for v in params.mu[0] + sd1 * np.array([-8.0, 0.0, 8.0])
+                if e1[i] < v < e1[i + 1]] or None
+        for j in range(e2.size - 1):
+            def integrand(x, k):
+                dens, mass, first = _slab(params, x, e2[j], e2[j + 1])
+                return dens * (mass, x * mass, first)[k]
+            for k in range(3):
+                out[k, i, j] = integrate.quad(
+                    integrand, e1[i], e1[i + 1], args=(k,), epsabs=0.0,
+                    epsrel=1e-13, limit=500, points=peak)[0]
+    return out
+
+
+def assert_conditional_means_inside(w, pm1, pm2):
+    i, j = np.nonzero(w.p > 0.0)
+    q1, q2 = w.w1[i, j] / w.p[i, j], w.w2[i, j] / w.p[i, j]
+    assert np.all((pm1.edges[i] <= q1) & (q1 <= pm1.edges[i + 1]))
+    assert np.all((pm2.edges[j] <= q2) & (q2 <= pm2.edges[j + 1]))
 
 
 class TestPopulationParams:
@@ -124,6 +173,71 @@ class TestMomentWeights:
                     got = getattr(derivs[name], field)
                     scale = np.maximum(np.abs(fd).max(), 1e-8)
                     assert np.allclose(got, fd, atol=2e-5 * scale), (name, field)
+
+    # mu on mesh nodes, mu outside the box beside an edge and beyond a corner,
+    # and a narrow law whose cells lie up to 40 sd out (past about 37 sd their
+    # masses underflow), at |rho| up to 0.95
+    EDGE_CASES = {
+        "mu on an inner node": ((0.75, 1.0), (0.2, 0.3), 4),
+        "mu on the box corner": ((0.0, 0.0), (0.2, 0.3), 4),
+        "mu 3 sd beside the box": ((1.8, 1.0), (0.1, 0.3), 4),
+        "mu 10 sd beside the box": ((2.5, 1.0), (0.1, 0.3), 4),
+        "mu beyond a box corner": ((-0.3, 2.3), (0.1, 0.1), 4),
+        "tail cells to 40 sd": ((0.62, 0.9), (0.02, 0.03), 8),
+    }
+
+    @pytest.mark.parametrize("corr", [0.0, 0.5, -0.5, 0.95, -0.95])
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edge_cases_against_conditional_quadrature(self, case, corr):
+        mu, sd, cells = self.EDGE_CASES[case]
+        p = law(mu, sd, corr)
+        pm1, pm2 = ParamMesh(cells, 0.0, 1.5), ParamMesh(cells, 0.0, 2.0)
+        w = moment_weights(p, pm1, pm2)
+        ref = conditional_reference(p, pm1.edges, pm2.edges)
+        assert np.all(w.p >= 0.0)
+        assert_conditional_means_inside(w, pm1, pm2)
+        # a subnormal cell mass is flushed to zero; every other cell has
+        # its mass to 1e-10 relative accuracy
+        normal = ref[0] >= 1e3 * np.finfo(float).tiny
+        assert np.all(w.p[ref[0] < np.finfo(float).tiny] == 0.0)
+        ref_p = ref[0][normal] / ref[0].sum()
+        assert np.all(np.abs(w.p[normal] - ref_p) <= 1e-10 * ref_p)
+        width = np.array([pm1.width, pm2.width])
+        for k, field in ((1, "w1"), (2, "w2")):
+            qbar = getattr(w, field)[normal] / w.p[normal]
+            assert np.all(np.abs(qbar - ref[k][normal] / ref[0][normal])
+                          <= 1e-10 * width[k - 1])
+        if case.startswith("tail"):
+            # the checked cells reach 35 sd from mu (in marginal sd units),
+            # where the masses are near the end of the double range
+            gaps = [np.maximum(np.maximum(pm.edges[:-1] - m, m - pm.edges[1:]), 0.0) / s
+                    for pm, m, s in ((pm1, mu[0], sd[0]), (pm2, mu[1], sd[1]))]
+            dist = np.hypot(gaps[0][:, None], gaps[1][None, :])
+            assert dist[normal].max() >= 35.0
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(anchor=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           offset=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+           log_sd=st.tuples(st.floats(-6.0, 1.0), st.floats(-6.0, 1.0)),
+           corr=st.floats(-0.95, 0.95),
+           cells=st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    def test_masses_form_a_distribution(self, anchor, offset, log_sd, corr, cells):
+        # any law, mu inside the box or up to 20 sd outside it: the masses
+        # are nonnegative and sum to 1, the conditional means stay in their
+        # cells, and only a box with no mass in double precision is refused
+        sd = 10.0 ** np.array(log_sd)
+        box = np.array([1.5, 2.0])
+        p = law(np.array(anchor) * box + np.array(offset) * sd, sd, corr, b=box)
+        pm1, pm2 = ParamMesh(cells[0], 0.0, 1.5), ParamMesh(cells[1], 0.0, 2.0)
+        try:
+            w = moment_weights(p, pm1, pm2)
+        except ParameterError:
+            mass = conditional_reference(p, np.array([0.0, 1.5]), np.array([0.0, 2.0]))[0, 0, 0]
+            assert mass < 1e-290
+            assume(False)
+        assert np.all(w.p >= 0.0)
+        assert abs(w.p.sum() - 1.0) <= 1e-13
+        assert_conditional_means_inside(w, pm1, pm2)
 
 
 class TestSampling:

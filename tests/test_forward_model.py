@@ -190,6 +190,18 @@ class TestDeterministic:
         y_det = forward_model.simulate_deterministic(det, u)
         assert np.max(np.abs(y_pop - y_det)) < 1e-10
 
+    @pytest.mark.parametrize("sd", [1e-2, 1e-3, 3e-4, 1e-5, 1e-6])
+    def test_narrow_law_reaches_single_subject(self, sd):
+        # the cell holding mu takes all the mass and its conditional mean
+        # tends to mu, however narrow the peak against the cells
+        q = (0.62, 0.9)
+        params = PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0), mu=q,
+                                  sigma=((sd * sd, 0.0), (0.0, sd * sd)))
+        mean = forward_model.impulse_kernels(make_ops(params), 200).mean
+        det = forward_model.deterministic_kernels(
+            forward_model.deterministic_ops(q, SpatialMesh(4), 1.0), 200)
+        assert np.max(np.abs(mean - det)) <= 1e-12 * np.max(np.abs(det))
+
     def test_deterministic_kernels_match_impulse(self):
         det = forward_model.deterministic_ops((0.7, 1.1), SpatialMesh(4), 1.0)
         kern = forward_model.deterministic_kernels(det, 40)
