@@ -14,15 +14,16 @@ read from the design and the penalty blocks without forming them.
 One builder makes the stacked problem from kernel columns and cell masses:
 one per parameter cell in the tq variant; the scalar variant is the one-cell
 case, the mean kernel on a cell of unit mass.  The kernels come from
-``forward_model.impulse_kernels``, and the designs from one product of the
-kernels with the lag tensor of the sampled time basis (``_designs``).  A
-single subject is the one-cell system of
-``forward_model.deterministic_ops``, so ``deconvolve_deterministic`` is the
-scalar problem of that system, and ``deconvolve`` takes it too.  The
-temporal mesh, its Grams and sampled basis, and the temporal penalty root
-are cached, so a band's many single-subject solves on one TAC differ only in
-their kernel; they run in batches (``_warm_scalar_solves``) through
-``nnls``'s first exchanges at once.
+``forward_model.impulse_kernels``, and the designs from products of the
+kernels with the sparse blocks of the lag tensor of the sampled time basis
+(``_designs``), each over only the lags that reach its hats.  A single
+subject is the one-cell system of ``forward_model.deterministic_ops``, so
+``deconvolve_deterministic`` is the scalar problem of that system, and
+``deconvolve`` takes it too.  The temporal mesh, its Grams, sampled basis
+and lag blocks, and the temporal penalty root are cached, so a band's many
+single-subject solves on one TAC differ only in their kernel; they run in
+batches (``_warm_scalar_solves``) through ``nnls``'s first exchanges at
+once.
 
 Only the penalty depends on (r1, r2).  The weight search therefore builds
 each training episode's kernels, design and cell masses once, rebuilds only
@@ -70,34 +71,86 @@ def sqrtm_psd(mat: np.ndarray) -> np.ndarray:
 
 
 def _span(sample: np.ndarray) -> int:
-    """Time rows per lag-tensor block and kernels per group of the band's
-    solves for S of K x m: 8 K / m, so neither exceeds 8 K^2 entries."""
+    """Kernels per group of the band's solves for S of K x m: 8 K / m, so
+    a group's designs hold at most 8 K^2 entries."""
     return max(1, 8 * sample.shape[0] // sample.shape[1])
 
 
-def _lag_blocks(sample: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """The lag tensor Lambda[l, (k, j)] = S[k-1-l, j] of S (K x m), by
-    blocks of ``_span`` time rows [k0, k1) and the lags l < k1 - 1 that
-    reach them, copied from a strided view of S under K zero rows; each
-    with its first column k0 m."""
+#: time rows and adjacent basis columns per block of the lag tensor
+_ROWS, _HATS = 20, 4
+
+
+@dataclass(frozen=True)
+class _LagBlock:
+    """The lag tensor of S over time rows [k0, k1) and basis columns
+    [j0, j1), restricted to the lags l0, l0 + 1, ... that reach them:
+    ``lag[l - l0, (j - j0) (k1 - k0) + k - k0] = S[k-1-l, j]``."""
+
+    k0: int
+    k1: int
+    j0: int
+    j1: int
+    l0: int
+    lag: np.ndarray
+
+
+#: the shape K x m of S and the blocks of its lag tensor
+_Lags = tuple[tuple[int, int], tuple[_LagBlock, ...]]
+
+
+def _lag_blocks(sample: np.ndarray) -> _Lags:
+    """The shape K x m of S and the nonzero blocks of its lag tensor
+    Lambda[l, (j, k)] = S[k-1-l, j], by ``_ROWS`` time rows and ``_HATS``
+    adjacent columns.  A block holds only the lags l < k1 - 1 for which
+    S[k-1-l] meets the rows where its columns are nonzero, and a block that
+    no lag reaches is left out: a hat spans two node spacings, so at K =
+    199, m = 20 the blocks hold 132,752 entries, 3.4 per nonzero of the
+    tensor.  Copied from a strided view of S under K zero rows; read-only."""
     n_grid, width = sample.shape
+    nonzero = sample != 0.0
+    first = np.where(nonzero.any(axis=0), np.argmax(nonzero, axis=0), n_grid)
+    last = n_grid - 1 - np.argmax(nonzero[::-1], axis=0)
     padded = np.concatenate([np.zeros((n_grid, width)), sample])
     step, col = padded.strides
-    return [(k0 * width, np.ascontiguousarray(as_strided(
-        padded[n_grid - 1 + k0:], strides=(-step, step, col),
-        shape=(k1 - 1, k1 - k0, width))).reshape(k1 - 1, -1))
-        for k0 in range(0, n_grid, _span(sample))
-        for k1 in [min(k0 + _span(sample), n_grid)]]
+    blocks = []
+    for k0 in range(0, n_grid, _ROWS):
+        k1 = min(k0 + _ROWS, n_grid)
+        for j0 in range(0, width, _HATS):
+            j1 = min(j0 + _HATS, width)
+            # row k reaches sample row k-1-l: in [first, last] for some column
+            l0 = max(0, k0 - 1 - int(last[j0:j1].max()))
+            l1 = k1 - 1 - int(first[j0:j1].min())
+            if l1 <= l0:
+                continue
+            lag = np.ascontiguousarray(as_strided(
+                padded[n_grid - 1 + k0 - l0:, j0:], strides=(-step, col, step),
+                shape=(l1 - l0, j1 - j0, k1 - k0))).reshape(l1 - l0, -1)
+            lag.setflags(write=False)
+            blocks.append(_LagBlock(k0, k1, j0, j1, l0, lag))
+    return (n_grid, width), tuple(blocks)
 
 
-def _designs(kernels: np.ndarray, lags: list) -> np.ndarray:
-    """Designs of lag kernels (n x at least K-1) with the sampled time basis
-    S of ``lags``: n x K m, entry k m + j of a design sum_l kernel[l]
-    S[k-1-l, j] over the lags l < k (row 0 is zero: the initial output is
-    identically zero).  Each block of rows is one product with its lags."""
-    out = np.empty((len(kernels), lags[-1][0] + lags[-1][1].shape[1]))
-    for col, lag in lags:
-        np.matmul(kernels[:, :len(lag)], lag, out=out[:, col:col + lag.shape[1]])
+@functools.lru_cache(maxsize=1)
+def _mesh_lags(tm: TimeMesh) -> _Lags:
+    """``_lag_blocks`` of the mesh's sampled basis.  One mesh is kept (1 MB
+    at K = 199): the problem build, the solve at q = mu and the band's
+    groups on one record, and a run of records of one length, share it."""
+    return _lag_blocks(_time_basis(tm)[2])
+
+
+def _designs(kernels: np.ndarray, lags: _Lags) -> np.ndarray:
+    """Transposed designs of lag kernels (n x at least K-1) with the sampled
+    time basis S of ``lags`` (``_lag_blocks``): n x m x K, entry [j, k] of
+    a design sum_l kernel[l] S[k-1-l, j] over the lags l < k (column 0 is
+    zero: the initial output is identically zero).  Each block is one
+    product with the kernels' lags that reach it, written as runs along
+    time; the other entries are zero."""
+    (n_grid, width), blocks = lags
+    out = np.zeros((len(kernels), width, n_grid))
+    for b in blocks:
+        out[:, b.j0:b.j1, b.k0:b.k1] = (
+            kernels[:, b.l0:b.l0 + len(b.lag)] @ b.lag).reshape(
+            len(kernels), b.j1 - b.j0, b.k1 - b.k0)
     return out
 
 
@@ -192,8 +245,8 @@ def _stacked_problem(columns: np.ndarray, masses: np.ndarray,
     tm = _time_mesh(n_grid, tau, m)
     sample = _time_basis(tm)[2]
     # column c's block of m design columns is the design of kernel c
-    designs = _designs(columns.T, _lag_blocks(sample)).reshape(-1, n_grid, tm.m)
-    design = np.moveaxis(designs, 0, 1).reshape(n_grid, -1)
+    design = np.ascontiguousarray(
+        _designs(columns.T, _mesh_lags(tm)).reshape(-1, n_grid).T)
     return DeconvolutionProblem(tac=tac, time_mesh=tm,
                                 sample=sample, design=design,
                                 penalty_sqrt=_penalty_sqrt(tm, masses, r1, r2),
@@ -600,15 +653,15 @@ def _warm_scalar_solves(q: np.ndarray, mesh: SpatialMesh, tac: np.ndarray,
     tm = _time_mesh(n_grid, tau, m)
     sample = _time_basis(tm)[2]
     root = _penalty_root(tm, r1, r2)
-    lags = _lag_blocks(sample)
+    lags = _mesh_lags(tm)
     curves, converged = np.empty((q.shape[0], n_grid)), np.ones(q.shape[0], bool)
     for lo in range(0, q.shape[0], _span(sample)):
         part = q[lo:lo + _span(sample)]
         kernels = part[:, 1:] * _spectral_kernels(mesh, part[:, 0], tau,
                                                   n_grid - 1)
-        designs = _designs(kernels, lags).reshape(-1, n_grid, tm.m)
-        gram = np.swapaxes(designs, 1, 2) @ designs + root.T @ root
-        f, designs = tac @ designs, None    # rebuilt for a problem left to nnls
+        designs = _designs(kernels, lags)
+        gram = designs @ np.swapaxes(designs, 1, 2) + root.T @ root
+        f, designs = designs @ tac, None    # rebuilt for a problem left to nnls
         x, settled = _pivots(gram, f, x0)
         sq = np.diagonal(gram, axis1=1, axis2=2)    # solve_problem's void rule
         settled &= np.all(sq > _VOID ** 2 * sq.max(axis=1, keepdims=True), axis=1)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -550,9 +550,27 @@ def credible_region_radius(params: PopulationParams,
     Brent's method on the quadrature-evaluated disk mass.  When the whole
     support box holds less than alpha - 1e-12 (mu far outside the box), the
     radius covering the entire support is returned with ``attained=False``.
+    The result is kept per process for the exact bits of the law's nine
+    values and alpha (``_kept_radius``), so every band and interval set on
+    one law, and the same law read back from its file, reuse one
+    computation.
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    law = np.array(list(params.as_dict().values())).tobytes()
+    return _kept_radius(law, float(alpha))
+
+
+@lru_cache(maxsize=16)
+def _kept_radius(law: bytes, alpha: float) -> CredibleRadius:
+    """``_credible_radius`` of the law whose nine values, in ``as_dict``
+    order, are the doubles in ``law``: the radius reads no other entry."""
+    return _credible_radius(PopulationParams.from_scalars(*np.frombuffer(law)),
+                            alpha)
+
+
+def _credible_radius(params: PopulationParams, alpha: float) -> CredibleRadius:
+    """``credible_region_radius`` computed afresh."""
     z = _box_mass(params)
     corners = np.array([[params.a[0], params.a[1]], [params.a[0], params.b[1]],
                         [params.b[0], params.a[1]], [params.b[0], params.b[1]]])

@@ -366,6 +366,46 @@ class TestDeconvolve:
         assert (tmp_path / "a.curve.csv").read_bytes() == \
             (tmp_path / "b.curve.csv").read_bytes()
 
+    def test_repeat_in_one_process(self, sim_dir, tmp_path, capsys):
+        # one process keeps its parser, radii and lag blocks: record A,
+        # then B on another law and length, then A again reads the same
+        rho_a = write_rho(tmp_path / "a.params")
+        rho_b = tmp_path / "b.params"
+        save_params(PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0),
+                                     mu=(0.7, 0.9),
+                                     sigma=((0.02, 0.001), (0.001, 0.04))),
+                    rho_b)
+        lines = (sim_dir / "synth-001.csv").read_text().splitlines()
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(
+            [lines[0]] + [ln for ln in lines[1:]
+                          if ln.split(",")[1] == "tac"
+                          and float(ln.split(",")[0]) <= 150.0]) + "\n")
+        record_a = ["deconvolve", str(sim_dir / "synth-000.csv"),
+                    "--rho", str(rho_a), "--r1", "1e-3", "--r2", "1e-3",
+                    "--variant", "scalar", "--samples", "80"]
+        default = cli._parser().parse_args(record_a).train
+        suffixes = (".curve.csv", ".stats.csv", ".meta.json")
+        runs = []
+        for argv in (record_a, ["deconvolve", str(short), "--rho", str(rho_b),
+                                "--r1", "1e-2", "--r2", "1e-3"], record_a):
+            prefix = tmp_path / f"run{len(runs)}"
+            assert main(argv + ["--out-prefix", str(prefix)]) == 0
+            runs.append([(tmp_path / (prefix.name + s)).read_bytes()
+                         for s in suffixes])
+        assert runs[0] == runs[2]
+        assert runs[1][0].count(b"\n") != runs[0][0].count(b"\n")
+        # a parse error after those calls is still a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["deconvolve", str(short), "--r1", "1e-3"])
+        assert exc.value.code == 2
+        assert "--rho" in capsys.readouterr().err
+        # the train list a call parses is its own
+        args = cli._parser().parse_args(record_a + ["--train", "x.csv"])
+        assert args.train == ["x.csv"]
+        assert cli._parser().parse_args(record_a).train is default
+        assert default == []
+
 
 class TestStats:
     def test_stdout_table(self, tmp_path, capsys):

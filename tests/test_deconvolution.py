@@ -15,7 +15,7 @@ from tdalc.deconvolution import (SearchEpisode, build_problem, deconvolve,
                                  write_result_csv)
 from tdalc.density import PopulationParams
 from tdalc.errors import ConfigurationError, NumericalError
-from tdalc.grid_basis import (DiscretizationGrid, SpatialMesh,
+from tdalc.grid_basis import (DiscretizationGrid, SpatialMesh, TimeMesh,
                               temporal_basis_matrices)
 
 
@@ -297,32 +297,87 @@ class TestNnls:
         assert any(refused)
 
 
+def toeplitz_designs(kernels, sample):
+    """Reference designs, transposed: the K x K Toeplitz matrix of each lag
+    kernel, zero on and above the diagonal, times the sampled basis."""
+    from scipy.linalg import toeplitz
+    n = sample.shape[0]
+    return np.stack([(toeplitz(np.concatenate([[0.0], kern[:n - 1]]),
+                               np.zeros(n)) @ sample).T for kern in kernels])
+
+
+def hat_sample(n, m):
+    return deconvolution._time_basis(TimeMesh(m, n - 1.0, 1.0))[2]
+
+
 class TestDesigns:
     @pytest.mark.parametrize("n", [2, 3, 17, 163])
     def test_equals_scipy_toeplitz(self, n):
-        # m = 2 + n // 3 basis columns gives one lag block for small n and
-        # several for n = 163
-        from scipy.linalg import toeplitz
+        # a dense S: every lag reaches every block; m = 2 + n // 3 columns
+        # give one block for small n and several for n = 163
         rng = np.random.default_rng(n)
         sample = rng.random((n, 2 + n // 3))
         kern = rng.random((3, n + 4))
         got = deconvolution._designs(kern, deconvolution._lag_blocks(sample))
-        for i in range(3):
-            col = np.concatenate([[0.0], kern[i, :n - 1]])
-            want = toeplitz(col, np.zeros(n)) @ sample
-            assert np.max(np.abs(got[i].reshape(want.shape) - want)) <= (
-                1e-13 * np.max(np.abs(want)))
+        want = toeplitz_designs(kern, sample)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    # K not a multiple of the row block, m = 2, m near K / 2, the records'
+    # meshes, and a single kernel
+    @pytest.mark.parametrize("n, m, count", [
+        (45, 2, 3), (45, 22, 3), (61, 30, 2), (163, 16, 4), (199, 20, 1),
+        (21, 7, 1), (2, 2, 2), (3, 2, 1)])
+    def test_hat_basis_equals_scipy_toeplitz(self, n, m, count):
+        sample = hat_sample(n, m)
+        lags = deconvolution._lag_blocks(sample)
+        if n > deconvolution._ROWS:
+            assert n % deconvolution._ROWS
+        kern = np.random.default_rng(n + m).random((count, n + 2))
+        got = deconvolution._designs(kern, lags)
+        want = toeplitz_designs(kern, sample)
+        assert got.shape == (count, m, n)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_blocks_hold_only_lags_that_reach(self):
+        # each hat spans two node spacings: the blocks of the K = 199,
+        # m = 20 basis hold under four entries per nonzero of the lag
+        # tensor (the nonzeros of S[:k] for each row k), and no block is
+        # all zero
+        sample = hat_sample(199, 20)
+        shape, blocks = deconvolution._lag_blocks(sample)
+        assert shape == (199, 20)
+        nonzeros = sum(np.count_nonzero(sample[:k]) for k in range(199))
+        assert sum(b.lag.size for b in blocks) < 4 * nonzeros
+        assert all(np.any(b.lag) and not b.lag.flags.writeable
+                   for b in blocks)
 
     def test_batched_equals_one_by_one(self):
         sample = np.random.default_rng(5).random((31, 12))
         lags = deconvolution._lag_blocks(sample)
-        assert len(lags) > 1 and lags[1][0] > 0
+        assert len(lags[1]) > 1 and lags[1][1].j0 > 0
         kern = np.random.default_rng(3).random((6, 40))
         batch = deconvolution._designs(kern, lags)
-        assert batch.shape == (6, 31 * 12)
+        assert batch.shape == (6, 12, 31)
         for i in range(6):
             one = deconvolution._designs(kern[i:i + 1], lags)[0]
             assert np.max(np.abs(batch[i] - one)) <= 1e-13 * np.max(np.abs(one))
+
+    def test_tq_design_columns(self):
+        # column c m + j of the tq design is kernel c's Toeplitz matrix
+        # times basis column j: temporal index fastest, then the cells
+        ops = make_ops(m1=3, m2=2)
+        tac = make_tac(ops, pulse(75))
+        prob = build_problem(ops, tac, 1e-3, 1e-3, m=9)
+        kernels = forward_model.impulse_kernels(ops, tac.size - 1).functional
+        want = toeplitz_designs(kernels.T, prob.sample)
+        assert prob.design.shape == (75, 6 * 9)
+        got = prob.design.reshape(75, 6, 9).transpose(1, 2, 0)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_blocks_built_once_per_mesh(self):
+        tm = TimeMesh(12, 90.0, 1.0)
+        assert deconvolution._mesh_lags(tm) is deconvolution._mesh_lags(
+            TimeMesh(12, 90.0, 1.0))
 
 
 class TestPivots:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr
 
+from tdalc import density
 from tdalc.density import (PopulationParams, cell_masses,
                            credible_region_radius, dump_params,
                            gauss_density, load_params, moment_weights,
@@ -288,6 +289,44 @@ class TestCredibleRadius:
         assert rad.attained
         assert rad.radius == pytest.approx(sd * np.sqrt(-2.0 * np.log(0.25)),
                                            rel=1e-4)
+
+
+class TestCredibleRadiusMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        density._kept_radius.cache_clear()
+        yield
+        density._kept_radius.cache_clear()
+
+    @staticmethod
+    def computed() -> int:
+        return density._kept_radius.cache_info().misses
+
+    def test_law_read_back_hits(self):
+        p = make_params()
+        first = credible_region_radius(p, 0.75)
+        again = credible_region_radius(parse_params(dump_params(p)), 0.75)
+        assert self.computed() == 1 and again is first
+        # bit for bit the computation on the law itself, with no memo
+        direct = density._credible_radius(p, 0.75)
+        for name in ("radius", "mass"):
+            assert np.float64(getattr(direct, name)).tobytes() == \
+                np.float64(getattr(first, name)).tobytes()
+        assert direct == first
+
+    def test_other_alpha_or_one_ulp_recomputes(self):
+        p = make_params()
+        base = credible_region_radius(p, 0.75)
+        credible_region_radius(p, 0.5)
+        assert self.computed() == 2
+        for k, name in enumerate(p.as_dict()):
+            values = p.as_dict()
+            values[name] = np.nextafter(values[name], np.inf)
+            credible_region_radius(PopulationParams.from_scalars(**values),
+                                   0.75)
+            assert self.computed() == 3 + k, name
+        assert credible_region_radius(p, 0.75) is base
+        assert self.computed() == 11
 
 
 class TestSerialization:
