@@ -330,8 +330,6 @@ class TestDesigns:
     def test_hat_basis_equals_scipy_toeplitz(self, n, m, count):
         sample = hat_sample(n, m)
         lags = deconvolution._lag_blocks(sample)
-        if n > deconvolution._ROWS:
-            assert n % deconvolution._ROWS
         kern = np.random.default_rng(n + m).random((count, n + 2))
         got = deconvolution._designs(kern, lags)
         want = toeplitz_designs(kern, sample)
