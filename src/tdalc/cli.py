@@ -344,7 +344,10 @@ def _add_grid_flags(sub) -> None:
                      help="sampling interval, minutes (default 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tdalc`` parser, built once per process: its defaults are shared
+    by every call of ``main``, and no command mutates them."""
     parser = argparse.ArgumentParser(
         prog="tdalc",
         description="Population-model BrAC estimation from TAC records.")
@@ -407,15 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """``build_parser()``, built once per process: its defaults are shared
-    by every call of ``main``, and no command mutates them."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigurationError, ParameterError, ParseError, OSError,

@@ -384,7 +384,6 @@ class TestDeconvolve:
         record_a = ["deconvolve", str(sim_dir / "synth-000.csv"),
                     "--rho", str(rho_a), "--r1", "1e-3", "--r2", "1e-3",
                     "--variant", "scalar", "--samples", "80"]
-        default = cli._parser().parse_args(record_a).train
         suffixes = (".curve.csv", ".stats.csv", ".meta.json")
         runs = []
         for argv in (record_a, ["deconvolve", str(short), "--rho", str(rho_b),
@@ -400,11 +399,11 @@ class TestDeconvolve:
             main(["deconvolve", str(short), "--r1", "1e-3"])
         assert exc.value.code == 2
         assert "--rho" in capsys.readouterr().err
-        # the train list a call parses is its own
-        args = cli._parser().parse_args(record_a + ["--train", "x.csv"])
+        # the shared --train default is still empty after those calls and
+        # after a call that names a train file
+        args = cli.build_parser().parse_args(record_a + ["--train", "x.csv"])
         assert args.train == ["x.csv"]
-        assert cli._parser().parse_args(record_a).train is default
-        assert default == []
+        assert cli.build_parser().parse_args(record_a).train == []
 
 
 class TestStats:
