@@ -49,8 +49,10 @@ from .population_fit import fit_population
 from .synth import SynthConfig, generate
 from .uncertainty import (DEFAULT_ALPHA, DEFAULT_SAMPLES, DEFAULT_THRESHOLD,
                           STAT_NAMES, credible_band, credible_band_scalar,
-                          episode_stats, format_stat,
+                          episode_stats, format_stats_row,
                           stats_credible_intervals, write_stats_report)
+# re-exported: perfbench's records check renders rows with cli.format_stat
+from .uncertainty import format_stat  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -318,9 +320,7 @@ def cmd_stats(args) -> int:
     if np.any(np.abs(steps - tau) > 1e-9 * max(tau, 1.0)):
         raise ConfigurationError("curve times must be uniformly spaced")
     stats = episode_stats(values, tau, args.threshold)
-    lines = [",".join(STAT_NAMES),
-             ",".join(format_stat(v) for v in stats.values())]
-    payload = "\n".join(lines) + "\n"
+    payload = ",".join(STAT_NAMES) + "\n" + format_stats_row(stats) + "\n"
     if args.out == "-":
         sys.stdout.write(payload)
     else:

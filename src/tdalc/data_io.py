@@ -50,6 +50,21 @@ class Episode:
         return self.u is not None
 
 
+def check_training_episodes(episodes: list[Episode], tau: float) -> None:
+    """Reject a training set that cannot train a model on the tau grid: an
+    empty list, an episode without BrAC, or one resampled at another tau.
+    Raises ``ConfigurationError``."""
+    if not episodes:
+        raise ConfigurationError("need at least one training episode")
+    for ep in episodes:
+        if not ep.has_brac:
+            raise ConfigurationError(
+                f"episode {ep.ident!r} has no BrAC channel; cannot train on it")
+        if abs(ep.tau - tau) > 1e-12:
+            raise ConfigurationError(
+                f"episode {ep.ident!r} has tau {ep.tau}, the model has {tau}")
+
+
 def resample(times: np.ndarray, values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Natural cubic spline through (times, values) sampled on grid, clamped
     at zero from below.  Falls back to linear interpolation when fewer than

@@ -11,19 +11,21 @@ parameter cells.  The stacked problem is solved under a nonnegativity
 constraint by block principal pivoting (``nnls``) on its normal equations,
 read from the design and the penalty blocks without forming them.
 
-One builder makes the stacked problem from kernel columns and cell masses:
-one per parameter cell in the tq variant; the scalar variant is the one-cell
-case, the mean kernel on a cell of unit mass.  The kernels come from
-``forward_model.impulse_kernels``, and the designs from products of the
-kernels with the sparse blocks of the lag tensor of the sampled time basis
-(``_designs``), each over only the lags that reach its hats.  A single
-subject is the one-cell system of ``forward_model.deterministic_ops``, so
-``deconvolve_deterministic`` is the scalar problem of that system, and
-``deconvolve`` takes it too.  The temporal mesh, its Grams, sampled basis
-and lag blocks, and the temporal penalty root are cached, so a band's many
-single-subject solves on one TAC differ only in their kernel; they run in
-batches (``_warm_scalar_solves``) through ``nnls``'s first exchanges at
-once.
+One builder, ``build_problem``, makes the stacked problem from kernel
+columns and cell masses: one per parameter cell in the tq variant; the
+scalar variant is the one-cell case, the mean kernel on a cell of unit mass.
+The kernels come from ``forward_model.impulse_kernels``, and the designs
+from products of the kernels with the sparse blocks of the lag tensor of the
+sampled time basis (``_designs``), each over only the lags that reach its
+hats.  A single subject is the one-cell system of
+``forward_model.deterministic_ops``, so ``deconvolve_deterministic`` is
+``build_problem``'s scalar problem of that system, with the same input
+checks, and ``deconvolve`` takes it too.  The temporal mesh, its Grams,
+sampled basis and lag blocks, and the temporal penalty root are cached, so a
+band's many single-subject solves on one TAC differ only in their kernel;
+they run in batches (``_warm_scalar_solves``) through ``nnls``'s first
+exchanges at once, and a sample the batch leaves unsettled falls back to
+``deconvolve_deterministic``, so through ``build_problem`` too.
 
 Only the penalty depends on (r1, r2).  The weight search therefore builds
 each training episode's kernels, design and cell masses once, rebuilds only
@@ -48,9 +50,10 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf
 from scipy.optimize import minimize
 from scipy.sparse.linalg import LinearOperator
 
-from .data_io import Episode
+from .data_io import Episode, check_training_episodes
 from .errors import ConfigurationError, NumericalError, ParameterError
-from .forward_model import DiscreteTimeOps, _spectral_kernels, impulse_kernels
+from .forward_model import (DiscreteTimeOps, _spectral_kernels,
+                            deterministic_ops, impulse_kernels)
 from .grid_basis import SpatialMesh, TimeMesh, temporal_basis_matrices
 
 #: below this value a regularization weight is treated as exactly zero
@@ -235,30 +238,14 @@ def _time_mesh(n_grid: int, tau: float, m: int | None) -> TimeMesh:
     return TimeMesh(m, (n_grid - 1) * tau, tau)
 
 
-def _stacked_problem(columns: np.ndarray, masses: np.ndarray,
-                     tac: np.ndarray, tau: float, r1: float, r2: float,
-                     m: int | None) -> DeconvolutionProblem:
-    """The stacked problem for kernel ``columns`` (K-1 lags x cells): one
-    design block per column, and a penalty block per cell weighted by its
-    mass in ``masses``."""
-    n_grid = tac.size
-    tm = _time_mesh(n_grid, tau, m)
-    sample = _time_basis(tm)[2]
-    # column c's block of m design columns is the design of kernel c
-    design = np.ascontiguousarray(
-        _designs(columns.T, _mesh_lags(tm)).reshape(-1, n_grid).T)
-    return DeconvolutionProblem(tac=tac, time_mesh=tm,
-                                sample=sample, design=design,
-                                penalty_sqrt=_penalty_sqrt(tm, masses, r1, r2),
-                                r1=r1, r2=r2, cell_masses=masses)
-
-
 def build_problem(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
                   m: int | None = None, variant: str = "tq") -> DeconvolutionProblem:
     """Assemble the stacked problem for a TAC series on the ops' tau grid.
 
     ``tac`` holds the resampled signal at 0, tau, ..., including the leading
-    t = 0 sample.
+    t = 0 sample.  The tq variant has one design block per parameter cell
+    and a penalty block weighted by the cell's mass; the scalar variant is
+    the one-cell case, the mean kernel on a cell of unit mass.
     """
     r1, r2 = _snap_regs(r1, r2)
     tac = np.asarray(tac, dtype=float)
@@ -273,7 +260,14 @@ def build_problem(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
         columns, masses = kernels.functional, ops.p
     else:
         raise ConfigurationError(f"unknown variant {variant!r}")
-    return _stacked_problem(columns, masses, tac, ops.tau, r1, r2, m)
+    tm = _time_mesh(tac.size, ops.tau, m)
+    # column c's block of m design columns is the design of kernel c
+    design = np.ascontiguousarray(
+        _designs(columns.T, _mesh_lags(tm)).reshape(-1, tac.size).T)
+    return DeconvolutionProblem(tac=tac, time_mesh=tm,
+                                sample=_time_basis(tm)[2], design=design,
+                                penalty_sqrt=_penalty_sqrt(tm, masses, r1, r2),
+                                r1=r1, r2=r2, cell_masses=masses)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +290,7 @@ class NnlsResult:
 _DUAL_TOL = 1e-9
 
 #: a stacked column whose norm falls below this fraction of the largest one
-#: is void: ``solve_problem`` fixes its coefficient at zero
+#: is void (``_void``): its coefficient stays at zero
 _VOID = 1e-12
 
 #: a free column whose Cholesky pivot d^2 falls below this fraction of its
@@ -309,6 +303,14 @@ _BACKUP = 3
 
 #: largest free-set Gram ``nnls`` forms, in bytes (8 n_F^2 for n_F columns)
 _GRAM_BUDGET = 1 << 30
+
+
+def _void(sq: np.ndarray) -> np.ndarray:
+    """Void columns of stacked problems from their squared column norms
+    (..., n): those whose norm is at most ``_VOID`` of their problem's
+    largest.  Such columns, of near-void parameter cells, carry no
+    information and only poison the free-set solves."""
+    return sq <= _VOID ** 2 * sq.max(axis=-1, keepdims=True)
 
 
 def _scales(diag: np.ndarray) -> np.ndarray:
@@ -579,12 +581,9 @@ def solve_problem(problem: DeconvolutionProblem,
     nonnegative full-length coefficient vector ``x0``; ``nnls`` reads the
     matrix through its design and penalty blocks, never forming it."""
     design, roots = problem.design, problem.penalty_sqrt
-    col_norms = np.sqrt(np.einsum("kj,kj->j", design, design)
-                        + np.einsum("cij,cij->cj", roots, roots).ravel())
-    keep = col_norms > _VOID * float(col_norms.max())
-    if not np.all(keep):
-        # columns of near-void parameter cells carry no information and only
-        # poison the free-set solves; zeroed, their coefficients stay zero
+    keep = ~_void(np.einsum("kj,kj->j", design, design)
+                  + np.einsum("cij,cij->cj", roots, roots).ravel())
+    if not np.all(keep):    # zeroed, their coefficients stay zero
         design = design * keep
         roots = roots * keep.reshape(roots.shape[0], 1, -1)
         x0 = None if x0 is None else x0 * keep
@@ -616,17 +615,17 @@ def deconvolve_deterministic(det: DiscreteTimeOps, tac: np.ndarray,
                              x0: np.ndarray | None = None
                              ) -> tuple[np.ndarray, NnlsResult]:
     """Single-subject deconvolution: the scalar problem of the one-cell
-    ``det`` (``deterministic_ops``) at a fixed parameter pair.
+    ``det`` (``deterministic_ops``) at a fixed parameter pair, built by
+    ``build_problem`` and solved by ``solve_problem``.
 
     Returns the reconstructed input on the tau grid plus the solver result;
     ``x0`` warm-starts the solver from nonnegative basis coefficients, such
-    as ``sol.x`` of a nearby parameter pair on the same TAC.
+    as ``sol.x`` of a nearby parameter pair on the same TAC.  As in
+    ``deconvolve``, a TAC that is not 1-d or has fewer than two samples
+    raises ``ConfigurationError``, and a subject of zero gain (identically
+    zero kernel) raises ``NumericalError``.
     """
-    r1, r2 = _snap_regs(r1, r2)
-    tac = np.asarray(tac, dtype=float)
-    kern = impulse_kernels(det, tac.size - 1).mean
-    problem = _stacked_problem(kern[:, None], np.ones(1), tac, det.tau,
-                               r1, r2, m)
+    problem = build_problem(det, tac, r1, r2, m=m, variant="scalar")
     sol = solve_problem(problem, x0=x0)
     return problem.sample @ sol.x, sol
 
@@ -642,7 +641,8 @@ def _warm_scalar_solves(q: np.ndarray, mesh: SpatialMesh, tac: np.ndarray,
     r2, m, x0)``.  Groups of ``_span`` pairs get one spectral call, one
     product with the lag tensor for their designs, and one batched run of
     ``nnls``'s first exchanges (``_pivots``) on their Grams; the problems
-    it leaves go through ``solve_problem`` on their designs.
+    it leaves, and those with a void column, go through
+    ``deconvolve_deterministic`` itself.
     """
     bad = q[:, 0] <= 0.0
     if np.any(bad):
@@ -663,13 +663,12 @@ def _warm_scalar_solves(q: np.ndarray, mesh: SpatialMesh, tac: np.ndarray,
         gram = designs @ np.swapaxes(designs, 1, 2) + root.T @ root
         f, designs = designs @ tac, None    # rebuilt for a problem left to nnls
         x, settled = _pivots(gram, f, x0)
-        sq = np.diagonal(gram, axis1=1, axis2=2)    # solve_problem's void rule
-        settled &= np.all(sq > _VOID ** 2 * sq.max(axis=1, keepdims=True), axis=1)
-        for i in np.flatnonzero(~settled):
-            sol = solve_problem(_stacked_problem(
-                kernels[i][:, None], np.ones(1), tac, tau, r1, r2, m), x0=x0)
-            x[i], converged[lo + i] = sol.x, sol.converged
+        settled &= ~np.any(_void(np.diagonal(gram, axis1=1, axis2=2)), axis=1)
         curves[lo:lo + part.shape[0]] = x @ sample.T
+        for i in np.flatnonzero(~settled):
+            curve, sol = deconvolve_deterministic(
+                deterministic_ops(part[i], mesh, tau), tac, r1, r2, m, x0)
+            curves[lo + i], converged[lo + i] = curve, sol.converged
     return curves, converged
 
 
@@ -744,17 +743,10 @@ def select_regularization(ops: DiscreteTimeOps, episodes: list[Episode],
     floor and never zero; ``at_bound`` on the returned record says whether
     the selection lies on an edge of the box.  A search that does not meet
     its tolerances warns and returns the best point found, with
-    ``converged`` False.
+    ``converged`` False.  Episodes that cannot train raise
+    ``ConfigurationError`` (``check_training_episodes``).
     """
-    if not episodes:
-        raise ConfigurationError("need at least one training episode")
-    for ep in episodes:
-        if not ep.has_brac:
-            raise ConfigurationError(
-                f"episode {ep.ident!r} has no BrAC; cannot score regularization")
-        if abs(ep.tau - ops.tau) > 1e-12:
-            raise ConfigurationError(
-                f"episode {ep.ident!r} tau {ep.tau} does not match ops tau {ops.tau}")
+    check_training_episodes(episodes, ops.tau)
     lo, hi = _LOG_BOUNDS
     search = [SearchEpisode(ops, ep, m=m, variant=variant) for ep in episodes]
     path: list[tuple[float, float, float]] = []

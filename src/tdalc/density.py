@@ -33,7 +33,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ndtr, owens_t
 
-from .errors import ParameterError, SamplingError
+from .errors import ConfigurationError, ParameterError, SamplingError
 from .grid_basis import ParamMesh
 
 _SQRT2 = math.sqrt(2.0)
@@ -553,10 +553,11 @@ def credible_region_radius(params: PopulationParams,
     The result is kept per process for the exact bits of the law's nine
     values and alpha (``_kept_radius``), so every band and interval set on
     one law, and the same law read back from its file, reuse one
-    computation.
+    computation.  An alpha outside (0, 1) is a run setting, not a law, and
+    raises ``ConfigurationError``.
     """
     if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
     law = np.array(list(params.as_dict().values())).tobytes()
     return _kept_radius(law, float(alpha))
 

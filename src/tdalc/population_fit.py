@@ -45,7 +45,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from . import density, forward_model
-from .data_io import Episode
+from .data_io import Episode, check_training_episodes
 from .density import PopulationParams
 from .errors import ConfigurationError, NumericalError, ParameterError
 from .grid_basis import DiscretizationGrid
@@ -82,15 +82,8 @@ def unpack_theta(theta: np.ndarray, a: np.ndarray,
 
 
 def _check_episodes(episodes: list[Episode], grid: DiscretizationGrid) -> None:
-    if not episodes:
-        raise ConfigurationError("need at least one episode")
+    check_training_episodes(episodes, grid.tau)
     for ep in episodes:
-        if abs(ep.tau - grid.tau) > 1e-12:
-            raise ConfigurationError(
-                f"episode {ep.ident!r} has tau {ep.tau}, grid has {grid.tau}")
-        if not ep.has_brac:
-            raise ConfigurationError(
-                f"episode {ep.ident!r} has no BrAC channel; cannot train on it")
         if ep.fit_indices.size == 0:
             raise ConfigurationError(
                 f"episode {ep.ident!r} has no usable TAC instants on the grid")

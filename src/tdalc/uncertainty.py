@@ -48,19 +48,12 @@ class CredibleBand:
             raise NumericalError("band lower edge exceeds upper edge")
 
 
-def _radius(params: density.PopulationParams, alpha: float) -> float:
-    """Radius of the central credible disk of mass ``alpha`` in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
-    return density.credible_region_radius(params, alpha).radius
-
-
 def kept_samples(params: density.PopulationParams, alpha: float,
                  n_samples: int, seed: int) -> np.ndarray:
     """Draw from the population density and keep the points inside the
     central credible disk.  The population mean is always appended so every
     band and interval contains the value at q = mu."""
-    radius = _radius(params, alpha)
+    radius = density.credible_region_radius(params, alpha).radius
     draws = density.sample(params, n_samples, seed)
     inside = np.linalg.norm(draws - params.mu, axis=1) <= radius
     kept = draws[inside]
@@ -80,7 +73,7 @@ def _disk_cells(result: DeconvolutionResult,
     A cell is in when the squared distances from mu to its interval on each
     axis sum to less than the squared radius; mu may lie outside the box.
     """
-    radius = _radius(params, alpha)
+    radius = density.credible_region_radius(params, alpha).radius
     if result.variant != "tq":
         raise ConfigurationError("cell bands need a tensor-variant result")
     curves = np.einsum("km,mij->kij", _time_basis(result.time_mesh)[2],
@@ -265,12 +258,10 @@ def write_stats_report(path, rows) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(header) + "\n")
         for ident, measured, estimated, intervals in rows:
-            cells = [str(ident)]
-            if measured is None:
-                cells += [""] * len(STAT_NAMES)
-            else:
-                cells += [format_stat(v) for v in measured.values()]
-            cells += [format_stat(v) for v in estimated.values()]
+            cells = [str(ident),
+                     "," * (len(STAT_NAMES) - 1) if measured is None
+                     else format_stats_row(measured),
+                     format_stats_row(estimated)]
             for n in STAT_NAMES:
                 pair = None if intervals is None else intervals.intervals[n]
                 if pair is None:

@@ -11,8 +11,8 @@ from tdalc.data_io import build_episode
 from tdalc.deconvolution import (SearchEpisode, build_problem, deconvolve,
                                  deconvolve_deterministic,
                                  default_basis_count, nnls,
-                                 select_regularization, sqrtm_psd,
-                                 write_result_csv)
+                                 select_regularization, solve_problem,
+                                 sqrtm_psd, write_result_csv)
 from tdalc.density import PopulationParams
 from tdalc.errors import ConfigurationError, NumericalError
 from tdalc.grid_basis import (DiscretizationGrid, SpatialMesh, TimeMesh,
@@ -431,6 +431,18 @@ class TestPivots:
                 assert not np.any(x[i])
 
 
+class TestVoidColumns:
+    def test_threshold_is_relative_to_the_largest_norm(self):
+        # a column at 0.9e-12 of the largest norm is void, 1.1e-12 is not
+        norms = 3.0 * np.array([1.0, 0.9e-12, 1.1e-12, 0.0])
+        assert deconvolution._void(norms ** 2).tolist() == [
+            False, True, False, True]
+        # per problem along the last axis
+        both = np.stack([norms, norms[[1, 0, 2, 3]] * 1e6]) ** 2
+        assert deconvolution._void(both).tolist() == [
+            [False, True, False, True], [True, False, False, True]]
+
+
 class TestBuildProblem:
     def test_negative_regularization_rejected(self):
         ops = make_ops()
@@ -563,11 +575,13 @@ class TestDeconvolve:
         curve, _ = deconvolve_deterministic(det, tac, 1e-3, 1e-2)
         assert np.max(np.abs(res.mean_curve - curve)) \
             <= 1e-12 * np.max(np.abs(curve))
-        # and the single subject is a one-cell system that deconvolve takes
-        for variant in ("scalar", "tq"):
-            own = deconvolve(det, tac, 1e-3, 1e-2, variant=variant)
-            assert np.max(np.abs(own.mean_curve - curve)) \
-                <= 1e-12 * np.max(np.abs(curve))
+        # and the single subject is a one-cell system that deconvolve takes;
+        # its scalar problem is the very one deconvolve_deterministic solves
+        own = deconvolve(det, tac, 1e-3, 1e-2, variant="scalar")
+        assert np.array_equal(own.mean_curve, curve)
+        own = deconvolve(det, tac, 1e-3, 1e-2, variant="tq")
+        assert np.max(np.abs(own.mean_curve - curve)) \
+            <= 1e-12 * np.max(np.abs(curve))
 
     def test_deterministic_variant(self):
         det = forward_model.deterministic_ops((0.62, 1.0), SpatialMesh(4), 1.0)
@@ -595,6 +609,23 @@ class TestDeconvolve:
         assert warm.converged and warm.iterations < cold.iterations
         assert np.max(np.abs(warm.x - cold.x)) <= 1e-10
         assert np.max(np.abs(curve - cold_curve)) <= 1e-10
+        # both are build_problem's scalar problem through solve_problem
+        problem = build_problem(det, tac, 1e-3, 1e-3, variant="scalar")
+        for sol, x0 in ((cold, None), (warm, start.x)):
+            again = solve_problem(problem, x0=x0)
+            assert np.array_equal(sol.x, again.x)
+            assert sol.iterations == again.iterations
+
+    def test_deterministic_input_checks(self):
+        # a single subject gets deconvolve's checks: they are one builder's
+        det = forward_model.deterministic_ops((0.62, 1.0), SpatialMesh(4), 1.0)
+        tac = make_tac(det, pulse(61))
+        for bad in (np.stack([tac, tac]), tac[:1]):
+            with pytest.raises(ConfigurationError):
+                deconvolve_deterministic(det, bad, 1e-3, 1e-3)
+        mute = forward_model.deterministic_ops((0.62, 0.0), SpatialMesh(4), 1.0)
+        with pytest.raises(NumericalError):
+            deconvolve_deterministic(mute, tac, 1e-3, 1e-3)
 
 
 class TestSelectRegularization:

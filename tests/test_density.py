@@ -13,7 +13,7 @@ from tdalc.density import (PopulationParams, cell_masses,
                            gauss_density, load_params, moment_weights,
                            moment_weight_derivatives, parse_params, pdf,
                            sample, save_params)
-from tdalc.errors import ParameterError
+from tdalc.errors import ConfigurationError, ParameterError
 from tdalc.grid_basis import ParamMesh
 from tdalc.population_fit import (active_parameter_names, pack_theta,
                                   unpack_theta)
@@ -277,6 +277,12 @@ class TestCredibleRadius:
         r1 = credible_region_radius(p, 0.5).radius
         r2 = credible_region_radius(p, 0.9).radius
         assert r1 < r2
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0])
+    def test_alpha_out_of_range(self, alpha):
+        # alpha is a run setting, not part of the law
+        with pytest.raises(ConfigurationError, match="alpha must lie"):
+            credible_region_radius(make_params(), alpha)
 
     @pytest.mark.parametrize("mu", [(0.62, 0.9), (1.5, 2.0)])
     @pytest.mark.parametrize("sd", [1e-3, 1e-6])

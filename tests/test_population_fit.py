@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tdalc import forward_model
 from tdalc.data_io import build_episode
+from tdalc.deconvolution import select_regularization
 from tdalc.density import PopulationParams
 from tdalc.errors import ConfigurationError, NumericalError, ParameterError
 from tdalc.grid_basis import DiscretizationGrid, SpatialMesh
@@ -116,7 +119,6 @@ class TestCost:
         p = make_params()
         grid = DiscretizationGrid.from_params(p)
         ep = episodes_from(p, grid, n=1)[0]
-        from dataclasses import replace
         bare = replace(ep, u=None)
         with pytest.raises(ConfigurationError):
             cost(p, [bare], grid)
@@ -128,6 +130,28 @@ class TestCost:
         half = DiscretizationGrid.from_params(p, tau=0.5)
         with pytest.raises(ConfigurationError):
             cost(p, eps, half)
+
+
+@pytest.mark.parametrize("case", ["empty", "tac_only", "tau"])
+def test_one_training_episode_check(case):
+    # the fit and the weight search reject the same training sets alike
+    p = make_params()
+    grid = DiscretizationGrid.from_params(p)
+    ep = episodes_from(p, grid, n=1)[0]
+    bad = {"empty": [], "tac_only": [replace(ep, u=None)],
+           "tau": [replace(ep, tau=0.5)]}[case]
+    ops = forward_model.assemble(p, grid)
+    calls = [lambda: fit_population(bad, grid, init=p),
+             lambda: cost(p, bad, grid),
+             lambda: select_regularization(ops, bad)]
+    if bad:
+        calls.append(lambda: fit_episode_deterministic(bad[0], grid))
+    messages = set()
+    for call in calls:
+        with pytest.raises(ConfigurationError) as info:
+            call()
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 def fd_gradient_mismatch(probe, eps, grid, fit_lower=False):

@@ -296,6 +296,28 @@ class TestCredibleBandScalar:
         assert np.max(np.abs(band.lower - curves.min(axis=0))) <= tol
         assert np.max(np.abs(band.upper - curves.max(axis=0))) <= tol
 
+    def test_unsettled_samples_fall_back_to_single_subject(self, monkeypatch):
+        # each sample the batch leaves is one deconvolve_deterministic call,
+        # warm-started from the solution at q = mu
+        params = make_params()
+        tac, grid = pulse_tac()
+        det = forward_model.deterministic_ops(params.mu, grid.spatial,
+                                              grid.tau)
+        _, start = deconvolve_deterministic(det, tac, 1e-3, 1e-3)
+        left = leave_to_nnls(monkeypatch, every=2)
+        solve = deconvolution.deconvolve_deterministic
+        starts = []
+
+        def spy(det, tac, r1, r2, m=None, x0=None):
+            starts.append(x0)
+            return solve(det, tac, r1, r2, m, x0)
+
+        monkeypatch.setattr(deconvolution, "deconvolve_deterministic", spy)
+        credible_band_scalar(tac, params, grid, 1e-3, 1e-3, n_samples=60,
+                             seed=5)
+        assert len(starts) == sum(left) > 0
+        assert all(np.array_equal(x0, start.x) for x0 in starts)
+
     def test_capped_solves_dropped_and_counted(self, monkeypatch):
         params = make_params()
         tac, grid = pulse_tac()
@@ -362,15 +384,19 @@ def per_sample_reference(tac, params, grid, r1, r2, n_samples, seed):
 
 def leave_to_nnls(monkeypatch, every):
     """Make the band's batched pivots leave every ``every``-th problem of a
-    group unsettled, so that its sample goes through ``nnls``."""
+    group unsettled, so that its sample goes through ``nnls``.  Returns the
+    list of unsettled counts, one per group."""
     pivots = deconvolution._pivots
+    left = []
 
     def spy(gram, f, x0):
         x, settled = pivots(gram, f, x0)
         settled[::every] = False
+        left.append(int(np.count_nonzero(~settled)))
         return x, settled
 
     monkeypatch.setattr(deconvolution, "_pivots", spy)
+    return left
 
 
 def spy_warm_nnls(monkeypatch, cap_every=0):
@@ -485,7 +511,8 @@ class TestStatsReport:
         est = EpisodeStats(peak=0.08, peak_time=1.0, auc=0.08,
                            elimination_rate=0.08, absorption_rate=None,
                            threshold=0.001)
-        write_stats_report(path, [("ep1", None, est, None)])
+        write_stats_report(path, [("ep1", None, est, None),
+                                  ("ep2", est, est, None)])
         lines = path.read_text().strip().splitlines()
         head = lines[0].split(",")
         assert head[0] == "episode"
@@ -498,3 +525,6 @@ class TestStatsReport:
         assert row[6] == "0.0800"
         assert row[10] == ""          # undefined absorption rate
         assert len(row) == len(head)
+        # measured and estimated cells are format_stats_row's rendering
+        assert lines[2].startswith(
+            f"ep2,{format_stats_row(est)},{format_stats_row(est)},")
