@@ -18,7 +18,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import ConfigurationError, ParseError
 
@@ -65,10 +65,36 @@ def check_training_episodes(episodes: list[Episode], tau: float) -> None:
                 f"episode {ep.ident!r} has tau {ep.tau}, the model has {tau}")
 
 
+def _natural_spline(t: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The natural cubic spline through (t, v), at least three knots, at x.
+
+    Its second derivatives M at the knots, zero at both ends, solve the
+    tridiagonal continuity system h_i-1 M_i-1 + 2 (h_i-1 + h_i) M_i
+    + h_i M_i+1 = 6 (s_i - s_i-1) of the knot gaps h and chord slopes s.  On
+    piece i with A = (t_i+1 - x) / h_i and B = 1 - A it is A v_i + B v_i+1
+    + ((A^3 - A) M_i + (B^3 - B) M_i+1) h_i^2 / 6, so a knot returns its
+    value exactly; beyond the data the end pieces extrapolate.
+    """
+    h = np.diff(t)
+    slope = np.diff(v) / h
+    bands = np.zeros((3, t.size - 2))
+    bands[0, 1:] = h[1:-1]
+    bands[1] = 2.0 * (h[:-1] + h[1:])
+    bands[2, :-1] = h[1:-1]
+    curv = np.zeros(t.size)
+    curv[1:-1] = solve_banded((1, 1), bands, 6.0 * np.diff(slope))
+    i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, t.size - 2)
+    gap = h[i]
+    a = (t[i + 1] - x) / gap
+    b = (x - t[i]) / gap
+    return (a * v[i] + b * v[i + 1]
+            + ((a ** 3 - a) * curv[i] + (b ** 3 - b) * curv[i + 1]) * gap * gap / 6.0)
+
+
 def resample(times: np.ndarray, values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Natural cubic spline through (times, values) sampled on grid, clamped
-    at zero from below.  Falls back to linear interpolation when fewer than
-    three samples exist."""
+    at zero from below (``_natural_spline``).  Falls back to linear
+    interpolation when fewer than three samples exist."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.size == 0:
@@ -78,7 +104,7 @@ def resample(times: np.ndarray, values: np.ndarray, grid: np.ndarray) -> np.ndar
     elif times.size == 2:
         out = np.interp(grid, times, values)
     else:
-        out = CubicSpline(times, values, bc_type="natural")(grid)
+        out = _natural_spline(times, values, np.asarray(grid, dtype=float))
     return np.maximum(out, 0.0)
 
 

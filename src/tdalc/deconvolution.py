@@ -47,8 +47,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import block_diag
 from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf
-from scipy.optimize import minimize
-from scipy.sparse.linalg import LinearOperator
 
 from .data_io import Episode, check_training_episodes
 from .errors import ConfigurationError, NumericalError, ParameterError
@@ -318,13 +316,23 @@ def _scales(diag: np.ndarray) -> np.ndarray:
     return np.where(diag > 0.0, np.sqrt(diag), 1.0)
 
 
-class _StackedOperator(LinearOperator):
+class _StackedOperator:
     """The stacked matrix [design; block-diagonal penalty root] as a linear
-    operator on vectors; ``nnls`` solves on its blocks."""
+    operator on vectors: ``shape``, ``a @ v`` and ``a.T @ r``, never dense;
+    ``nnls`` solves on its blocks."""
 
     def __init__(self, design: np.ndarray, roots: np.ndarray):
         self.design, self.roots = design, roots
-        super().__init__(float, (sum(design.shape), design.shape[1]))
+        self.shape = (sum(design.shape), design.shape[1])
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self._matvec(np.asarray(v, dtype=float))
+
+    @property
+    def T(self) -> _Adjoint:
+        # built on access: an adjoint kept on the operator would form a
+        # reference cycle, and the design would wait for the cyclic collector
+        return _Adjoint(self)
 
     def _matvec(self, v: np.ndarray) -> np.ndarray:
         pen = self.roots @ v.reshape(*self.roots.shape[:2], 1)
@@ -334,6 +342,17 @@ class _StackedOperator(LinearOperator):
         k, (cells, m, _) = self.design.shape[0], self.roots.shape
         pen = np.swapaxes(self.roots, 1, 2) @ v[k:].reshape(cells, m, 1)
         return self.design.T @ v[:k] + pen.ravel()
+
+
+class _Adjoint:
+    """The transpose of a ``_StackedOperator``, applied by its ``_rmatvec``."""
+
+    def __init__(self, op: _StackedOperator):
+        self.op = op
+        self.shape = op.shape[::-1]
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.op._rmatvec(np.asarray(v, dtype=float))
 
 
 class _Normal:
@@ -746,6 +765,8 @@ def select_regularization(ops: DiscreteTimeOps, episodes: list[Episode],
     ``converged`` False.  Episodes that cannot train raise
     ``ConfigurationError`` (``check_training_episodes``).
     """
+    from scipy.optimize import minimize     # loaded by the search alone
+
     check_training_episodes(episodes, ops.tau)
     lo, hi = _LOG_BOUNDS
     search = [SearchEpisode(ops, ep, m=m, variant=variant) for ep in episodes]

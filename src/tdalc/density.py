@@ -18,6 +18,12 @@ integrals of phi along the mesh lines, phi_1(x) times a conditional normal
 interval probability, and to phi at the mesh nodes.  No quadrature is
 involved, so the weights stay accurate for laws of any width: a law far
 narrower than its cell puts all the mass in that cell, at the mean.
+
+The credible disk's mass is the one integral left: the marginal density
+times a conditional slab probability across the disk, summed by a globally
+adaptive 21-point Gauss-Kronrod rule (QUADPACK's QK21 and its error
+estimate, at most 200 pieces) written in numpy, and its radius is Brent's
+root of that mass.  The module needs only numpy and ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -29,11 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import ndtr, owens_t
 
-from .errors import ConfigurationError, ParameterError, SamplingError
+from .errors import (ConfigurationError, NumericalError, ParameterError,
+                     SamplingError)
 from .grid_basis import ParamMesh
 
 _SQRT2 = math.sqrt(2.0)
@@ -503,16 +508,151 @@ class CredibleRadius:
     attained: bool
 
 
+#: QUADPACK's 21-point Kronrod rule (QK21) on [-1, 1]: the nodes in [0, 1]
+#: from the outermost in, the Kronrod weights, and the weights of the
+#: 10-point Gauss rule on every second node
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208643474695, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# the rule over all 21 nodes, with the Gauss weights zero at Kronrod-only ones
+_GK_X = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_GK_WK = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_GK_WG = np.zeros(21)
+_GK_WG[1:10:2], _GK_WG[11:20:2] = _WG, _WG[::-1]
+#: most pieces the adaptive rule splits an integral into (QUADPACK's limit)
+_QUAD_LIMIT = 200
+#: most steps of ``_brent_root`` (``brentq``'s default)
+_BRENT_MAXITER = 100
+_EPS = np.finfo(float).eps
+
+
+def _kronrod(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QK21 on each piece [lo, hi]: the Kronrod sums and QUADPACK's error
+    estimates, which scale the Gauss-Kronrod difference by the integrand's
+    spread about its mean and keep a rounding floor."""
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fx = f(centre[:, None] + half[:, None] * _GK_X)
+    resk = fx @ _GK_WK
+    diff = np.abs((resk - fx @ _GK_WG) * half)
+    resasc = (np.abs(fx - 0.5 * resk[:, None]) @ _GK_WK) * np.abs(half)
+    resabs = (np.abs(fx) @ _GK_WK) * np.abs(half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where((resasc != 0.0) & (diff != 0.0),
+                       resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5), diff)
+    err = np.where(resabs > _TINY / (50.0 * _EPS),
+                   np.maximum(50.0 * _EPS * resabs, err), err)
+    return resk * half, err
+
+
+def _adaptive_gauss(f, breaks, epsabs: float,
+                    epsrel: float) -> tuple[float, float, int]:
+    """Globally adaptive QK21 sum of ``f`` over [breaks[0], breaks[-1]],
+    starting from the pieces between consecutive ``breaks``.
+
+    While the summed error estimate exceeds max(epsabs, epsrel |integral|),
+    every piece whose error exceeds its share of that tolerance, in
+    proportion to its length, is halved, the worst first when fewer than
+    that many pieces are left below ``_QUAD_LIMIT``; at that many pieces it
+    stops whatever the error.  ``f`` maps an array of abscissae to values.
+    Returns the integral, its error estimate and the number of pieces.
+    """
+    edges = np.asarray(breaks, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    length = edges[-1] - edges[0]
+    val, err = _kronrod(f, lo, hi)
+    while True:
+        total, spread = float(val.sum()), float(err.sum())
+        tol = max(epsabs, epsrel * abs(total))
+        if spread <= tol or lo.size >= _QUAD_LIMIT:
+            return total, spread, lo.size
+        split = err > tol * (hi - lo) / length
+        room = _QUAD_LIMIT - lo.size
+        if np.count_nonzero(split) > room:
+            split[:] = False
+            split[np.argsort(err)[-room:]] = True
+        mid = 0.5 * (lo[split] + hi[split])
+        new_val, new_err = _kronrod(f, np.concatenate([lo[split], mid]),
+                                    np.concatenate([mid, hi[split]]))
+        keep = ~split
+        lo = np.concatenate([lo[keep], lo[split], mid])
+        hi = np.concatenate([hi[keep], mid, hi[split]])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
+
+
+def _brent_root(f, lo: float, hi: float, xtol: float) -> float:
+    """Brent's root of ``f`` on a bracket [lo, hi] where it changes sign:
+    inverse quadratic or secant steps, bisection when a step would not
+    shrink the bracket fast enough (Brent, 1973; scipy's ``brentq``).  Stops
+    once the bracket is within xtol + 4 eps |x| and returns its end of
+    smaller |f|."""
+    x_pre, x_cur = lo, hi
+    f_pre, f_cur = f(x_pre), f(x_cur)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (xtol + 4.0 * _EPS * abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        short = False
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:      # secant
+                trial = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:                   # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) \
+                    / (d_blk * d_pre * (f_blk - f_pre))
+            short = 2.0 * abs(trial) < min(abs(s_pre), 3.0 * abs(s_bis) - delta)
+        if short:
+            s_pre, s_cur = s_cur, trial
+        else:       # bisect
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = f(x_cur)
+    raise NumericalError(
+        f"root finder did not converge in {_BRENT_MAXITER} steps")
+
+
 def _disk_mass(params: PopulationParams, r: float, z: float) -> float:
     """Truncated-normal mass of the disk of radius r centered at mu.
 
     Integrates the marginal density times the conditional slab probability
     over the disk's x-extent, with a sine substitution so the circular limits
-    stay smooth.
+    stay smooth, by ``_adaptive_gauss`` from breaks that split off the
+    marginal's peak and the kinks where the disk's rim crosses a horizontal
+    edge of the box.
     """
     if r <= 0:
         return 0.0
     mu1, mu2 = params.mu
+    a2, b2 = params.a[1], params.b[1]
     s11 = params.sigma[0, 0]
     s12 = params.sigma[0, 1]
     s22 = params.sigma[1, 1]
@@ -524,22 +664,24 @@ def _disk_mass(params: PopulationParams, r: float, z: float) -> float:
         return 0.0
     th_lo = math.asin(min(1.0, max(-1.0, (x_lo - mu1) / r)))
     th_hi = math.asin(min(1.0, max(-1.0, (x_hi - mu1) / r)))
+    norm = 1.0 / (sd1 * math.sqrt(2 * math.pi))
 
     def integrand(th):
-        x = mu1 + r * math.sin(th)
-        half = r * math.cos(th)
-        y_lo = max(params.a[1], mu2 - half)
-        y_hi = min(params.b[1], mu2 + half)
-        if y_hi <= y_lo:
-            return 0.0
-        m = mu2 + s12 / s11 * (x - mu1)
-        slab = ndtr((y_hi - m) / cond_sd) - ndtr((y_lo - m) / cond_sd)
-        marg = math.exp(-0.5 * ((x - mu1) / sd1) ** 2) / (sd1 * math.sqrt(2 * math.pi))
-        return marg * slab * r * math.cos(th)
+        off, half = r * np.sin(th), r * np.cos(th)
+        y_lo = np.maximum(a2, mu2 - half)
+        y_hi = np.minimum(b2, mu2 + half)
+        m = mu2 + s12 / s11 * off
+        slab = np.where(y_hi > y_lo, ndtr((y_hi - m) / cond_sd)
+                        - ndtr((y_lo - m) / cond_sd), 0.0)
+        return norm * np.exp(-0.5 * (off / sd1) ** 2) * slab * half
 
     breaks = [math.asin((x - mu1) / r) for x in _peak_breaks(x_lo, x_hi, mu1, sd1)]
-    val, _ = quad(integrand, th_lo, th_hi, epsabs=1e-12, epsrel=1e-10, limit=200,
-                  points=breaks or None)
+    for gap in (abs(mu2 - a2), abs(b2 - mu2)):
+        if gap < r:     # the rim meets the edge where r cos(theta) = gap
+            turn = math.acos(gap / r)
+            breaks += [t for t in (-turn, turn) if th_lo < t < th_hi]
+    edges = np.unique(np.concatenate([[th_lo, th_hi], breaks]))
+    val, _, _ = _adaptive_gauss(integrand, edges, epsabs=1e-12, epsrel=1e-10)
     return val / z
 
 
@@ -547,7 +689,9 @@ def credible_region_radius(params: PopulationParams,
                            alpha: float) -> CredibleRadius:
     """Radius of the Euclidean disk centered at mu holding mass alpha.
 
-    Brent's method on the quadrature-evaluated disk mass.  When the whole
+    Brent's method (``_brent_root``, to 1e-14 of the larger of 1 and the
+    farthest box corner's distance) on the disk mass ``_disk_mass``, which
+    adaptive Gauss-Kronrod quadrature sums.  When the whole
     support box holds less than alpha - 1e-12 (mu far outside the box), the
     radius covering the entire support is returned with ``attained=False``.
     The result is kept per process for the exact bits of the law's nine
@@ -580,8 +724,8 @@ def _credible_radius(params: PopulationParams, alpha: float) -> CredibleRadius:
     if top <= alpha:    # no sign change for the root finder
         return CredibleRadius(radius=r_max, alpha=alpha, mass=top,
                               attained=top >= alpha - 1e-12)
-    radius = brentq(lambda r: _disk_mass(params, r, z) - alpha, 0.0, r_max,
-                    xtol=1e-14 * max(1.0, r_max))
+    radius = _brent_root(lambda r: _disk_mass(params, r, z) - alpha, 0.0, r_max,
+                         xtol=1e-14 * max(1.0, r_max))
     return CredibleRadius(radius=radius, alpha=alpha,
                           mass=_disk_mass(params, radius, z), attained=True)
 

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from . import density, forward_model
 from .data_io import Episode, check_training_episodes
@@ -230,6 +229,8 @@ def fit_episode_deterministic(ep: Episode, grid: DiscretizationGrid,
     (gain clipped to 0 or q_max, or q1 at either end of the grid) is flagged:
     it usually means the TAC channel carries no usable signal.
     """
+    from scipy.optimize import minimize_scalar     # loaded by the fit alone
+
     _check_episodes([ep], grid)
     if not _Q1_FLOOR < q_max:
         raise ConfigurationError(f"q_max must exceed {_Q1_FLOOR}, got {q_max}")
@@ -378,6 +379,8 @@ def fit_population(episodes: list[Episode], grid: DiscretizationGrid,
     data units.  When no starting point is supplied, each episode is first
     fit deterministically and the estimates seed the population parameters.
     """
+    from scipy.optimize import minimize     # loaded by the fit alone
+
     _check_episodes(episodes, grid)
     energy = _data_energy(episodes)
     per_episode: list[DeterministicFit] = []

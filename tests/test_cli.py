@@ -1,12 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tdalc
 from tdalc import cli, forward_model
 from tdalc.cli import main, read_config
 from tdalc.deconvolution import RegularizationSearch
@@ -404,6 +409,50 @@ class TestDeconvolve:
         args = cli.build_parser().parse_args(record_a + ["--train", "x.csv"])
         assert args.train == ["x.csv"]
         assert cli.build_parser().parse_args(record_a).train == []
+
+
+#: what the per-record commands must not load: the optimizers and what
+#: they bring with them
+_HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
+          "scipy.sparse")
+
+_FOOTPRINT_RUN = """
+import json, sys
+from pathlib import Path
+from tdalc.cli import main
+
+work, rho = Path(sys.argv[1]), sys.argv[2]
+(work / "sim.cfg").write_text(sys.argv[3])
+assert main(["simulate", str(work / "sim.cfg"), "--out-dir", str(work / "eps")]) == 0
+record = str(work / "eps" / "synth-000.csv")
+for variant in ("tq", "scalar"):
+    assert main(["deconvolve", record, "--rho", rho, "--r1", "1e-3", "--r2", "1e-3",
+                 "--variant", variant, "--samples", "60",
+                 "--out-prefix", str(work / variant)]) == 0
+assert main(["stats", str(work / "scalar.curve.csv")]) == 0
+loaded = [name for name in json.loads(sys.argv[4]) if name in sys.modules]
+fit = main(["fit", record, "--out", str(work / "fit.txt"), "--max-iter", "2"])
+print(json.dumps({"loaded": loaded, "fit": fit,
+                  "optimize_after_fit": "scipy.optimize" in sys.modules}))
+"""
+
+
+class TestFootprint:
+    def test_record_commands_load_no_optimizer(self, tmp_path):
+        # in a fresh interpreter: this one holds scipy.integrate for oracles
+        rho = write_rho(tmp_path / "rho.params")
+        config = BASE_CONFIG.replace("n_episodes = 3", "n_episodes = 1")
+        src = str(Path(tdalc.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_RUN, str(tmp_path), str(rho),
+             config, json.dumps(_HEAVY)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [src, os.environ.get("PYTHONPATH", "")])})
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["loaded"] == []
+        assert report["fit"] in (0, 3) and report["optimize_after_fit"]
 
 
 class TestStats:

@@ -198,6 +198,24 @@ class TestResample:
         with pytest.raises(ConfigurationError):
             resample(np.array([]), np.array([]), np.arange(3.0))
 
+    @pytest.mark.parametrize("n", [3, 4, 50])
+    def test_matches_scipy_natural_spline(self, n):
+        # non-uniform knots, and a grid one end gap past either end, where
+        # both splines extrapolate with their end pieces
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            t = np.cumsum(np.concatenate([[rng.uniform(0.0, 5.0)],
+                                          rng.uniform(1.0, 4.0, n - 1)]))
+            v = rng.uniform(0.0, 0.1, n)
+            grid = np.linspace(2.0 * t[0] - t[1], 2.0 * t[-1] - t[-2], 301)
+            want = np.maximum(CubicSpline(t, v, bc_type="natural")(grid), 0.0)
+            assert np.max(np.abs(resample(t, v, grid) - want)) \
+                <= 1e-13 * np.max(np.abs(v))
+            # a knot on the grid returns its datum exactly
+            assert np.array_equal(resample(t, v, t[1:-1]), v[1:-1])
+
 
 class TestBuildEpisode:
     def test_grid_count(self):

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -487,6 +489,35 @@ class TestBuildProblem:
         prob = build_problem(ops, tac, 0.0, 0.0, m=121, variant="scalar")
         y_design = prob.design @ u
         assert np.max(np.abs(y_design - tac)) < 1e-9
+
+
+class TestStackedOperator:
+    def test_products_match_dense_stacked(self):
+        ops = make_ops()
+        prob = build_problem(ops, make_tac(ops, pulse(121)), 2e-3, 5e-2)
+        a = deconvolution._StackedOperator(prob.design, prob.penalty_sqrt)
+        dense = prob.stacked
+        rng = np.random.default_rng(3)
+        x, r = rng.standard_normal(a.shape[1]), rng.standard_normal(a.shape[0])
+        assert a.shape == dense.shape and a.T.shape == dense.T.shape
+        assert np.allclose(a @ x, dense @ x, rtol=1e-13, atol=1e-15)
+        assert np.allclose(a.T @ r, dense.T @ r, rtol=1e-13, atol=1e-15)
+
+    def test_freed_without_cyclic_collector(self):
+        # the adjoint is built on access, so the operator (and the design
+        # it holds) goes with its last reference even after op.T @ v
+        rng = np.random.default_rng(4)
+        design = rng.standard_normal((12, 6))
+        roots = rng.standard_normal((2, 3, 3))
+        gc.disable()
+        try:
+            op = deconvolution._StackedOperator(design, roots)
+            op.T @ (op @ np.ones(6))
+            ref = weakref.ref(op)
+            del op
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestDeconvolve:

@@ -297,6 +297,128 @@ class TestCredibleRadius:
                                            rel=1e-4)
 
 
+def polar_disk_mass(params, radius):
+    """Truncated-normal mass of the radius-disk at mu and its derivative in
+    the radius, independent of the density module.
+
+    Polar coordinates about mu, as in the acceptance gate's oracle, but
+    clipped to the support box: along the unit direction u the raw Gaussian
+    falls as exp(-q r^2 / 2), q = u^T Sigma^-1 u, so its radial integral
+    between where the ray enters and leaves the box (within the radius) is
+    in closed form.  scipy's ``quad`` sums the angles between the integrand's
+    kinks: the box corners, the rim's crossings of the box edges and the
+    principal axes.  The box mass is the same integral with no radius."""
+    mu, a, b = (np.asarray(v, dtype=float) for v in (params.mu, params.a, params.b))
+    sinv = np.linalg.inv(params.sigma)
+
+    def chord(theta):
+        u = np.array([math.cos(theta), math.sin(theta)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ends = np.sort([(a - mu) / u, (b - mu) / u], axis=0)
+        inside = (a <= mu) & (mu <= b)
+        ends[:, u == 0.0] = np.where(inside, [[-np.inf], [np.inf]],
+                                     [[np.inf], [-np.inf]])[:, u == 0.0]
+        return max(ends[0].max(), 0.0), ends[1].min(), u @ sinv @ u
+
+    def mass(theta, reach):
+        lo, hi, q = chord(theta)
+        hi = min(hi, reach)
+        return 0.0 if hi <= lo else (
+            math.exp(-0.5 * q * lo * lo) - math.exp(-0.5 * q * hi * hi)) / q
+
+    def rim(theta):
+        lo, hi, q = chord(theta)
+        return radius * math.exp(-0.5 * q * radius ** 2) if lo < radius < hi else 0.0
+
+    kinks = [0.0, math.pi / 2, -math.pi / 2]
+    kinks += [math.atan2(y - mu[1], x - mu[0]) for x in (a[0], b[0])
+              for y in (a[1], b[1])]
+    for k, edge in ((0, a[0]), (0, b[0]), (1, a[1]), (1, b[1])):
+        if abs(edge - mu[k]) < radius:
+            turn = math.acos((edge - mu[k]) / radius) if k == 0 else \
+                math.asin((edge - mu[k]) / radius)
+            for t in ((turn, -turn) if k == 0 else (turn, math.pi - turn)):
+                kinks.append(math.atan2(math.sin(t), math.cos(t)))
+    for vec in np.linalg.eigh(params.sigma)[1].T:
+        kinks += [math.atan2(vec[1], vec[0]), math.atan2(-vec[1], -vec[0])]
+    edges = np.unique(np.clip(kinks + [-math.pi, math.pi], -math.pi, math.pi))
+
+    def total(f, *args):
+        return sum(integrate.quad(f, lo, hi, args=args, epsabs=1e-16,
+                                  epsrel=1e-13, limit=500)[0]
+                   for lo, hi in zip(edges[:-1], edges[1:]))
+
+    box = total(mass, np.inf)
+    return total(mass, radius) / box, total(rim) / box
+
+
+RADIUS_LAWS = {
+    "inside": law((0.62, 1.0), (0.2, 0.3), 0.2),
+    "clipped wide": PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0), mu=(0.3, 0.4),
+                                     sigma=((0.2, 0.05), (0.05, 0.3))),
+    "mu outside": law((1.7, 1.0), (0.2, 0.3), 0.2),
+    "narrow": law((0.62, 0.9), (1e-6, 1e-6), 0.0),
+    "anisotropic": law((0.62, 1.0), (1e-4, 0.2), 0.0),
+    "correlated": law((0.62, 1.0), (0.2, 0.3), 0.95),
+}
+
+
+class TestCredibleRadiusTable:
+    @pytest.mark.parametrize("alpha", [1e-7, 0.5, 0.75, 0.99])
+    @pytest.mark.parametrize("name", list(RADIUS_LAWS))
+    def test_mass_at_radius_matches_oracle(self, name, alpha):
+        # the radius is found to xtol = 1e-14 max(1, r_max), so the disk may
+        # miss alpha by that much times the mass's slope in the radius
+        params = RADIUS_LAWS[name]
+        rad = density._credible_radius(params, alpha)
+        assert rad.attained and rad.alpha == alpha
+        mass, slope = polar_disk_mass(params, rad.radius)
+        corners = np.array([[x, y] for x in (params.a[0], params.b[0])
+                            for y in (params.a[1], params.b[1])])
+        r_max = np.max(np.linalg.norm(corners - params.mu, axis=1))
+        xtol = 1e-14 * max(1.0, r_max)
+        assert abs(mass - alpha) <= 1e-9 * alpha + 2.0 * slope * xtol
+        assert abs(rad.mass - mass) <= 1e-9 * alpha + 2.0 * slope * xtol
+
+    def test_clipped_wide_law_at_half(self):
+        # the rim crosses the box's lower edge inside the integration range:
+        # without a break there QUADPACK's sum was 1.6e-12 off in mass
+        params = RADIUS_LAWS["clipped wide"]
+        radius = density._credible_radius(params, 0.5).radius
+        assert abs(polar_disk_mass(params, radius)[0] - 0.5) <= 1e-14
+
+
+class TestAdaptiveGauss:
+    def test_polynomials_exact_to_degree_31(self):
+        # the Kronrod sum is exact to degree 31, the embedded Gauss rule to
+        # 19, so below that the error estimate is only the rounding floor
+        for degree in range(32):
+            got, err, pieces = density._adaptive_gauss(
+                lambda x: x ** degree, [-1.0, 1.0], epsabs=1.0, epsrel=0.0)
+            assert pieces == 1
+            assert got == pytest.approx((1.0 + (-1.0) ** degree) / (degree + 1),
+                                        abs=1e-15)
+            assert degree >= 20 or err <= 1e-13
+
+    def test_meets_tolerance_from_breaks(self):
+        got, err, pieces = density._adaptive_gauss(
+            lambda x: np.exp(-x * x / 2e-6), [-1.0, 0.0, 1.0],
+            epsabs=1e-14, epsrel=1e-12)
+        assert abs(got - math.sqrt(2e-6 * math.pi)) <= 1e-14
+        assert err <= max(1e-14, 1e-12 * got) and pieces < density._QUAD_LIMIT
+
+    def test_discontinuous_integrand_stops_at_cap(self):
+        # a square wave with 600 jumps: no piece count under the cap meets
+        # the tolerance, so the rule stops there
+        def wave(x):
+            return np.floor(600.0 * x) % 2.0
+
+        got, err, pieces = density._adaptive_gauss(
+            wave, [0.0, 1.0], epsabs=1e-12, epsrel=1e-10)
+        assert pieces == density._QUAD_LIMIT == 200
+        assert err > 1e-10 and abs(got - 0.5) < 0.05
+
+
 class TestCredibleRadiusMemo:
     @pytest.fixture(autouse=True)
     def empty_memo(self):
