@@ -727,8 +727,8 @@ def _selection_misfit(episodes: list[SearchEpisode], r1: float,
 class RegularizationSearch:
     """Outcome of the weight search; unpacks as ``r1, r2``.
 
-    ``path`` holds one (log10 r1, log10 r2, score) entry per objective
-    evaluation, in order: the start grid, then the Nelder-Mead stage.
+    ``path`` holds one (log10 r1, log10 r2, score) entry per point scored,
+    in order: the start grid, then the compass stage.
     ``at_bound`` is True when the selected point lies on an edge of the
     search box, so the optimum may lie outside it.
     """
@@ -746,6 +746,8 @@ class RegularizationSearch:
 
 #: nodes per axis of the start grid over the search box
 _GRID_NODES = 5
+#: the compass search stops once its step is below this many decades
+_STEP_TOL = 1e-3
 
 
 def select_regularization(ops: DiscreteTimeOps, episodes: list[Episode],
@@ -756,48 +758,57 @@ def select_regularization(ops: DiscreteTimeOps, episodes: list[Episode],
     The search runs over the log10 weights inside the box ``_LOG_BOUNDS``.
     It first scores a 5 x 5 grid spanning the box, visited in snake order
     so each warm-started solve starts from a neighbouring point, then runs
-    bounded Nelder-Mead from the best grid point with unit steps into the
-    box; ``max_iter`` bounds that second stage only.  The box's lower edge
-    is log10(``REG_FLOOR``), so the selected weights are never below the
-    floor and never zero; ``at_bound`` on the returned record says whether
-    the selection lies on an edge of the box.  A search that does not meet
-    its tolerances warns and returns the best point found, with
-    ``converged`` False.  Episodes that cannot train raise
-    ``ConfigurationError`` (``check_training_episodes``).
+    a compass search from the best grid point (Kolda, Lewis & Torczon,
+    SIAM Rev. 45, 2003): it moves to the first of +r1, -r1, +r2 and -r2 one
+    step away, clipped to the box, that scores strictly lower, and halves
+    the step, from 1 decade, when none does, until it is below
+    ``_STEP_TOL``.  As it only compares scores, its path does not depend on
+    the data's units.  No point is scored twice; ``max_iter`` bounds the
+    second stage's evaluations.  The box's lower edge is
+    log10(``REG_FLOOR``), so the selected weights are never below the floor
+    and never zero; ``at_bound`` on the returned record says whether the
+    selection lies on an edge of the box.  A search that runs out of
+    evaluations warns and returns the best point found, with ``converged``
+    False.  Episodes that cannot train raise ``ConfigurationError``
+    (``check_training_episodes``).
     """
-    from scipy.optimize import minimize     # loaded by the search alone
-
     check_training_episodes(episodes, ops.tau)
     lo, hi = _LOG_BOUNDS
     search = [SearchEpisode(ops, ep, m=m, variant=variant) for ep in episodes]
-    path: list[tuple[float, float, float]] = []
+    scores: dict[tuple[float, float], float] = {}     # in scoring order
 
-    def objective(logr):
-        r1, r2 = _snap_regs(*(10.0 ** np.asarray(logr, dtype=float)))
-        score = _selection_misfit(search, r1, r2)
-        path.append((float(logr[0]), float(logr[1]), score))
-        return score
+    def objective(logr: tuple[float, float]) -> float:
+        if logr not in scores:
+            r1, r2 = _snap_regs(*(10.0 ** np.array(logr)))
+            scores[logr] = _selection_misfit(search, r1, r2)
+        return scores[logr]
 
-    nodes = np.linspace(lo, hi, _GRID_NODES)
+    nodes = np.linspace(lo, hi, _GRID_NODES).tolist()
     for i, log_r2 in enumerate(nodes):
         for log_r1 in (nodes if i % 2 == 0 else nodes[::-1]):
             objective((log_r1, log_r2))
-    start = np.array(min(path, key=lambda p: p[2])[:2])
-    steps = np.where(start + 1.0 <= hi, 1.0, -1.0)
-    simplex = np.array([start, start + [steps[0], 0.0],
-                        start + [0.0, steps[1]]])
-    res = minimize(objective, start, method="Nelder-Mead",
-                   bounds=[_LOG_BOUNDS] * 2,
-                   options={"maxiter": max_iter, "xatol": 0.02,
-                            "fatol": 1e-12, "initial_simplex": simplex})
-    if not res.success:
+    best = min(scores, key=scores.get)
+    budget = len(scores) + max_iter
+    step, converged = 0.5 * (nodes[1] - nodes[0]), True
+    while converged and step >= _STEP_TOL:
+        for move in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+            poll = tuple(np.clip(np.add(best, move), lo, hi).tolist())
+            if poll not in scores and len(scores) == budget:
+                converged = False
+                break
+            if objective(poll) < scores[best]:
+                best = poll
+                break
+        else:
+            step *= 0.5
+    if not converged:
         warnings.warn("regularization search did not converge; using the "
                       "best point found", RuntimeWarning, stacklevel=2)
-    best = res.x
-    r1, r2 = _snap_regs(*(10.0 ** best))
+    r1, r2 = _snap_regs(*(10.0 ** np.array(best)))
     return RegularizationSearch(
-        r1=r1, r2=r2, converged=bool(res.success), evals=len(path),
-        at_bound=bool(np.any((best <= lo) | (best >= hi))), path=tuple(path))
+        r1=r1, r2=r2, converged=converged, evals=len(scores),
+        at_bound=any(v in (lo, hi) for v in best),
+        path=tuple((*logr, score) for logr, score in scores.items()))
 
 
 def write_result_csv(path, times: np.ndarray, mean_curve: np.ndarray,

@@ -22,8 +22,9 @@ narrower than its cell puts all the mass in that cell, at the mean.
 The credible disk's mass is the one integral left: the marginal density
 times a conditional slab probability across the disk, summed by a globally
 adaptive 21-point Gauss-Kronrod rule (QUADPACK's QK21 and its error
-estimate, at most 200 pieces) written in numpy, and its radius is Brent's
-root of that mass.  The module needs only numpy and ``scipy.special``.
+estimate, at most 200 pieces) written in numpy, and its radius is found by
+bisecting on that mass to full double precision, so a narrow law's radius is
+as good as a wide one's.  The module needs only numpy and ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ import numpy as np
 from numpy.polynomial.laguerre import laggauss
 from scipy.special import ndtr, owens_t
 
-from .errors import (ConfigurationError, NumericalError, ParameterError,
-                     SamplingError)
+from .errors import ConfigurationError, ParameterError, SamplingError
 from .grid_basis import ParamMesh
 
 _SQRT2 = math.sqrt(2.0)
@@ -536,8 +536,6 @@ _GK_WG = np.zeros(21)
 _GK_WG[1:10:2], _GK_WG[11:20:2] = _WG, _WG[::-1]
 #: most pieces the adaptive rule splits an integral into (QUADPACK's limit)
 _QUAD_LIMIT = 200
-#: most steps of ``_brent_root`` (``brentq``'s default)
-_BRENT_MAXITER = 100
 _EPS = np.finfo(float).eps
 
 
@@ -595,51 +593,6 @@ def _adaptive_gauss(f, breaks, epsabs: float,
         err = np.concatenate([err[keep], new_err])
 
 
-def _brent_root(f, lo: float, hi: float, xtol: float) -> float:
-    """Brent's root of ``f`` on a bracket [lo, hi] where it changes sign:
-    inverse quadratic or secant steps, bisection when a step would not
-    shrink the bracket fast enough (Brent, 1973; scipy's ``brentq``).  Stops
-    once the bracket is within xtol + 4 eps |x| and returns its end of
-    smaller |f|."""
-    x_pre, x_cur = lo, hi
-    f_pre, f_cur = f(x_pre), f(x_cur)
-    if f_pre == 0.0:
-        return x_pre
-    if f_cur == 0.0:
-        return x_cur
-    x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = 0.5 * (xtol + 4.0 * _EPS * abs(x_cur))
-        s_bis = 0.5 * (x_blk - x_cur)
-        if f_cur == 0.0 or abs(s_bis) < delta:
-            return x_cur
-        short = False
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:      # secant
-                trial = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:                   # inverse quadratic
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) \
-                    / (d_blk * d_pre * (f_blk - f_pre))
-            short = 2.0 * abs(trial) < min(abs(s_pre), 3.0 * abs(s_bis) - delta)
-        if short:
-            s_pre, s_cur = s_cur, trial
-        else:       # bisect
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_cur = f(x_cur)
-    raise NumericalError(
-        f"root finder did not converge in {_BRENT_MAXITER} steps")
-
-
 def _disk_mass(params: PopulationParams, r: float, z: float) -> float:
     """Truncated-normal mass of the disk of radius r centered at mu.
 
@@ -689,16 +642,17 @@ def credible_region_radius(params: PopulationParams,
                            alpha: float) -> CredibleRadius:
     """Radius of the Euclidean disk centered at mu holding mass alpha.
 
-    Brent's method (``_brent_root``, to 1e-14 of the larger of 1 and the
-    farthest box corner's distance) on the disk mass ``_disk_mass``, which
-    adaptive Gauss-Kronrod quadrature sums.  When the whole
-    support box holds less than alpha - 1e-12 (mu far outside the box), the
-    radius covering the entire support is returned with ``attained=False``.
-    The result is kept per process for the exact bits of the law's nine
-    values and alpha (``_kept_radius``), so every band and interval set on
-    one law, and the same law read back from its file, reuse one
-    computation.  An alpha outside (0, 1) is a run setting, not a law, and
-    raises ``ConfigurationError``.
+    Bisection of [0, farthest box corner's distance] on whether the disk
+    mass ``_disk_mass``, which adaptive Gauss-Kronrod quadrature sums, is
+    below alpha, until the midpoint equals an end; the upper end is
+    returned, so the radius is good to the last bit at any width.  When the
+    whole support box holds less than alpha - 1e-12 (mu far outside the
+    box), the radius covering the entire support is returned with
+    ``attained=False``.  The result is kept per process for the exact bits
+    of the law's nine values and alpha (``_kept_radius``), so every band and
+    interval set on one law, and the same law read back from its file,
+    reuse one computation.  An alpha outside (0, 1) is a run setting, not a
+    law, and raises ``ConfigurationError``.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
@@ -721,13 +675,17 @@ def _credible_radius(params: PopulationParams, alpha: float) -> CredibleRadius:
                         [params.b[0], params.a[1]], [params.b[0], params.b[1]]])
     r_max = float(np.max(np.linalg.norm(corners - params.mu, axis=1)))
     top = _disk_mass(params, r_max, z)
-    if top <= alpha:    # no sign change for the root finder
+    if top <= alpha:    # no radius inside the box reaches alpha
         return CredibleRadius(radius=r_max, alpha=alpha, mass=top,
                               attained=top >= alpha - 1e-12)
-    radius = _brent_root(lambda r: _disk_mass(params, r, z) - alpha, 0.0, r_max,
-                         xtol=1e-14 * max(1.0, r_max))
-    return CredibleRadius(radius=radius, alpha=alpha,
-                          mass=_disk_mass(params, radius, z), attained=True)
+    lo, hi, mass = 0.0, r_max, top
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        mid_mass = _disk_mass(params, mid, z)
+        if mid_mass < alpha:
+            lo = mid
+        else:
+            hi, mass = mid, mid_mass
+    return CredibleRadius(radius=hi, alpha=alpha, mass=mass, attained=True)
 
 
 _PARAM_KEYS = ("a1", "a2", "b1", "b2", "mu1", "mu2", "s11", "s12", "s22")

@@ -411,8 +411,8 @@ class TestDeconvolve:
         assert cli.build_parser().parse_args(record_a).train == []
 
 
-#: what the per-record commands must not load: the optimizers and what
-#: they bring with them
+#: what the per-record commands and the weight search must not load: the
+#: optimizers and what they bring with them
 _HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
           "scipy.sparse")
 
@@ -429,6 +429,9 @@ for variant in ("tq", "scalar"):
     assert main(["deconvolve", record, "--rho", rho, "--r1", "1e-3", "--r2", "1e-3",
                  "--variant", variant, "--samples", "60",
                  "--out-prefix", str(work / variant)]) == 0
+assert main(["deconvolve", record, "--rho", rho, "--auto-reg", "--train", record,
+             "--variant", "scalar", "--samples", "60",
+             "--out-prefix", str(work / "auto")]) == 0
 assert main(["stats", str(work / "scalar.curve.csv")]) == 0
 loaded = [name for name in json.loads(sys.argv[4]) if name in sys.modules]
 fit = main(["fit", record, "--out", str(work / "fit.txt"), "--max-iter", "2"])

@@ -683,6 +683,15 @@ class TestSelectRegularization:
 
         assert misfit(r1, r2) <= misfit(1e-1, 1.0) + 1e-12
 
+    def test_long_record_search_converges(self):
+        # acceptance criterion 06's training episode: one K = 301 record
+        ops = make_ops()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            search = select_regularization(ops, [self._episode(ops)])
+        assert search.converged and search.evals <= 100
+        assert min(score for _, _, score in search.path) <= 1.7171e-4
+
     def test_rejects_episode_without_brac(self):
         ops = make_ops()
         ep = self._episode(ops)
@@ -712,11 +721,11 @@ class TestSearchRecord:
     """The two-stage search on a two-episode problem of the benchmark's
     size: K = 121, tq variant on a 4 x 4 parameter mesh."""
 
-    def _episodes(self, ops):
+    def _episodes(self, ops, scale=1.0):
         t = np.arange(121, dtype=float)
         out = []
         for k, shape in enumerate(((25.0, 90.0, 0.08), (40.0, 105.0, 0.06))):
-            u = bump(121, *shape)
+            u = scale * bump(121, *shape)
             out.append(build_episode(f"train{k}", t, u, t, make_tac(ops, u),
                                      tau=1.0))
         return out
@@ -752,6 +761,17 @@ class TestSearchRecord:
         episodes = self._episodes(ops)
         assert select_regularization(ops, episodes) == \
             select_regularization(ops, episodes)
+
+    def test_verdict_free_of_units(self):
+        # BrAC and TAC scaled by 2^k: the search compares scores only, so
+        # it walks the same path and every score scales by exactly 4^k
+        ops = make_ops()
+        base = select_regularization(ops, self._episodes(ops))
+        for k in (-7, 7):
+            scaled = select_regularization(
+                ops, self._episodes(ops, scale=2.0 ** k))
+            assert scaled == replace(base, path=tuple(
+                (x, y, 4.0 ** k * score) for x, y, score in base.path))
 
     @pytest.mark.parametrize("target, at_bound", [((-3.3, 0.4), False),
                                                   ((-7.0, -1.2), True)])

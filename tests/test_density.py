@@ -367,8 +367,8 @@ class TestCredibleRadiusTable:
     @pytest.mark.parametrize("alpha", [1e-7, 0.5, 0.75, 0.99])
     @pytest.mark.parametrize("name", list(RADIUS_LAWS))
     def test_mass_at_radius_matches_oracle(self, name, alpha):
-        # the radius is found to xtol = 1e-14 max(1, r_max), so the disk may
-        # miss alpha by that much times the mass's slope in the radius
+        # the radius is bisected to its last bit; the bound still allows
+        # 1e-14 max(1, r_max) in the radius times the mass's slope
         params = RADIUS_LAWS[name]
         rad = density._credible_radius(params, alpha)
         assert rad.attained and rad.alpha == alpha
@@ -379,6 +379,12 @@ class TestCredibleRadiusTable:
         xtol = 1e-14 * max(1.0, r_max)
         assert abs(mass - alpha) <= 1e-9 * alpha + 2.0 * slope * xtol
         assert abs(rad.mass - mass) <= 1e-9 * alpha + 2.0 * slope * xtol
+
+    def test_narrow_law_to_full_precision(self):
+        # at a width of 1e-6 an absolute radius tolerance would cost digits
+        params = RADIUS_LAWS["narrow"]
+        radius = density._credible_radius(params, 0.5).radius
+        assert abs(polar_disk_mass(params, radius)[0] - 0.5) <= 1e-10 * 0.5
 
     def test_clipped_wide_law_at_half(self):
         # the rim crosses the box's lower edge inside the integration range:
