@@ -314,8 +314,8 @@ def cmd_stats(args) -> int:
     if times.size < 2:
         raise ConfigurationError("curve needs at least two samples")
     steps = np.diff(times)
-    if np.any(steps <= 0):
-        raise ConfigurationError("curve times must be strictly increasing")
+    if not np.all(np.isfinite(times)) or np.any(steps <= 0):
+        raise ConfigurationError("curve times must be finite and strictly increasing")
     tau = float(steps[0])
     if np.any(np.abs(steps - tau) > 1e-9 * max(tau, 1.0)):
         raise ConfigurationError("curve times must be uniformly spaced")

@@ -8,8 +8,8 @@ kernels turns the TAC fidelity term into a linear least-squares block; the
 penalty  r1 * \\int ||u||^2 + r2 * \\int ||u'||^2  contributes a second block
 through a positive-semidefinite square root, block diagonal over the
 parameter cells.  The stacked problem is solved under a nonnegativity
-constraint by block principal pivoting (``nnls``) on its normal equations,
-read from the design and the penalty blocks without forming them.
+constraint by block principal pivoting on its normal equations, read from
+the design and the penalty blocks without forming them (``nnls``).
 
 One builder, ``build_problem``, makes the stacked problem from kernel
 columns and cell masses: one per parameter cell in the tq variant; the
@@ -23,9 +23,8 @@ hats.  A single subject is the one-cell system of
 checks, and ``deconvolve`` takes it too.  The temporal mesh, its Grams,
 sampled basis and lag blocks, and the temporal penalty root are cached, so a
 band's many single-subject solves on one TAC differ only in their kernel;
-they run in batches (``_warm_scalar_solves``) through ``nnls``'s first
-exchanges at once, and a sample the batch leaves unsettled falls back to
-``deconvolve_deterministic``, so through ``build_problem`` too.
+they run in batches (``_warm_scalar_solves``) through ``nnls``'s own
+exchanges (``_pivoting``, over a leading batch axis).
 
 Only the penalty depends on (r1, r2).  The weight search therefore builds
 each training episode's kernels, design and cell masses once, rebuilds only
@@ -42,6 +41,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -50,8 +50,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf
 
 from .data_io import Episode, check_training_episodes
 from .errors import ConfigurationError, NumericalError, ParameterError
-from .forward_model import (DiscreteTimeOps, _spectral_kernels,
-                            deterministic_ops, impulse_kernels)
+from .forward_model import DiscreteTimeOps, _spectral_kernels, impulse_kernels
 from .grid_basis import SpatialMesh, TimeMesh, temporal_basis_matrices
 
 #: below this value a regularization weight is treated as exactly zero
@@ -69,12 +68,6 @@ def sqrtm_psd(mat: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root; tiny negative eigenvalues are floored at 0."""
     vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-
-def _span(sample: np.ndarray) -> int:
-    """Kernels per group of the band's solves for S of K x m: 8 K / m, so
-    a group's designs hold at most 8 K^2 entries."""
-    return max(1, 8 * sample.shape[0] // sample.shape[1])
 
 
 #: time rows and adjacent basis columns per block of the lag tensor
@@ -194,10 +187,9 @@ class DeconvolutionProblem:
 
 
 def _snap_regs(r1: float, r2: float) -> tuple[float, float]:
-    if r1 < 0 or r2 < 0:
-        raise ConfigurationError(f"regularization weights must be >= 0, got {r1}, {r2}")
-    return (0.0 if r1 < REG_FLOOR else float(r1),
-            0.0 if r2 < REG_FLOOR else float(r2))
+    if not (0.0 <= r1 < np.inf and 0.0 <= r2 < np.inf):    # NaN fails too
+        raise ConfigurationError(f"r1 and r2 must be finite and >= 0, got {r1}, {r2}")
+    return tuple(0.0 if r < REG_FLOOR else float(r) for r in (r1, r2))
 
 
 @functools.lru_cache(maxsize=8)
@@ -355,18 +347,32 @@ class _Adjoint:
         return self.op._rmatvec(np.asarray(v, dtype=float))
 
 
+def _gram_solve(gram: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """A free set's scaled Gram system solved; when a Cholesky pivot d^2 falls
+    to ``_BREAKDOWN``, a pivoted factor holds dependent columns at zero."""
+    low, info = dpotrf(gram, lower=1)
+    if info == 0 and np.all(np.diag(low) ** 2 > _BREAKDOWN):
+        return dpotrs(low, f, lower=1)[0]
+    z = np.zeros(f.size)
+    low, piv, rank, _ = dpstrf(gram, tol=_BREAKDOWN, lower=1)
+    if rank:
+        z[piv[:rank] - 1] = dpotrs(low[:rank, :rank], f[piv[:rank] - 1], lower=1)[0]
+    return z
+
+
 class _Normal:
     """Column-scaled normal equations (D^T D + P) x = D^T t of a design D
     (K x n) and a penalty Gram P given by its diagonal blocks ``pen``
-    (cells x m x m); D^T D is never formed.  A free set of at most K
-    columns is solved on its scaled Gram; a larger one on the K x K
-    capacitance system of the Woodbury identity, x_F = W (I + D_F W)^-1 t
-    with W = P_FF^-1 D_F^T, when the penalty blocks factor on it (P with
-    identity rows and columns at the bound variables, D with zero columns
-    there).  Otherwise (P singular there, as at r1 = 0) its Gram is used,
-    and so it is when the Woodbury solution leaves a free-set gradient
-    beyond the stop rule's ``tol``: ill-conditioned blocks can pass their
-    pivot check and still leave the capacitance system inaccurate."""
+    (cells x m x m), one problem for ``_pivoting``; D^T D is never formed.
+    A free set of at most K columns is solved on its scaled Gram; a larger
+    one on the K x K capacitance system of the Woodbury identity,
+    x_F = W (I + D_F W)^-1 t with W = P_FF^-1 D_F^T, when the penalty
+    blocks factor on it (P with identity rows and columns at the bound
+    variables, D with zero columns there).  Otherwise (P singular there, as
+    at r1 = 0) its Gram is used, and so it is when the Woodbury solution
+    leaves a free-set gradient beyond the stop rule's ``tol``:
+    ill-conditioned blocks can pass their pivot check and still leave the
+    capacitance system inaccurate."""
 
     def __init__(self, design: np.ndarray, pen: np.ndarray, t: np.ndarray):
         self.s = _scales(np.einsum("kj,kj->j", design, design)
@@ -377,19 +383,18 @@ class _Normal:
         self.t, self.f = t, self.dt @ t
         self.tol = _DUAL_TOL * float(np.linalg.norm(self.s * self.f))
 
-    def gx(self, x: np.ndarray) -> np.ndarray:
-        pen = self.pen @ x.reshape(self.pen.shape[0], -1, 1)
-        return self.dt @ (self.dt.T @ x) + pen.ravel()
+    def gx(self, x: np.ndarray) -> np.ndarray:     # x: n, or B x n
+        pen = self.pen @ x.reshape(-1, *self.pen.shape[:2], 1)
+        return (x @ self.dt) @ self.dt.T + pen.reshape(x.shape)
 
     def solve(self, free: np.ndarray) -> np.ndarray:
-        """The free set's solution, zero elsewhere.  When a Cholesky pivot
-        d^2 of its Gram falls to ``_BREAKDOWN``, a pivoted factor holds the
-        columns dependent on the others at zero."""
+        """The solution on the free set ``free[0]``, zero elsewhere (1 x n)."""
+        free, x = free[0], np.zeros(free.shape)
         if np.count_nonzero(free) > self.t.size:
-            x = self._capacitance_solve(free)
-            if x is not None and np.all(
-                    np.abs(self.s * (self.gx(x) - self.f))[free] <= self.tol):
-                return x
+            z = self._capacitance_solve(free)
+            if z is not None and np.all(
+                    np.abs(self.s * (self.gx(z) - self.f))[free] <= self.tol):
+                return z[None]
         idx = np.flatnonzero(free)
         if 8 * idx.size ** 2 > _GRAM_BUDGET:
             raise ConfigurationError(
@@ -397,17 +402,10 @@ class _Normal:
                 f"{8 * idx.size ** 2}-byte Gram, over the {_GRAM_BUDGET}-byte "
                 f"budget; use r1 > 0 or a coarser cell grid")
         cell, t = np.divmod(idx, self.pen.shape[1])
-        dt, x = self.dt[idx], np.zeros(free.size)
+        dt = self.dt[idx]
         gram = dt @ dt.T + np.where(cell[:, None] == cell,
                                     self.pen[cell[:, None], t[:, None], t], 0.0)
-        low, info = dpotrf(gram, lower=1)
-        if info == 0 and np.all(np.diag(low) ** 2 > _BREAKDOWN):
-            x[idx] = dpotrs(low, self.f[idx], lower=1)[0]
-            return x
-        low, piv, rank, _ = dpstrf(gram, tol=_BREAKDOWN, lower=1)
-        if rank:
-            idx = idx[piv[:rank] - 1]
-            x[idx] = dpotrs(low[:rank, :rank], self.f[idx], lower=1)[0]
+        x[0, idx] = _gram_solve(gram, self.f[idx])
         return x
 
     def _capacitance_solve(self, free: np.ndarray) -> np.ndarray | None:
@@ -433,142 +431,151 @@ class _Normal:
         return (np.swapaxes(inv, 1, 2) @ (v @ z)[..., None]).ravel() * free
 
 
+class _Grams(NamedTuple):
+    """Column-scaled normal equations of a batch of problems from their Grams
+    (B x c x c) and right-hand sides, void columns zeroed (``of``): the
+    band's single-subject problems.  ``solve`` is one masked solve of fixed
+    shape, identity at the bound rows and columns; a problem whose Cholesky
+    pivot d^2 falls to ``_BREAKDOWN`` is solved alone (``_gram_solve``)."""
+
+    gram: np.ndarray
+    f: np.ndarray
+    s: np.ndarray
+    tol: np.ndarray
+    keep: np.ndarray    # False at the void columns
+
+    @classmethod
+    def of(cls, gram: np.ndarray, f: np.ndarray) -> _Grams:
+        if not (keep := ~_void(np.diagonal(gram, axis1=1, axis2=2))).all():
+            gram, f = gram * (keep[:, :, None] & keep[:, None, :]), f * keep
+        s = _scales(np.diagonal(gram, axis1=1, axis2=2))
+        return cls(gram / (s[:, :, None] * s[:, None, :]), f / s, s,
+                   _DUAL_TOL * np.linalg.norm(f, axis=1, keepdims=True), keep)
+
+    def take(self, rows: np.ndarray) -> _Grams:
+        return _Grams(*(v[rows] for v in self))
+
+    def gx(self, x: np.ndarray) -> np.ndarray:
+        return (self.gram @ x[..., None])[..., 0]
+
+    def solve(self, free: np.ndarray) -> np.ndarray:
+        eye = np.eye(free.shape[1])
+        sub = np.where(free[:, :, None] & free[:, None, :], self.gram, eye)
+        try:
+            low = np.linalg.cholesky(sub)
+            ok = np.all(np.diagonal(low, axis1=1, axis2=2) ** 2 > _BREAKDOWN, axis=1)
+        except np.linalg.LinAlgError:   # solve each problem alone
+            ok = ~np.any(free, axis=1)
+        sub[~ok] = eye
+        z = np.linalg.solve(sub, np.where(free & ok[:, None], self.f, 0.0)[..., None])
+        for i in np.flatnonzero(~ok):
+            idx = np.flatnonzero(free[i])
+            z[i, idx, 0] = _gram_solve(self.gram[i][np.ix_(idx, idx)], self.f[i, idx])
+        return z[..., 0]
+
+
+def _pivoting(normal: _Normal | _Grams, x: np.ndarray, max_iter: int,
+              descent: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block principal pivoting on the scaled normal equations of a batch of
+    problems (``_Normal`` or ``_Grams``) in lockstep, from feasible scaled
+    starts ``x`` (B x n), free where positive.  An iteration solves the free
+    sets and exchanges every infeasible variable: free ones below zero,
+    bound ones whose dual breaks ``normal.tol`` (Kim and Park, 2011).  After
+    ``_BACKUP`` full exchanges that leave no fewer, a problem goes on alone
+    from its best iterate (``descent``) by single exchanges that keep x
+    feasible and lower the objective, so cannot cycle on a singular Gram
+    (Lawson and Hanson, 1974).  A free column solved to exactly zero is
+    bound.  Needing over ``max_iter`` iterations, a problem stops unconverged
+    at the best of its start and projected iterates (in descent, its last).
+    Returns the scaled x, the converged flags and the iteration counts."""
+    n_prob, n = x.shape
+    out = np.empty((n_prob, n)), np.zeros(n_prob, bool), np.zeros(n_prob, int)
+    rows, its = np.arange(n_prob), np.zeros(n_prob, dtype=int)
+    free, done = x > 0.0, np.zeros(n_prob, dtype=bool)
+    best, best_obj = x, np.vecdot(x, normal.gx(x)) - np.vecdot(2.0 * normal.f, x)
+    fewest, backup = its + (n + 1), its + _BACKUP
+    while rows.size:
+        if (stop := done | free.any(axis=1) & (its >= max_iter)).any():
+            last = x if descent else np.where(done[:, None], x, best)
+            for whole, part in zip(out, (last, done, its)):
+                whole[rows[stop]] = part[stop]
+            if stop.all():
+                break
+            rows, free, x, best, best_obj, its, fewest, backup = (
+                v[~stop] for v in (rows, free, x, best, best_obj, its, fewest,
+                                   backup))
+            normal = normal.take(~stop)
+        its = its + (solving := free.any(axis=1))
+        z = normal.solve(free) if solving.any() else np.zeros(free.shape)
+        if descent and (neg := free & (z < 0.0)).any():
+            # from the feasible x toward z until a variable hits zero
+            ratio = x[neg] / (x[neg] - z[neg])
+            x = np.maximum(np.where(free, x + ratio.min() * (z - x), 0.0), 0.0)
+            x[0, np.flatnonzero(neg)[ratio == ratio.min()]] = 0.0
+            free = x > 0.0
+            continue
+        x, free, was = z, free & (z != 0.0), free
+        dual = normal.s * (normal.gx(x) - normal.f)
+        # in single exchanges a column just held at zero stays: 0 < 0 fails
+        infeasible = np.where(was if descent else free, x < 0.0,
+                              dual < -normal.tol)
+        done = ~infeasible.any(axis=1)
+        if descent:     # the bound variable of most negative dual enters
+            infeasible = np.arange(n) == np.argmin(
+                np.where(infeasible, dual, np.inf), axis=1)[:, None]
+        elif not done.all():
+            proj = np.maximum(x, 0.0)
+            obj = np.vecdot(proj, normal.gx(proj)) - np.vecdot(2.0 * normal.f, proj)
+            best = np.where((better := obj < best_obj)[:, None], proj, best)
+            best_obj = np.where(better, obj, best_obj)
+            count = infeasible.sum(axis=1)
+            backup = np.where(count < fewest, _BACKUP, backup - 1)
+            fewest = np.minimum(fewest, count)
+            for i in (backup < 0).nonzero()[0]:     # rare; done rows reset it
+                (xi,), (done[i],), (k,) = _pivoting(
+                    normal if len(rows) == 1 else normal.take([i]), best[[i]],
+                    max_iter - its[i], True)
+                x[i] = best[i] = xi     # the next round stops it
+                its[i], free[i], infeasible[i] = its[i] + k, True, False
+        free = free ^ infeasible
+    return out
+
+
 def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None,
          x0: np.ndarray | None = None) -> NnlsResult:
-    """Block principal pivoting for min ||a x - b|| s.t. x >= 0.
-
-    Runs on the column-scaled normal equations.  Each iteration solves the
-    free set's system with the bound variables at zero, then exchanges
-    every infeasible variable at once: free ones below zero and bound ones
-    whose dual breaks the stop rule (Portugal, Judice and Vicente, 1994;
-    Kim and Park, 2011).  After ``_BACKUP`` full exchanges that leave no
-    fewer infeasible variables, it goes on from the best iterate by single
-    exchanges that keep x feasible and lower the objective (Lawson and
-    Hanson, 1974), which cannot cycle on a singular Gram.  A free column
-    dependent on the others is held at zero and rejoins the bound set.  It
-    stops when no dual (KKT) violation exceeds ``_DUAL_TOL`` (1e-9) times
-    the norm of a^T b.  An iteration is one free-set solve.
-
-    ``a`` is a matrix or the stacked operator of ``solve_problem``.  The
-    free set starts as x0 > 0 (empty without ``x0``), typically from the
-    solution of a nearby problem.  A solve that hits ``max_iter`` warns
-    and returns the best of x0 and the iterates projected onto x >= 0.
-    """
+    """Block principal pivoting (``_pivoting`` on ``_Normal``) for
+    min ||a x - b|| s.t. x >= 0, to a dual (KKT) violation of at most
+    ``_DUAL_TOL`` (1e-9) times the norm of a^T b.  ``a`` is a matrix or the
+    stacked operator of ``solve_problem``; data that are not finite raise
+    ``ConfigurationError``.  The free set starts as x0 > 0 (empty without
+    ``x0``).  A solve that hits ``max_iter`` (3 n by default) warns and
+    returns the best of x0 and the iterates projected onto x >= 0."""
     b = np.asarray(b, dtype=float)
     stacked = isinstance(a, _StackedOperator)
     a = a if stacked else np.asarray(a, dtype=float)
     if len(a.shape) != 2 or b.ndim != 1 or a.shape[0] != b.size:
-        raise ConfigurationError(
-            f"incompatible nnls shapes {a.shape} and {b.shape}")
+        raise ConfigurationError(f"incompatible nnls shapes {a.shape} and {b.shape}")
+    if not np.all(np.isfinite(b)) or not (stacked or np.all(np.isfinite(a))):
+        raise ConfigurationError("nnls data a and b must be finite")
     n = a.shape[1]
-    if x0 is not None:
-        x0 = np.array(x0, dtype=float)
-        if x0.shape != (n,) or not np.all(np.isfinite(x0)) or np.any(x0 < 0.0):
-            raise ConfigurationError(
-                f"nnls start x0 must be finite, nonnegative and of shape "
-                f"({n},); got shape {x0.shape}, min {np.min(x0, initial=0.0)}")
+    x0 = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    if x0.shape != (n,) or not np.all(np.isfinite(x0)) or np.any(x0 < 0.0):
+        raise ConfigurationError(
+            f"nnls start x0 must be finite, nonnegative and of shape "
+            f"({n},); got shape {x0.shape}, min {np.min(x0, initial=0.0)}")
     if stacked:     # the target's penalty rows are zero
         normal = _Normal(a.design, np.swapaxes(a.roots, 1, 2) @ a.roots,
                          b[:a.design.shape[0]])
     else:           # a plain matrix is a design with a zero penalty
         normal = _Normal(a, np.zeros((1, n, n)), b)
-    s, f, tol = normal.s, normal.f, normal.tol
-    max_iter = 3 * n if max_iter is None else max_iter
-
-    def objective(z: np.ndarray) -> float:     # ||a z - b||^2 - ||b||^2
-        return z @ normal.gx(z) - 2.0 * f @ z
-
-    free = np.zeros(n, dtype=bool) if x0 is None else x0 > 0.0
-    best = np.zeros(n) if x0 is None else s * x0
-    best_obj = objective(best)
-    iterations, converged, descent = 0, False, False
-    fewest, backup = n + 1, _BACKUP
-    while True:
-        z = np.zeros(n)
-        if np.any(free):
-            if iterations >= max_iter:
-                break
-            iterations += 1
-            z = normal.solve(free)
-        neg = free & (z < 0.0)
-        if descent and np.any(neg):
-            # step from the feasible x toward z until a variable hits zero
-            ratio = x[neg] / (x[neg] - z[neg])
-            step = ratio.min()
-            x = np.maximum(np.where(free, x + step * (z - x), 0.0), 0.0)
-            x[np.flatnonzero(neg)[ratio == step]] = 0.0
-            free = x > 0.0
-            continue
-        held = free & (z == 0.0)
-        x, free = z, free & ~held
-        dual = s * (normal.gx(x) - f)
-        infeasible = np.where(free, x < 0.0, dual < -tol) & ~(descent & held)
-        if converged := not np.any(infeasible):
-            break
-        if descent:     # the bound variable of most negative dual enters
-            enter = np.argmin(np.where(infeasible, dual, np.inf))
-            infeasible = np.arange(n) == enter
-        else:
-            proj = np.maximum(x, 0.0)
-            if (obj := objective(proj)) < best_obj:
-                best_obj, best = obj, proj
-            if (count := np.count_nonzero(infeasible)) < fewest:
-                fewest, backup = count, _BACKUP
-            elif backup:
-                backup -= 1
-            else:
-                descent, x, free = True, best, best > 0.0
-                continue
-        free ^= infeasible
-
+    (x,), (converged,), (iterations,) = _pivoting(
+        normal, normal.s * x0[None], 3 * n if max_iter is None else max_iter)
     if not converged:
-        x = x if descent else best
         warnings.warn("nnls hit the iteration cap; returning best feasible "
                       "iterate", RuntimeWarning, stacklevel=2)
-    x = x / s
-    return NnlsResult(x=x, converged=converged, iterations=iterations,
+    x = x / normal.s
+    return NnlsResult(x=x, converged=bool(converged), iterations=int(iterations),
                       residual=float(np.linalg.norm(a @ x - b)))
-
-
-def _factor_pivots(mats: np.ndarray) -> np.ndarray:
-    """Diagonals of the Cholesky factors of symmetric matrices (n x c x c);
-    zeros for a matrix that does not factor."""
-    try:
-        return np.diagonal(np.linalg.cholesky(mats), axis1=1, axis2=2)
-    except np.linalg.LinAlgError:   # find the ones that do not
-        return np.zeros(mats.shape[:2]) if len(mats) == 1 else np.concatenate(
-            [_factor_pivots(mat[None]) for mat in mats])
-
-
-def _pivots(gram: np.ndarray, f: np.ndarray,
-            x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``nnls``'s first ``_BACKUP`` + 1 full exchanges from ``x0`` (its
-    backup rule cannot fire before), for problems with normal equations
-    ``gram`` (n x c x c) and ``f`` (n x c) at once, on fixed-shape masked
-    Grams: identity at the bound rows and columns, zero right-hand side
-    there.  A problem settles when its factor has no breakdown, no free
-    variable is exactly zero and none is infeasible: exactly when
-    ``nnls(a, b, x0=x0)`` converges within as many iterations (an empty free
-    set costs none), at the same x.  Returns the solutions (zero where
-    unsettled) and the settled flags."""
-    s = _scales(np.diagonal(gram, axis1=1, axis2=2))
-    scaled = gram / (s[:, :, None] * s[:, None, :])
-    tol = _DUAL_TOL * np.linalg.norm(f, axis=1)
-    x, settled, todo = np.zeros(f.shape), np.zeros(len(f), bool), np.arange(len(f))
-    free, eye = np.tile(x0 > 0.0, (len(f), 1)), np.eye(f.shape[1])
-    for _ in range(_BACKUP + 1):
-        g, fs = scaled[todo], f[todo] / s[todo]
-        sub = np.where(free[:, :, None] & free[:, None, :], g, eye)
-        stop = np.any(_factor_pivots(sub) ** 2 <= _BREAKDOWN, axis=1)
-        sub[stop] = eye     # a stopped problem solves nothing
-        z = np.linalg.solve(sub, np.where(free, fs, 0.0)[..., None])[..., 0]
-        dual = s[todo] * ((g @ z[..., None])[..., 0] - fs)
-        infeasible = np.where(free, z < 0.0, dual < -tol[todo, None])
-        stop |= np.any(free & (z == 0.0), axis=1)
-        done = ~stop & ~np.any(infeasible, axis=1)
-        settled[todo[done]], x[todo[done]] = True, z[done] / s[todo[done]]
-        todo, free = todo[~stop & ~done], (free ^ infeasible)[~stop & ~done]
-    return x, settled
 
 
 # ---------------------------------------------------------------------------
@@ -657,37 +664,28 @@ def _warm_scalar_solves(q: np.ndarray, mesh: SpatialMesh, tac: np.ndarray,
 
     Row i of the returned curves (n x K) and its converged flag are those of
     ``deconvolve_deterministic(deterministic_ops(q[i], mesh, tau), tac, r1,
-    r2, m, x0)``.  Groups of ``_span`` pairs get one spectral call, one
-    product with the lag tensor for their designs, and one batched run of
-    ``nnls``'s first exchanges (``_pivots``) on their Grams; the problems
-    it leaves, and those with a void column, go through
-    ``deconvolve_deterministic`` itself.
+    r2, m, x0)``, up to rounding.  Groups of 8 K / m pairs (designs of at
+    most 8 K^2 entries) get one spectral call, one product with the lag
+    tensor for their designs and one run of ``nnls``'s exchanges on their
+    Grams.
     """
     bad = q[:, 0] <= 0.0
     if np.any(bad):
-        raise ParameterError(
-            f"diffusivity must be positive, got {q[bad, 0][0]}")
+        raise ParameterError(f"diffusivity must be positive, got {q[bad, 0][0]}")
     r1, r2 = _snap_regs(r1, r2)
     n_grid = tac.size
     tm = _time_mesh(n_grid, tau, m)
-    sample = _time_basis(tm)[2]
-    root = _penalty_root(tm, r1, r2)
-    lags = _mesh_lags(tm)
-    curves, converged = np.empty((q.shape[0], n_grid)), np.ones(q.shape[0], bool)
-    for lo in range(0, q.shape[0], _span(sample)):
-        part = q[lo:lo + _span(sample)]
-        kernels = part[:, 1:] * _spectral_kernels(mesh, part[:, 0], tau,
-                                                  n_grid - 1)
+    sample, root, lags = _time_basis(tm)[2], _penalty_root(tm, r1, r2), _mesh_lags(tm)
+    curves, converged = np.empty((q.shape[0], n_grid)), np.empty(q.shape[0], bool)
+    span = max(1, 8 * n_grid // sample.shape[1])
+    for part in (slice(lo, lo + span) for lo in range(0, q.shape[0], span)):
+        kernels = q[part, 1:] * _spectral_kernels(mesh, q[part, 0], tau, n_grid - 1)
         designs = _designs(kernels, lags)
-        gram = designs @ np.swapaxes(designs, 1, 2) + root.T @ root
-        f, designs = designs @ tac, None    # rebuilt for a problem left to nnls
-        x, settled = _pivots(gram, f, x0)
-        settled &= ~np.any(_void(np.diagonal(gram, axis1=1, axis2=2)), axis=1)
-        curves[lo:lo + part.shape[0]] = x @ sample.T
-        for i in np.flatnonzero(~settled):
-            curve, sol = deconvolve_deterministic(
-                deterministic_ops(part[i], mesh, tau), tac, r1, r2, m, x0)
-            curves[lo + i], converged[lo + i] = curve, sol.converged
+        normal = _Grams.of(designs @ np.swapaxes(designs, 1, 2) + root.T @ root,
+                           designs @ tac)
+        x, converged[part], _ = _pivoting(normal, normal.s * x0 * normal.keep,
+                                          3 * sample.shape[1])
+        curves[part] = (x / normal.s) @ sample.T
     return curves, converged
 
 

@@ -9,7 +9,7 @@ result's own time grid, with no sampling.  The single-input variant has no
 cell structure; its band is the envelope of one single-subject
 deconvolution per kept sample of the disk (the one-cell system at that
 sample), each warm-started from the solution at q = mu, all solved in
-batches through ``nnls``'s first exchanges.
+batches through ``nnls``'s exchange loop.
 
 All statistics are reported in percent-alcohol and hours.
 """
@@ -111,9 +111,9 @@ def credible_band_scalar(tac: np.ndarray, params: density.PopulationParams,
     Each kept parameter pair gets its own single-subject inverse problem.
     The pair q = mu (the last kept sample) is solved from zero, and every
     other pair is warm-started from its solution, in batches
-    (``_warm_scalar_solves``).  Solves that hit the iteration cap are left
-    out of the envelope and counted in ``dropped``, up to 10% of the kept
-    set.
+    (``_warm_scalar_solves``).  Solves that hit the iteration cap (3 m) are
+    left out of the envelope and counted in ``dropped``, up to 10% of the
+    kept set.
     """
     tac = np.asarray(tac, dtype=float)
     kept = kept_samples(params, alpha, n_samples, seed)
@@ -164,10 +164,10 @@ def episode_stats(curve: np.ndarray, tau: float,
     Peak ties break to the earliest time.
     """
     curve = np.asarray(curve, dtype=float)
-    if curve.ndim != 1 or curve.size == 0:
-        raise ConfigurationError("curve must be a nonempty 1-d array")
-    if tau <= 0:
-        raise ConfigurationError(f"tau must be positive, got {tau}")
+    if curve.ndim != 1 or curve.size == 0 or not np.all(np.isfinite(curve)):
+        raise ConfigurationError("curve must be a nonempty 1-d array of finite values")
+    if not 0.0 < tau < np.inf:
+        raise ConfigurationError(f"tau must be positive and finite, got {tau}")
     peak_idx = int(np.argmax(curve))
     peak = float(curve[peak_idx])
     peak_time = peak_idx * tau / 60.0

@@ -223,6 +223,19 @@ class TestDeconvolve:
         # the tq band reads the disk cells: no draws, no seed
         assert meta["samples"] is None and meta["seed"] is None
 
+    @pytest.mark.parametrize("flag", ["--r1", "--r2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_regularization_rejected(self, sim_dir, tmp_path,
+                                               capsys, flag, value):
+        rho = write_rho(tmp_path / "rho.params")
+        weights = {"--r1": "1e-3", "--r2": "1e-3", flag: value}
+        rc = main(["deconvolve", str(sim_dir / "synth-000.csv"),
+                   "--rho", str(rho),
+                   *(f"{k}={v}" for k, v in weights.items()),
+                   "--out-prefix", str(tmp_path / "res")])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_mean_outside_box(self, sim_dir, tmp_path):
         rho = tmp_path / "rho.params"
         save_params(PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0),
@@ -494,3 +507,18 @@ class TestStats:
         rc = main(["stats", str(curve)])
         assert rc == 2
         assert "uniform" in capsys.readouterr().err
+
+    def test_nonfinite_value_rejected(self, tmp_path, capsys):
+        curve = tmp_path / "c.csv"
+        curve.write_text("0,0\n1,nan\n2,0.02\n")
+        rc = main(["stats", str(curve)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_nonfinite_time_rejected(self, tmp_path, capsys):
+        # NaN steps pass a spacing test whose comparisons are all False
+        curve = tmp_path / "c.csv"
+        curve.write_text("0,0\n1,0.01\nnan,0.02\n")
+        rc = main(["stats", str(curve)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err

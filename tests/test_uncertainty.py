@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdalc import deconvolution, density, forward_model
+from tdalc import deconvolution, density, forward_model, uncertainty
 from tdalc.deconvolution import deconvolve, deconvolve_deterministic
 from tdalc.density import PopulationParams, credible_region_radius
 from tdalc.errors import (ConfigurationError, NumericalError, ParameterError,
@@ -258,24 +258,19 @@ class TestCredibleBandScalar:
         assert np.max(np.abs(band.upper - curves.max(axis=0))) <= tol
 
     @pytest.mark.parametrize("r1, r2", [(1e-3, 1e-3), (0.0, 1e-3)])
-    @pytest.mark.parametrize("shape, to_nnls", [("smooth", False),
-                                                ("pulse", True)])
-    def test_equals_per_sample_reference(self, monkeypatch, shape, to_nnls,
-                                         r1, r2):
-        # the batched pivots settle every kept sample of both TACs; with
-        # to_nnls every other one is left to nnls instead, so both paths
-        # meet the same reference
+    @pytest.mark.parametrize("shape", ["smooth", "pulse"])
+    def test_equals_per_sample_reference(self, monkeypatch, shape, r1, r2):
+        # the batched exchanges meet each sample's own deconvolution, on a
+        # TAC whose support ends inside the record too; no sample goes
+        # through the public nnls
         params = make_params()
         tac, grid = (make_result(k=181)[1:] if shape == "smooth"
                      else pulse_tac())
         curves, _ = per_sample_reference(tac, params, grid, r1, r2, 200, 3)
-        if to_nnls:
-            leave_to_nnls(monkeypatch, every=2)
         warm = spy_warm_nnls(monkeypatch)
         band = credible_band_scalar(tac, params, grid, r1, r2,
                                     n_samples=200, seed=3)
-        assert (len(warm) > 0) == to_nnls
-        assert len(warm) < len(curves) - 1
+        assert not warm
         tol = 1e-12 * float(np.max(curves))
         assert band.dropped == 0
         assert np.max(np.abs(band.lower - curves.min(axis=0))) <= tol
@@ -284,53 +279,56 @@ class TestCredibleBandScalar:
     def test_support_ending_inside_settles_every_sample(self, monkeypatch):
         # a TAC back at zero well before the record ends moves the end of
         # the support between kept samples, so their free sets differ from
-        # that of q = mu; nnls's first exchanges, batched, settle them all
+        # that of q = mu; the batched exchanges settle them all
         params = make_params()
         tac, grid = pulse_tac()
         curves, _ = per_sample_reference(tac, params, grid, 1e-3, 1e-3,
                                          1000, 0)
-        warm = spy_warm_nnls(monkeypatch)
+        solves = cap_band_solves(monkeypatch)
         band = credible_band_scalar(tac, params, grid, 1e-3, 1e-3)
-        assert curves.shape[0] > 500 and not warm
+        iterations = np.concatenate([its for _, _, _, its in solves])
+        assert curves.shape[0] > 500 and band.dropped == 0
+        assert np.max(iterations) > 1
         tol = 1e-12 * float(np.max(curves))
         assert np.max(np.abs(band.lower - curves.min(axis=0))) <= tol
         assert np.max(np.abs(band.upper - curves.max(axis=0))) <= tol
 
-    def test_unsettled_samples_fall_back_to_single_subject(self, monkeypatch):
-        # each sample the batch leaves is one deconvolve_deterministic call,
-        # warm-started from the solution at q = mu
+    def test_samples_start_from_the_mean_solution(self, monkeypatch):
+        # q = mu is the band's one single-subject solve; every other kept
+        # sample starts from its solution, in the batch
         params = make_params()
         tac, grid = pulse_tac()
         det = forward_model.deterministic_ops(params.mu, grid.spatial,
                                               grid.tau)
         _, start = deconvolve_deterministic(det, tac, 1e-3, 1e-3)
-        left = leave_to_nnls(monkeypatch, every=2)
-        solve = deconvolution.deconvolve_deterministic
-        starts = []
+        solve, singles = deconvolution.deconvolve_deterministic, []
 
-        def spy(det, tac, r1, r2, m=None, x0=None):
-            starts.append(x0)
-            return solve(det, tac, r1, r2, m, x0)
+        def spy(*args, **kwargs):
+            singles.append(kwargs.get("x0"))
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(deconvolution, "deconvolve_deterministic", spy)
+        monkeypatch.setattr(uncertainty, "deconvolve_deterministic", spy)
+        solves = cap_band_solves(monkeypatch)
         credible_band_scalar(tac, params, grid, 1e-3, 1e-3, n_samples=60,
                              seed=5)
-        assert len(starts) == sum(left) > 0
-        assert all(np.array_equal(x0, start.x) for x0 in starts)
+        assert singles == [None]
+        assert len(solves) > 0
+        assert all(np.allclose(x0, start.x, rtol=1e-15, atol=0.0)
+                   for x0, _, _, _ in solves)
 
     def test_capped_solves_dropped_and_counted(self, monkeypatch):
+        # every fourth problem of a batch is capped at one iteration, so
+        # the samples among them that need two are left out and counted
         params = make_params()
         tac, grid = pulse_tac()
-        curves, xs = per_sample_reference(tac, params, grid, 1e-3, 1e-3, 60, 5)
-        leave_to_nnls(monkeypatch, every=4)
-        capped = spy_warm_nnls(monkeypatch, cap_every=3)
+        curves, _ = per_sample_reference(tac, params, grid, 1e-3, 1e-3, 60, 5)
+        solves = cap_band_solves(monkeypatch, every=4, max_iter=1)
         band = credible_band_scalar(tac, params, grid, 1e-3, 1e-3,
                                     n_samples=60, seed=5)
-        lost = [x for x, converged in capped if not converged]
-        assert band.dropped == len(lost) > 0
-        # the capped solves' samples, found by their solutions
-        gone = [int(np.argmin(np.linalg.norm(xs - x, axis=1))) for x in lost]
-        assert np.allclose(xs[gone], lost, rtol=0.0, atol=1e-10)
+        ok = np.concatenate([conv for _, _, conv, _ in solves])
+        # the reference's row 0 is q = mu, its row i + 1 the band's sample i
+        gone = 1 + np.flatnonzero(~ok)
+        assert band.dropped == gone.size > 0
         rest = np.delete(curves, gone, axis=0)
         tol = 1e-12 * float(np.max(curves))
         assert np.max(np.abs(band.lower - rest.min(axis=0))) <= tol
@@ -339,8 +337,7 @@ class TestCredibleBandScalar:
     def test_too_many_capped_solves_raise(self, monkeypatch):
         params = make_params()
         tac, grid = pulse_tac()
-        leave_to_nnls(monkeypatch, every=1)
-        spy_warm_nnls(monkeypatch, cap_every=1)
+        cap_band_solves(monkeypatch, every=1, max_iter=0)
         with pytest.raises(NumericalError):
             credible_band_scalar(tac, params, grid, 1e-3, 1e-3,
                                  n_samples=60, seed=5)
@@ -382,35 +379,40 @@ def per_sample_reference(tac, params, grid, r1, r2, n_samples, seed):
     return np.array(curves), np.array(xs)
 
 
-def leave_to_nnls(monkeypatch, every):
-    """Make the band's batched pivots leave every ``every``-th problem of a
-    group unsettled, so that its sample goes through ``nnls``.  Returns the
-    list of unsettled counts, one per group."""
-    pivots = deconvolution._pivots
-    left = []
+def cap_band_solves(monkeypatch, every=1, max_iter=None):
+    """Run the band's batches (``_Grams``) through ``_pivoting`` with every
+    ``every``-th problem of a batch capped at ``max_iter`` iterations (the
+    band's own cap when None).  Returns a list of (x0, x, converged,
+    iterations), one per batch, with x0 and x unscaled."""
+    pivoting = deconvolution._pivoting
+    calls = []
 
-    def spy(gram, f, x0):
-        x, settled = pivots(gram, f, x0)
-        settled[::every] = False
-        left.append(int(np.count_nonzero(~settled)))
-        return x, settled
+    def spy(normal, x, cap, descent=False):
+        if descent or not isinstance(normal, deconvolution._Grams):
+            return pivoting(normal, x, cap, descent)
+        capped = np.arange(len(x)) % every == 0
+        out = [np.empty(x.shape), np.empty(len(x), bool), np.empty(len(x), int)]
+        for rows, limit in ((capped, cap if max_iter is None else max_iter),
+                            (~capped, cap)):
+            for whole, part in zip(out, pivoting(normal.take(rows), x[rows],
+                                                 limit)):
+                whole[rows] = part
+        calls.append((x / normal.s, out[0] / normal.s, *out[1:]))
+        return tuple(out)
 
-    monkeypatch.setattr(deconvolution, "_pivots", spy)
-    return left
+    monkeypatch.setattr(deconvolution, "_pivoting", spy)
+    return calls
 
 
-def spy_warm_nnls(monkeypatch, cap_every=0):
-    """Record (x, converged) of every warm-started ``nnls`` call; with
-    ``cap_every`` k, report every k-th of them as having hit the cap."""
+def spy_warm_nnls(monkeypatch):
+    """Record the x of every warm-started ``nnls`` call."""
     solve = deconvolution.nnls
     calls = []
 
     def spy(a, b, *args, x0=None, **kwargs):
         res = solve(a, b, *args, x0=x0, **kwargs)
         if x0 is not None:
-            if cap_every and (len(calls) + 1) % cap_every == 0:
-                res = replace(res, converged=False)
-            calls.append((res.x, res.converged))
+            calls.append(res.x)
         return res
 
     monkeypatch.setattr(deconvolution, "nnls", spy)
@@ -473,6 +475,18 @@ class TestEpisodeStats:
             episode_stats(np.array([]), tau=1.0)
         with pytest.raises(ConfigurationError):
             episode_stats(np.ones(4), tau=0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_value_rejected(self, value):
+        # a NaN would otherwise come out as the peak
+        with pytest.raises(ConfigurationError, match="finite"):
+            episode_stats(np.array([0.0, 0.02, value, 0.01]), tau=1.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_nonfinite_tau_rejected(self, tau):
+        # a NaN step would otherwise come out as peak time and area
+        with pytest.raises(ConfigurationError, match="finite"):
+            episode_stats(np.array([0.0, 0.02, 0.01]), tau=tau)
 
 
 class TestStatsIntervals:
