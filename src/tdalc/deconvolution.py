@@ -13,8 +13,9 @@ the design and the penalty blocks without forming them (``nnls``).
 
 One builder, ``build_problem``, makes the stacked problem from kernel
 columns and cell masses: one per parameter cell in the tq variant; the
-scalar variant is the one-cell case, the mean kernel on a cell of unit mass.
-The kernels come from ``forward_model.impulse_kernels``, and the designs
+scalar variant is the one-cell case, the mean kernel (the kernel rows
+summed) on a cell of unit mass.  The kernels are the rows of
+``forward_model.impulse_kernels``, and the designs
 from products of the kernels with the sparse blocks of the lag tensor of the
 sampled time basis (``_designs``), each over only the lags that reach its
 hats.  A single subject is the one-cell system of
@@ -23,8 +24,9 @@ hats.  A single subject is the one-cell system of
 checks, and ``deconvolve`` takes it too.  The temporal mesh, its Grams,
 sampled basis and lag blocks, and the temporal penalty root are cached, so a
 band's many single-subject solves on one TAC differ only in their kernel;
-they run in batches (``_warm_scalar_solves``) through ``nnls``'s own
-exchanges (``_pivoting``, over a leading batch axis).
+they run in batches (``_warm_scalar_solves``), each batch's kernels one
+``impulse_kernels`` call on a stack of one-cell systems, through ``nnls``'s
+own exchanges (``_pivoting``, over a leading batch axis).
 
 Only the penalty depends on (r1, r2).  The weight search therefore builds
 each training episode's kernels, design and cell masses once, rebuilds only
@@ -45,12 +47,11 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import block_diag
 from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf
 
 from .data_io import Episode, check_training_episodes
-from .errors import ConfigurationError, NumericalError, ParameterError
-from .forward_model import DiscreteTimeOps, _spectral_kernels, impulse_kernels
+from .errors import ConfigurationError, NumericalError
+from .forward_model import DiscreteTimeOps, deterministic_ops, impulse_kernels
 from .grid_basis import SpatialMesh, TimeMesh, temporal_basis_matrices
 
 #: below this value a regularization weight is treated as exactly zero
@@ -166,11 +167,6 @@ class DeconvolutionProblem:
         return self.design.shape[1]
 
     @property
-    def stacked(self) -> np.ndarray:
-        """Design rows over the block-diagonal penalty root, dense."""
-        return np.vstack([self.design, block_diag(*self.penalty_sqrt)])
-
-    @property
     def target(self) -> np.ndarray:
         return np.concatenate([self.tac, np.zeros(self.n_cols)])
 
@@ -242,18 +238,18 @@ def build_problem(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
     if tac.ndim != 1 or tac.size < 2:
         raise ConfigurationError("tac series must be 1-d with at least two samples")
     kernels = impulse_kernels(ops, tac.size - 1)
-    if not np.any(kernels.functional):
+    if not np.any(kernels):
         raise NumericalError("impulse kernels are identically zero")
     if variant == "scalar":
-        columns, masses = kernels.mean[:, None], np.ones(1)
+        kernels, masses = kernels.sum(axis=0, keepdims=True), np.ones(1)
     elif variant == "tq":
-        columns, masses = kernels.functional, ops.p
+        masses = ops.p
     else:
         raise ConfigurationError(f"unknown variant {variant!r}")
     tm = _time_mesh(tac.size, ops.tau, m)
     # column c's block of m design columns is the design of kernel c
     design = np.ascontiguousarray(
-        _designs(columns.T, _mesh_lags(tm)).reshape(-1, tac.size).T)
+        _designs(kernels, _mesh_lags(tm)).reshape(-1, tac.size).T)
     return DeconvolutionProblem(tac=tac, time_mesh=tm,
                                 sample=_time_basis(tm)[2], design=design,
                                 penalty_sqrt=_penalty_sqrt(tm, masses, r1, r2),
@@ -665,13 +661,10 @@ def _warm_scalar_solves(q: np.ndarray, mesh: SpatialMesh, tac: np.ndarray,
     Row i of the returned curves (n x K) and its converged flag are those of
     ``deconvolve_deterministic(deterministic_ops(q[i], mesh, tau), tac, r1,
     r2, m, x0)``, up to rounding.  Groups of 8 K / m pairs (designs of at
-    most 8 K^2 entries) get one spectral call, one product with the lag
-    tensor for their designs and one run of ``nnls``'s exchanges on their
-    Grams.
+    most 8 K^2 entries) get one ``impulse_kernels`` call on their stack of
+    one-cell systems, one product with the lag tensor for their designs and
+    one run of ``nnls``'s exchanges on their Grams.
     """
-    bad = q[:, 0] <= 0.0
-    if np.any(bad):
-        raise ParameterError(f"diffusivity must be positive, got {q[bad, 0][0]}")
     r1, r2 = _snap_regs(r1, r2)
     n_grid = tac.size
     tm = _time_mesh(n_grid, tau, m)
@@ -679,8 +672,8 @@ def _warm_scalar_solves(q: np.ndarray, mesh: SpatialMesh, tac: np.ndarray,
     curves, converged = np.empty((q.shape[0], n_grid)), np.empty(q.shape[0], bool)
     span = max(1, 8 * n_grid // sample.shape[1])
     for part in (slice(lo, lo + span) for lo in range(0, q.shape[0], span)):
-        kernels = q[part, 1:] * _spectral_kernels(mesh, q[part, 0], tau, n_grid - 1)
-        designs = _designs(kernels, lags)
+        designs = _designs(impulse_kernels(deterministic_ops(q[part], mesh, tau),
+                                           n_grid - 1), lags)
         normal = _Grams.of(designs @ np.swapaxes(designs, 1, 2) + root.T @ root,
                            designs @ tac)
         x, converged[part], _ = _pivoting(normal, normal.s * x0 * normal.keep,

@@ -21,11 +21,13 @@ exponentials.  The spectral core (``_spectrum`` and the kernel functions
 below it) whitens the pencil by the Cholesky factor of the mass matrix, runs
 one batched symmetric eigensolve over the cells, and returns the lag kernels
 in closed form together with their exact derivative in the diffusivity
-(Daleckii-Krein divided differences).  Every production path reads its
-kernels from it: ``impulse_kernels`` for deconvolution, synthesis and the
-fit's cost, whether of a population or of a single subject, and the fit's
-gradient and seed fits.  Simulation is a convolution with the kernel; no
-``expm`` or time loop is involved.
+(Daleckii-Krein divided differences).  The model's one representation is
+the kernel array of ``impulse_kernels``, row c the kernel of cell c; a
+caller that means the population-mean kernel sums the rows.  Every
+production path reads its kernels through it, the scalar band and the seed
+fits included; only the fit's gradient reads the core's derivatives.
+Simulation is a convolution with the kernel; no ``expm`` or time loop is
+involved.
 
 The reference is the zero-order-hold recursion: the matrix exponential on
 each sampling interval, which makes the discrete flow map a true semigroup
@@ -43,7 +45,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import density
 from .errors import ConfigurationError, NumericalError, ParameterError
@@ -92,6 +93,8 @@ class DiscreteTimeOps:
     @functools.cached_property
     def ahat(self) -> np.ndarray:
         """(ncells, nb, nb) flow maps."""
+        from scipy.linalg import expm     # the reference recursion's alone
+
         return expm(self.tau * self._generators)
 
     @functools.cached_property
@@ -181,14 +184,20 @@ def discrete_time(ops: DiscreteTimeOps,
 
 def deterministic_ops(q, mesh: SpatialMesh, tau: float) -> DiscreteTimeOps:
     """Single-subject Galerkin model at q = (diffusivity, input gain): the
-    one-cell system of unit mass at q."""
-    q = np.asarray(q, dtype=float).reshape(2)
-    if q[0] <= 0:
-        raise ParameterError(f"diffusivity must be positive, got {q[0]}")
+    one-cell system of unit mass at q.  A stack of n pairs (n x 2) gives n
+    such systems side by side, cells (n, 1), for one ``impulse_kernels``
+    call: not a population law, so nothing sums their kernels."""
+    q = np.array(q, dtype=float)
+    if q.ndim not in (1, 2) or q.shape[-1] != 2:
+        raise ConfigurationError(f"q must be a pair or n x 2, got shape {q.shape}")
+    q1, q2 = q.reshape(-1, 2).T
+    bad = q1[~(q1 > 0.0)]
+    if bad.size:
+        raise ParameterError(f"diffusivity must be positive, got {bad[0]}")
     if tau <= 0:
         raise ConfigurationError(f"tau must be positive, got {tau}")
-    return DiscreteTimeOps(spatial=mesh, cells=(1, 1), tau=tau,
-                           p=np.ones(1), qbar1=q[:1], qbar2=q[1:])
+    return DiscreteTimeOps(spatial=mesh, cells=(q1.size, 1), tau=tau,
+                           p=np.ones(q1.size), qbar1=q1, qbar2=q2)
 
 
 def _check_input(u: np.ndarray, n_cells: int) -> np.ndarray:
@@ -230,52 +239,34 @@ def simulate(ops: DiscreteTimeOps, u: np.ndarray) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
-class Kernels:
-    """Discrete impulse-response kernels of the population model.
-
-    Row l-1 of ``functional`` dotted with cell coefficients gives the lag-l
-    output contribution, and ``mean[l-1]`` is the corresponding scalar
-    kernel of the constant-in-q (scalar) variant.
-    """
-
-    functional: np.ndarray   # (count, ncells)
-    mean: np.ndarray         # (count,)
-
-    @property
-    def count(self) -> int:
-        return self.functional.shape[0]
-
-
-def impulse_kernels(ops: DiscreteTimeOps, count: int) -> Kernels:
-    """First ``count`` impulse-response kernels h_l = C Ahat^{l-1} Bhat, from
-    the spectral core: cell c contributes p[c] * qbar2[c] times its unit-gain
-    kernel, so zero-mass cells carry none."""
+def impulse_kernels(ops: DiscreteTimeOps, count: int) -> np.ndarray:
+    """First ``count`` impulse-response kernels h_l = C Ahat^{l-1} Bhat, cell
+    by cell: an (n_cells, count) array whose row c is p[c] * qbar2[c] times
+    the unit-gain kernel of cell c, so zero-mass cells carry none.  The
+    population-mean kernel is the sum of the rows."""
     if count < 1:
         raise ConfigurationError(f"kernel count must be >= 1, got {count}")
     unit = _spectral_kernels(ops.spatial, ops.qbar1, ops.tau, count)
-    functional = (ops.p * ops.qbar2)[None, :] * unit.T
-    return Kernels(functional=functional, mean=functional.sum(axis=1))
+    return (ops.p * ops.qbar2)[:, None] * unit
 
 
-def convolve(kernels: Kernels, u: np.ndarray) -> np.ndarray:
+def convolve(kernels: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Evaluate the output by kernel convolution instead of state marching.
 
     y_k = sum_{l=1..k} h_l u_{k-l}: one ``np.convolve`` with the mean kernel
-    for a 1-d ``u``, one per cell, summed, for a (steps, n_cells) ``u``.
+    (the rows of ``kernels`` summed) for a 1-d ``u``, one per cell, summed,
+    for a (steps, n_cells) ``u``.
     """
-    u = _check_input(u, kernels.functional.shape[1])
+    u = _check_input(u, kernels.shape[0])
     steps = u.shape[0]
-    if steps > kernels.count:
+    if steps > kernels.shape[1]:
         raise ConfigurationError(
-            f"need {steps} kernels for {steps} steps, have {kernels.count}")
+            f"need {steps} kernels for {steps} steps, have {kernels.shape[1]}")
     if steps == 0:
         return np.zeros(0)
     if u.ndim == 1:
-        kern, u = kernels.mean[:steps, None], u[:, None]
-    else:
-        kern = kernels.functional[:steps]
-    return np.sum([np.convolve(kern[:, c], u[:, c])[:steps]
+        kernels, u = kernels.sum(axis=0, keepdims=True), u[:, None]
+    return np.sum([np.convolve(kernels[c, :steps], u[:, c])[:steps]
                    for c in range(u.shape[1])], axis=0)
 
 
@@ -287,7 +278,7 @@ def simulate_deterministic(det: DiscreteTimeOps, u: np.ndarray) -> np.ndarray:
 
 def deterministic_kernels(det: DiscreteTimeOps, count: int) -> np.ndarray:
     """Scalar impulse-response sequence of a single subject."""
-    return impulse_kernels(det, count).mean
+    return impulse_kernels(det, count).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

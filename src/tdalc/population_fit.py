@@ -111,7 +111,7 @@ def cost(params: PopulationParams, episodes: list[Episode],
     grid = grid.rebind(params)
     mean = forward_model.impulse_kernels(
         forward_model.assemble(params, grid),
-        _kernel_count(episodes)).mean
+        _kernel_count(episodes)).sum(axis=0)
     total = 0.0
     for ep in episodes:
         resid = _residuals(mean, ep)
@@ -198,9 +198,11 @@ _BRENT_XATOL = 1e-9
 def _unit_gain_outputs(ep: Episode, grid: DiscretizationGrid,
                        q1) -> np.ndarray:
     """Unit-gain model TAC at the episode's fit instants, one row per q1."""
-    kern = forward_model._spectral_kernels(grid.spatial, q1, grid.tau,
-                                           _kernel_count([ep]))
-    return np.array([_model_tac(g, ep) for g in np.atleast_2d(kern)])
+    q1 = np.atleast_1d(q1)
+    det = forward_model.deterministic_ops(
+        np.column_stack([q1, np.ones_like(q1)]), grid.spatial, grid.tau)
+    kern = forward_model.impulse_kernels(det, _kernel_count([ep]))
+    return np.array([_model_tac(g, ep) for g in kern])
 
 
 def _project_gain(m: np.ndarray, y: np.ndarray,
@@ -299,7 +301,7 @@ class FitResult:
     message: str
     fit_lower: bool
     stop: str | None = None  # convergence rule met: "gradient", "cost_floor"
-    failed_evals: int = 0   # evaluations that raised and were scored inf
+    failed_evals: int = 0   # evaluations that raised (scored above the rest)
     log: list[dict] = field(default_factory=list)
     per_episode: list[DeterministicFit] = field(default_factory=list)
 
@@ -376,8 +378,10 @@ def fit_population(episodes: list[Episode], grid: DiscretizationGrid,
     projected-gradient sup norm over 0.1, which makes that step move no
     parameter by more than 0.1 whatever the units (E when that gradient
     vanishes or cannot be evaluated).  Reported costs and gradients stay in
-    data units.  When no starting point is supplied, each episode is first
-    fit deterministically and the estimates seed the population parameters.
+    data units.  An evaluation that raises is scored above every score seen
+    so far, flat, so the line search backtracks (``failed_evals`` counts
+    it).  When no starting point is supplied, each episode is first fit
+    deterministically and the estimates seed the population parameters.
     """
     from scipy.optimize import minimize     # loaded by the fit alone
 
@@ -415,13 +419,17 @@ def fit_population(episodes: list[Episode], grid: DiscretizationGrid,
     if not 0.0 < scale < math.inf:
         scale = energy
 
+    worst = 0.0     # highest finite score returned so far
+
     def objective(theta):
-        nonlocal failed
+        nonlocal failed, worst
         try:
             val, grad = evaluate(theta)
         except failures:
             failed += 1
-            return math.inf, np.zeros_like(theta)
+            return 2.0 * worst + 1.0, np.zeros_like(theta)
+        if math.isfinite(val):
+            worst = max(worst, val / scale)
         return val / scale, grad / scale
 
     def callback(xk):

@@ -9,7 +9,8 @@ result's own time grid, with no sampling.  The single-input variant has no
 cell structure; its band is the envelope of one single-subject
 deconvolution per kept sample of the disk (the one-cell system at that
 sample), each warm-started from the solution at q = mu, all solved in
-batches through ``nnls``'s exchange loop.
+batches through ``nnls``'s exchange loop; a batch's kernels are one
+``impulse_kernels`` call on the stacked one-cell systems of its samples.
 
 All statistics are reported in percent-alcohol and hours.
 """

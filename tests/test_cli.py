@@ -8,11 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tdalc
-from tdalc import cli, forward_model
+from tdalc import cli
 from tdalc.cli import main, read_config
 from tdalc.deconvolution import RegularizationSearch
 from tdalc.density import PopulationParams, load_params, save_params
@@ -357,7 +358,7 @@ class TestDeconvolve:
         def no_expm(*args, **kwargs):
             raise AssertionError("expm called")
 
-        monkeypatch.setattr(forward_model, "expm", no_expm)
+        monkeypatch.setattr(scipy.linalg, "expm", no_expm)
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(BASE_CONFIG)
         eps = tmp_path / "eps"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from tdalc import deconvolution, forward_model
 from tdalc.data_io import build_episode
@@ -39,6 +40,12 @@ def pulse(k):
 
 def make_tac(ops, u):
     return np.concatenate([[0.0], forward_model.simulate(ops, u[:-1])])
+
+
+def stacked(prob):
+    """The problem's design rows over its block-diagonal penalty root,
+    dense."""
+    return np.vstack([prob.design, block_diag(*prob.penalty_sqrt)])
 
 
 def scaled_kkt(a, b, x):
@@ -200,7 +207,7 @@ class TestNnls:
     def test_tq_problem_on_8x8_cells(self):
         ops = make_ops(m1=8, m2=8)
         prob = build_problem(ops, make_tac(ops, pulse(163)), 1e-3, 1e-3)
-        a, b = prob.stacked, prob.target
+        a, b = stacked(prob), prob.target
         assert a.shape[1] == 64 * prob.time_mesh.m
         res = nnls(a, b)
         assert res.converged
@@ -230,7 +237,7 @@ class TestNnls:
         res = deconvolve(ops, tac, r1, r2)
         prob = build_problem(ops, tac, r1, r2)
         assert res.converged
-        assert scaled_kkt(prob.stacked, prob.target, res.nnls.x) <= 1e-8
+        assert scaled_kkt(stacked(prob), prob.target, res.nnls.x) <= 1e-8
 
     def test_gram_over_budget_raises(self, monkeypatch):
         # at r1 = 0 the penalty blocks do not factor, so a free set larger
@@ -401,8 +408,8 @@ class TestDesigns:
         ops = make_ops(m1=3, m2=2)
         tac = make_tac(ops, pulse(75))
         prob = build_problem(ops, tac, 1e-3, 1e-3, m=9)
-        kernels = forward_model.impulse_kernels(ops, tac.size - 1).functional
-        want = toeplitz_designs(kernels.T, prob.sample)
+        kernels = forward_model.impulse_kernels(ops, tac.size - 1)
+        want = toeplitz_designs(kernels, prob.sample)
         assert prob.design.shape == (75, 6 * 9)
         got = prob.design.reshape(75, 6, 9).transpose(1, 2, 0)
         assert_close_per_kernel(got, want, 1e-15)
@@ -554,10 +561,10 @@ class TestBuildProblem:
         g0, g1, _ = temporal_basis_matrices(prob.time_mesh)
         dense = np.kron(np.diag(np.sqrt(prob.cell_masses)),
                         sqrtm_psd(2e-3 * g0 + 5e-2 * g1))
-        assert np.array_equal(prob.stacked, np.vstack([prob.design, dense]))
+        assert np.array_equal(stacked(prob), np.vstack([prob.design, dense]))
         scalar = build_problem(ops, tac, 2e-3, 5e-2, variant="scalar")
         assert np.array_equal(scalar.cell_masses, [1.0])
-        assert np.array_equal(scalar.stacked, np.vstack(
+        assert np.array_equal(stacked(scalar), np.vstack(
             [scalar.design, sqrtm_psd(2e-3 * g0 + 5e-2 * g1)]))
 
     def test_design_reproduces_forward_map(self):
@@ -576,7 +583,7 @@ class TestStackedOperator:
         ops = make_ops()
         prob = build_problem(ops, make_tac(ops, pulse(121)), 2e-3, 5e-2)
         a = deconvolution._StackedOperator(prob.design, prob.penalty_sqrt)
-        dense = prob.stacked
+        dense = stacked(prob)
         rng = np.random.default_rng(3)
         x, r = rng.standard_normal(a.shape[1]), rng.standard_normal(a.shape[0])
         assert a.shape == dense.shape and a.T.shape == dense.T.shape
@@ -886,7 +893,7 @@ class TestSearchEpisode:
                        (1e2, 1e-4), (1e-5, 1e2), (3e-2, 3e-3)):
             search.score(r1, r2)
             prob = build_problem(ops, ep.y, r1, r2)
-            assert scaled_kkt(prob.stacked, prob.target, search.x) <= 1e-8, \
+            assert scaled_kkt(stacked(prob), prob.target, search.x) <= 1e-8, \
                 (r1, r2)
 
 

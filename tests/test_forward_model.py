@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from scipy.linalg import expm
 
 from tdalc import forward_model
 from tdalc.density import PopulationParams, moment_weights
-from tdalc.errors import ConfigurationError, NumericalError
+from tdalc.errors import ConfigurationError, NumericalError, ParameterError
 from tdalc.grid_basis import DiscretizationGrid, ParamMesh, SpatialMesh
 
 
@@ -137,7 +139,7 @@ class TestKernels:
         y_rec = forward_model.simulate(ops, u)
         assert np.max(np.abs(y_conv - y_rec)) < 1e-12 * np.max(np.abs(y_rec))
         # the direct lag sum, y_k = sum_l h_l . u_{k-l}
-        direct = [np.sum(kern.functional[:k][::-1] * u[:k])
+        direct = [np.sum(kern.T[:k][::-1] * u[:k])
                   for k in range(1, u.shape[0] + 1)]
         assert np.allclose(y_conv, direct, rtol=1e-13, atol=0.0)
         with pytest.raises(ConfigurationError):
@@ -165,8 +167,8 @@ class TestKernels:
         ops = make_ops(params)
         kern = forward_model.impulse_kernels(ops, 10)
         dead = ops.p == 0.0
-        assert np.all(kern.functional[:, dead] == 0.0)
-        assert np.all(np.isfinite(kern.functional))
+        assert np.all(kern[dead] == 0.0)
+        assert np.all(np.isfinite(kern))
 
     def test_count_validation(self):
         ops = make_ops()
@@ -197,7 +199,7 @@ class TestDeterministic:
         q = (0.62, 0.9)
         params = PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0), mu=q,
                                   sigma=((sd * sd, 0.0), (0.0, sd * sd)))
-        mean = forward_model.impulse_kernels(make_ops(params), 200).mean
+        mean = forward_model.impulse_kernels(make_ops(params), 200).sum(axis=0)
         det = forward_model.deterministic_kernels(
             forward_model.deterministic_ops(q, SpatialMesh(4), 1.0), 200)
         assert np.max(np.abs(mean - det)) <= 1e-12 * np.max(np.abs(det))
@@ -217,6 +219,42 @@ class TestDeterministic:
         y1 = forward_model.simulate_deterministic(det1, u)
         y2 = forward_model.simulate_deterministic(det2, u)
         assert np.allclose(y2, 2.0 * y1, atol=1e-13)
+
+
+STACK = np.array([[0.05, 1.0], [0.62, 0.9], [8.0, 0.0], [0.7, 2.5],
+                  [1e-3, 0.3]])
+
+
+class TestDeterministicStack:
+    def test_pairs_are_unit_mass_cells(self):
+        ops = forward_model.deterministic_ops(STACK, SpatialMesh(4), 0.7)
+        assert ops.cells == (len(STACK), 1) and ops.n_cells == len(STACK)
+        assert np.array_equal(ops.p, np.ones(len(STACK)))
+        assert np.array_equal(ops.qbar1, STACK[:, 0])
+        assert np.array_equal(ops.qbar2, STACK[:, 1])
+
+    def test_rows_equal_one_cell_kernels(self):
+        mesh = SpatialMesh(4)
+        stack = forward_model.impulse_kernels(
+            forward_model.deterministic_ops(STACK, mesh, 0.7), 163)
+        assert stack.shape == (len(STACK), 163)
+        for row, q in zip(stack, STACK):
+            one = forward_model.impulse_kernels(
+                forward_model.deterministic_ops(q, mesh, 0.7), 163)
+            assert one.shape == (1, 163)
+            assert np.array_equal(row, one[0])
+
+    @pytest.mark.parametrize("where, q1", [(0, 0.0), (2, -0.25), (4, np.nan)])
+    def test_nonpositive_diffusivity_named(self, where, q1):
+        stack = STACK.copy()
+        stack[where, 0] = q1
+        with pytest.raises(ParameterError, match=re.escape(f"got {q1}")):
+            forward_model.deterministic_ops(stack, SpatialMesh(4), 1.0)
+
+    @pytest.mark.parametrize("q", [(0.7,), (0.7, 1.0, 2.0), np.ones((2, 2, 2))])
+    def test_other_shapes_rejected(self, q):
+        with pytest.raises(ConfigurationError):
+            forward_model.deterministic_ops(q, SpatialMesh(4), 1.0)
 
 
 def _expm_reference(q, mesh, tau, u):

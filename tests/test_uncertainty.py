@@ -348,7 +348,7 @@ class TestCredibleBandScalar:
                                   sigma=((0.01, 0.0), (0.0, 0.03)))
         assert np.any(kept_samples(params, 0.75, 200, 3)[:, 0] <= 0.0)
         _, tac, grid = make_result(k=181)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="diffusivity must be positive"):
             credible_band_scalar(tac, params, grid, 1e-3, 1e-3,
                                  n_samples=200, seed=3)
 
