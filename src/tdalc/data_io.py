@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConfigurationError, ParseError
+from .grid_basis import check_step
 
 _HEADER = ("t_minutes", "channel", "value")
 _CHANNELS = ("brac", "tac")
@@ -119,8 +120,7 @@ def build_episode(ident: str,
                   tac_times: np.ndarray, tac_values: np.ndarray,
                   tau: float = 1.0) -> Episode:
     """Assemble an Episode from raw series, resampling onto the tau grid."""
-    if tau <= 0:
-        raise ConfigurationError(f"tau must be positive, got {tau}")
+    check_step(tau)
     brac_times = np.asarray(brac_times, dtype=float)
     brac_values = np.asarray(brac_values, dtype=float)
     tac_times = np.asarray(tac_times, dtype=float)

@@ -19,12 +19,12 @@ interval probability, and to phi at the mesh nodes.  No quadrature is
 involved, so the weights stay accurate for laws of any width: a law far
 narrower than its cell puts all the mass in that cell, at the mean.
 
-The credible disk's mass is the one integral left: the marginal density
-times a conditional slab probability across the disk, summed by a globally
-adaptive 21-point Gauss-Kronrod rule (QUADPACK's QK21 and its error
-estimate, at most 200 pieces) written in numpy, and its radius is found by
-bisecting on that mass to full double precision, so a narrow law's radius is
-as good as a wide one's.  The module needs only numpy and ``scipy.special``.
+The credible disk's mass is the one integral left: the ``_Lines`` mass of
+the disk's chords across the disk, summed by a globally adaptive 21-point
+Gauss-Kronrod rule (QUADPACK's QK21 and its error estimate, at most 200
+pieces) written in numpy, and its radius is found by bisecting on that mass
+to full double precision, so a narrow law's radius is as good as a wide
+one's.  The module needs only numpy and ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -273,16 +273,18 @@ class _Lines(NamedTuple):
     @classmethod
     def build(cls, pos, other, mu_a, mu_b, var, cov, sd):
         """Lines q_a = ``pos`` over the intervals between the ``other``
-        edges; ``var`` and ``cov`` are Var q_a and Cov(q_a, q_b), ``sd`` the
-        conditional standard deviation of q_b."""
+        edges, shared (1-d) or one row per line; ``var`` and ``cov`` are
+        Var q_a and Cov(q_a, q_b), ``sd`` the conditional standard deviation
+        of q_b."""
         offset = pos - mu_a
         dens = np.exp(-0.5 * offset * offset / var) / math.sqrt(2.0 * math.pi * var)
         slope = cov / var
         mean = mu_b + slope * offset
-        z = (other[None, :] - mean[:, None]) / sd
+        z = (other - mean[:, None]) / sd
         lo, hi = z[:, :-1], z[:, 1:]
         # the difference of upper tails where the interval lies above the mean
-        cdf = np.where(lo > 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+        up = lo > 0.0
+        cdf = ndtr(np.where(up, -lo, hi)) - ndtr(np.where(up, -hi, lo))
         phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         return cls(offset, var, dens, mean, sd, slope, z, phi, cdf)
 
@@ -596,37 +598,33 @@ def _adaptive_gauss(f, breaks, epsabs: float,
 def _disk_mass(params: PopulationParams, r: float, z: float) -> float:
     """Truncated-normal mass of the disk of radius r centered at mu.
 
-    Integrates the marginal density times the conditional slab probability
-    over the disk's x-extent, with a sine substitution so the circular limits
-    stay smooth, by ``_adaptive_gauss`` from breaks that split off the
-    marginal's peak and the kinks where the disk's rim crosses a horizontal
-    edge of the box.
+    Integrates the ``_Lines`` mass of the disk's vertical chords, clipped to
+    the box and divided by its normal mass z, over the disk's x-extent, with
+    a sine substitution so the circular limits stay smooth, by
+    ``_adaptive_gauss`` from breaks that split off the marginal's peak and
+    the kinks where the disk's rim crosses a horizontal edge of the box.
     """
     if r <= 0:
         return 0.0
     mu1, mu2 = params.mu
     a2, b2 = params.a[1], params.b[1]
-    s11 = params.sigma[0, 0]
-    s12 = params.sigma[0, 1]
-    s22 = params.sigma[1, 1]
-    sd1 = math.sqrt(s11)
-    cond_sd = math.sqrt(max(s22 - s12 ** 2 / s11, 1e-300))
+    sig = params.sigma
+    sd1 = math.sqrt(sig[0, 0])
     x_lo = max(params.a[0], mu1 - r)
     x_hi = min(params.b[0], mu1 + r)
     if x_hi <= x_lo:
         return 0.0
     th_lo = math.asin(min(1.0, max(-1.0, (x_lo - mu1) / r)))
     th_hi = math.asin(min(1.0, max(-1.0, (x_hi - mu1) / r)))
-    norm = 1.0 / (sd1 * math.sqrt(2 * math.pi))
 
     def integrand(th):
-        off, half = r * np.sin(th), r * np.cos(th)
-        y_lo = np.maximum(a2, mu2 - half)
-        y_hi = np.minimum(b2, mu2 + half)
-        m = mu2 + s12 / s11 * off
-        slab = np.where(y_hi > y_lo, ndtr((y_hi - m) / cond_sd)
-                        - ndtr((y_lo - m) / cond_sd), 0.0)
-        return norm * np.exp(-0.5 * (off / sd1) ** 2) * slab * half
+        t = th.ravel()
+        half = r * np.cos(t)
+        # a chord that misses the box is clipped to equal ends: no mass
+        ends = np.minimum(np.maximum(mu2 + half[:, None] * (-1.0, 1.0), a2), b2)
+        chords = _Lines.build(mu1 + r * np.sin(t), ends, mu1, mu2, sig[0, 0],
+                              sig[0, 1], params.chol[1, 1])
+        return (chords.mass[:, 0] * half / z).reshape(th.shape)
 
     breaks = [math.asin((x - mu1) / r) for x in _peak_breaks(x_lo, x_hi, mu1, sd1)]
     for gap in (abs(mu2 - a2), abs(b2 - mu2)):
@@ -634,8 +632,7 @@ def _disk_mass(params: PopulationParams, r: float, z: float) -> float:
             turn = math.acos(gap / r)
             breaks += [t for t in (-turn, turn) if th_lo < t < th_hi]
     edges = np.unique(np.concatenate([[th_lo, th_hi], breaks]))
-    val, _, _ = _adaptive_gauss(integrand, edges, epsabs=1e-12, epsrel=1e-10)
-    return val / z
+    return _adaptive_gauss(integrand, edges, epsabs=1e-12, epsrel=1e-10)[0]
 
 
 def credible_region_radius(params: PopulationParams,

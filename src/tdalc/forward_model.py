@@ -48,7 +48,7 @@ import numpy as np
 
 from . import density
 from .errors import ConfigurationError, NumericalError, ParameterError
-from .grid_basis import DiscretizationGrid, SpatialMesh
+from .grid_basis import DiscretizationGrid, SpatialMesh, check_step
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,7 @@ def discrete_time(ops: DiscreteTimeOps,
     """The system sampled at step tau (default: its own)."""
     if tau is None:
         return ops
-    if tau <= 0:
-        raise ConfigurationError(f"tau must be positive, got {tau}")
+    check_step(tau)
     return replace(ops, tau=tau)
 
 
@@ -191,11 +190,13 @@ def deterministic_ops(q, mesh: SpatialMesh, tau: float) -> DiscreteTimeOps:
     if q.ndim not in (1, 2) or q.shape[-1] != 2:
         raise ConfigurationError(f"q must be a pair or n x 2, got shape {q.shape}")
     q1, q2 = q.reshape(-1, 2).T
-    bad = q1[~(q1 > 0.0)]
+    bad = q1[~((q1 > 0.0) & (q1 < np.inf))]
     if bad.size:
-        raise ParameterError(f"diffusivity must be positive, got {bad[0]}")
-    if tau <= 0:
-        raise ConfigurationError(f"tau must be positive, got {tau}")
+        raise ParameterError(f"diffusivity must be positive and finite, got {bad[0]}")
+    bad = q2[~np.isfinite(q2)]
+    if bad.size:
+        raise ParameterError(f"input gain must be finite, got {bad[0]}")
+    check_step(tau)
     return DiscreteTimeOps(spatial=mesh, cells=(q1.size, 1), tau=tau,
                            p=np.ones(q1.size), qbar1=q1, qbar2=q2)
 

@@ -25,6 +25,12 @@ import numpy as np
 from .errors import ConfigurationError
 
 
+def check_step(tau: float) -> None:
+    """Reject a sample step that is not positive and finite."""
+    if not 0.0 < tau < np.inf:
+        raise ConfigurationError(f"tau must be positive and finite, got {tau}")
+
+
 def hat_value(nodes: np.ndarray, j: int, x) -> np.ndarray | float:
     """Evaluate the j-th linear hat function on ``nodes`` at ``x``.
 
@@ -177,8 +183,10 @@ class TimeMesh:
     def __post_init__(self):
         if self.m < 2:
             raise ConfigurationError(f"temporal basis needs m >= 2, got {self.m}")
-        if self.horizon <= 0 or self.tau <= 0:
-            raise ConfigurationError("horizon and tau must be positive")
+        check_step(self.tau)
+        if not 0.0 < self.horizon < np.inf:
+            raise ConfigurationError(
+                f"horizon must be positive and finite, got {self.horizon}")
         steps = self.horizon / self.tau
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigurationError(
@@ -226,8 +234,7 @@ class DiscretizationGrid:
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigurationError(f"tau must be positive, got {self.tau}")
+        check_step(self.tau)
 
     @classmethod
     def from_params(cls, params, n: int = 4, m1: int = 4, m2: int = 4,

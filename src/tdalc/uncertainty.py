@@ -26,7 +26,7 @@ from .deconvolution import (DeconvolutionResult, _time_basis,
                             _warm_scalar_solves, deconvolve_deterministic)
 from .errors import ConfigurationError, NumericalError, SamplingError
 from .forward_model import deterministic_ops
-from .grid_basis import DiscretizationGrid, ParamMesh
+from .grid_basis import DiscretizationGrid, ParamMesh, check_step
 
 DEFAULT_ALPHA = 0.75
 DEFAULT_SAMPLES = 1000
@@ -167,8 +167,7 @@ def episode_stats(curve: np.ndarray, tau: float,
     curve = np.asarray(curve, dtype=float)
     if curve.ndim != 1 or curve.size == 0 or not np.all(np.isfinite(curve)):
         raise ConfigurationError("curve must be a nonempty 1-d array of finite values")
-    if not 0.0 < tau < np.inf:
-        raise ConfigurationError(f"tau must be positive and finite, got {tau}")
+    check_step(tau)
     peak_idx = int(np.argmax(curve))
     peak = float(curve[peak_idx])
     peak_time = peak_idx * tau / 60.0

@@ -240,6 +240,12 @@ class TestBuildEpisode:
         with pytest.raises(ConfigurationError):
             build_episode("s", t, t, t, t, tau=-1.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_requires_finite_tau(self, tau):
+        t = np.array([0.0, 60.0])
+        with pytest.raises(ConfigurationError, match="finite"):
+            build_episode("s", t, t, t, t, tau=tau)
+
     def test_too_short_span_rejected(self):
         with pytest.raises(ConfigurationError):
             build_episode("s", [], [], [0.0, 0.4], [0.0, 0.01], tau=1.0)

@@ -360,6 +360,9 @@ RADIUS_LAWS = {
     "narrow": law((0.62, 0.9), (1e-6, 1e-6), 0.0),
     "anisotropic": law((0.62, 1.0), (1e-4, 0.2), 0.0),
     "correlated": law((0.62, 1.0), (0.2, 0.3), 0.95),
+    # mu 7 sd below the box and its mirror image 7 sd above
+    "mu below": law((0.62, -0.7), (0.2, 0.1), 0.0),
+    "mu above": law((0.62, 2.7), (0.2, 0.1), 0.0),
 }
 
 
@@ -385,6 +388,18 @@ class TestCredibleRadiusTable:
         params = RADIUS_LAWS["narrow"]
         radius = density._credible_radius(params, 0.5).radius
         assert abs(polar_disk_mass(params, radius)[0] - 0.5) <= 1e-10 * 0.5
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.99])
+    @pytest.mark.parametrize("k", [6, 7, 8, 9])
+    def test_law_below_box_mirrors_law_above(self, k, alpha):
+        # mu k sd below the box holds the slab in the conditional upper tail;
+        # past about 8 sd the box mass is below the oracle's absolute
+        # tolerance, so the radius is held to its mirror image's
+        below = density._credible_radius(law((0.62, -0.1 * k), (0.2, 0.1), 0.0), alpha)
+        above = density._credible_radius(law((0.62, 2.0 + 0.1 * k), (0.2, 0.1), 0.0),
+                                         alpha)
+        assert below.attained and above.attained
+        assert below.radius == pytest.approx(above.radius, rel=1e-13, abs=0.0)
 
     def test_clipped_wide_law_at_half(self):
         # the rim crosses the box's lower edge inside the integration range:

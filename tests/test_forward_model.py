@@ -120,6 +120,13 @@ class TestRecursion:
                    / np.linalg.norm(two.ahat[c]))
             assert err < 1e-10
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_nonfinite_step_rejected(self, tau):
+        sys = forward_model.assemble(make_params(),
+                                     DiscretizationGrid.from_params(make_params()))
+        with pytest.raises(ConfigurationError, match="finite"):
+            forward_model.discrete_time(sys, tau=tau)
+
 
 class TestKernels:
     def test_convolution_matches_recursion(self):
@@ -250,6 +257,20 @@ class TestDeterministicStack:
         stack[where, 0] = q1
         with pytest.raises(ParameterError, match=re.escape(f"got {q1}")):
             forward_model.deterministic_ops(stack, SpatialMesh(4), 1.0)
+
+    @pytest.mark.parametrize("column, value", [(0, np.inf), (1, np.nan), (1, np.inf)])
+    def test_nonfinite_subject_named(self, column, value):
+        # an infinite diffusivity failed in LAPACK, a non-finite gain gave
+        # an all-zero deconvolution reported as converged
+        stack = STACK.copy()
+        stack[3, column] = value
+        with pytest.raises(ParameterError, match=re.escape(f"got {value}")):
+            forward_model.deterministic_ops(stack, SpatialMesh(4), 1.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_nonfinite_step_rejected(self, tau):
+        with pytest.raises(ConfigurationError, match="finite"):
+            forward_model.deterministic_ops(STACK, SpatialMesh(4), tau)
 
     @pytest.mark.parametrize("q", [(0.7,), (0.7, 1.0, 2.0), np.ones((2, 2, 2))])
     def test_other_shapes_rejected(self, q):

@@ -45,6 +45,17 @@ class TestTimeMesh:
         with pytest.raises(ConfigurationError):
             TimeMesh(m=1, horizon=60.0, tau=1.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_rejects_nonfinite_tau(self, tau):
+        with pytest.raises(ConfigurationError, match="finite"):
+            TimeMesh(m=8, horizon=60.0, tau=tau)
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf])
+    def test_rejects_nonfinite_horizon(self, horizon):
+        # a NaN or infinite horizon failed converting the step count to int
+        with pytest.raises(ConfigurationError, match="finite"):
+            TimeMesh(m=8, horizon=horizon, tau=1.0)
+
     def test_partition_of_unity(self):
         tm = TimeMesh(m=8, horizon=120.0, tau=1.0)
         _, _, sample = temporal_basis_matrices(tm)
@@ -131,3 +142,8 @@ class TestDiscretizationGrid:
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ConfigurationError):
             DiscretizationGrid.from_params(self._params(), tau=0.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_rejects_nonfinite_tau(self, tau):
+        with pytest.raises(ConfigurationError, match="finite"):
+            DiscretizationGrid.from_params(self._params(), tau=tau)

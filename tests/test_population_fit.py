@@ -418,6 +418,17 @@ class TestFitPopulation:
         assert res.failed_evals == 1
         assert res.converged and res.stop == "gradient"
 
+    def test_fit_lower_end_to_end(self):
+        # the lower support bounds are fitted too; accuracy is not asserted,
+        # as Sigma_22 is not identified by these data
+        episodes, grid = criterion05_episodes()
+        init = criterion05_start(episodes, grid)
+        res = fit_population(episodes, grid, init=init, fit_lower=True, tol=1e-8)
+        assert res.converged and res.failed_evals == 0
+        a, b = res.params.a, res.params.b
+        assert np.all((a >= 0.0) & (a <= 49.0) & (a < b))
+        assert res.log and all(len(rec["theta"]) == 9 for rec in res.log)
+
     def test_verdict_and_estimate_independent_of_units(self):
         runs = {}
         for scale in (1.0, 0.1, 10.0):
