@@ -115,16 +115,42 @@ def _snap_fit_indices(tac_times: np.ndarray, tau: float, n_grid: int) -> np.ndar
     return np.unique(idx)
 
 
+def _check_channel(ident: str, channel: str, times: np.ndarray,
+                   values: np.ndarray) -> None:
+    """Reject a raw series the resampling cannot read: times and values must
+    be 1-d of one length, finite and nonnegative, the times strictly
+    increasing.  ``ConfigurationError`` names the first offending index."""
+    where = f"episode {ident!r} {channel}"
+    if times.ndim != 1 or values.shape != times.shape:
+        raise ConfigurationError(
+            f"{where}: times and values must be 1-d of one length, got shapes "
+            f"{times.shape} and {values.shape}")
+    rises = np.diff(times, prepend=-np.inf) > 0.0
+    for what, arr, bad in (("non-finite time", times, ~np.isfinite(times)),
+                           ("non-finite value", values, ~np.isfinite(values)),
+                           ("negative time", times, times < 0.0),
+                           ("time not after the previous one", times, ~rises),
+                           ("negative value", values, values < 0.0)):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ConfigurationError(
+                f"{where}: {what} {float(arr[i])!r} at index {i}")
+
+
 def build_episode(ident: str,
                   brac_times: np.ndarray, brac_values: np.ndarray,
                   tac_times: np.ndarray, tac_values: np.ndarray,
                   tau: float = 1.0) -> Episode:
-    """Assemble an Episode from raw series, resampling onto the tau grid."""
+    """Assemble an Episode from raw series, resampling onto the tau grid.
+    Each channel is checked by ``_check_channel``; the BrAC one may be
+    empty."""
     check_step(tau)
     brac_times = np.asarray(brac_times, dtype=float)
     brac_values = np.asarray(brac_values, dtype=float)
     tac_times = np.asarray(tac_times, dtype=float)
     tac_values = np.asarray(tac_values, dtype=float)
+    _check_channel(ident, "brac", brac_times, brac_values)
+    _check_channel(ident, "tac", tac_times, tac_values)
     if tac_times.size < 2:
         raise ConfigurationError(
             f"episode {ident!r} needs at least two TAC samples, got {tac_times.size}")

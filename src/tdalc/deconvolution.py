@@ -480,14 +480,18 @@ def _pivoting(normal: _Normal | _Grams, x: np.ndarray, max_iter: int,
     ``_BACKUP`` full exchanges that leave no fewer, a problem goes on alone
     from its best iterate (``descent``) by single exchanges that keep x
     feasible and lower the objective, so cannot cycle on a singular Gram
-    (Lawson and Hanson, 1974).  A free column solved to exactly zero is
-    bound.  Needing over ``max_iter`` iterations, a problem stops unconverged
-    at the best of its start and projected iterates (in descent, its last).
+    (Lawson and Hanson, 1974).  As in their safeguard, a column whose entry
+    moves x by a zero step (it solves negative on the new free set) may not
+    enter again until x moves, and the stop rule ignores its dual until
+    then.  A free column solved to exactly zero is bound.  Needing over
+    ``max_iter`` iterations, a problem stops unconverged at the best of its
+    start and projected iterates (in descent, its last).
     Returns the scaled x, the converged flags and the iteration counts."""
     n_prob, n = x.shape
     out = np.empty((n_prob, n)), np.zeros(n_prob, bool), np.zeros(n_prob, int)
     rows, its = np.arange(n_prob), np.zeros(n_prob, dtype=int)
     free, done = x > 0.0, np.zeros(n_prob, dtype=bool)
+    barred = np.zeros(n, dtype=bool)    # in descent: entries that took a zero step
     best, best_obj = x, np.vecdot(x, normal.gx(x)) - np.vecdot(2.0 * normal.f, x)
     fewest, backup = its + (n + 1), its + _BACKUP
     while rows.size:
@@ -506,15 +510,19 @@ def _pivoting(normal: _Normal | _Grams, x: np.ndarray, max_iter: int,
         if descent and (neg := free & (z < 0.0)).any():
             # from the feasible x toward z until a variable hits zero
             ratio = x[neg] / (x[neg] - z[neg])
+            stuck = neg & (x == 0.0)    # entered, and x cannot move toward z
+            barred = barred | stuck if stuck.any() else np.zeros_like(barred)
             x = np.maximum(np.where(free, x + ratio.min() * (z - x), 0.0), 0.0)
             x[0, np.flatnonzero(neg)[ratio == ratio.min()]] = 0.0
             free = x > 0.0
             continue
+        if descent and (free & (x == 0.0)).any():   # an entry moves x
+            barred = np.zeros_like(barred)
         x, free, was = z, free & (z != 0.0), free
         dual = normal.s * (normal.gx(x) - normal.f)
         # in single exchanges a column just held at zero stays: 0 < 0 fails
         infeasible = np.where(was if descent else free, x < 0.0,
-                              dual < -normal.tol)
+                              dual < -normal.tol) & ~barred
         done = ~infeasible.any(axis=1)
         if descent:     # the bound variable of most negative dual enters
             infeasible = np.arange(n) == np.argmin(
@@ -541,11 +549,16 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None,
          x0: np.ndarray | None = None) -> NnlsResult:
     """Block principal pivoting (``_pivoting`` on ``_Normal``) for
     min ||a x - b|| s.t. x >= 0, to a dual (KKT) violation of at most
-    ``_DUAL_TOL`` (1e-9) times the norm of a^T b.  ``a`` is a matrix or the
-    stacked operator of ``solve_problem``; data that are not finite raise
-    ``ConfigurationError``.  The free set starts as x0 > 0 (empty without
-    ``x0``).  A solve that hits ``max_iter`` (3 n by default) warns and
-    returns the best of x0 and the iterates projected onto x >= 0."""
+    ``_DUAL_TOL`` (1e-9) times the norm of a^T b.  One exception: in the
+    single-exchange fallback, a column whose entry could not move x (it
+    solved negative, so the step toward the new solution had length zero)
+    is left out of that test, after Lawson and Hanson's safeguard; its dual
+    may break the tolerance by rounding on a near-singular free set.  ``a``
+    is a matrix or the stacked operator of ``solve_problem``; data that are
+    not finite raise ``ConfigurationError``.  The free set starts as x0 > 0
+    (empty without ``x0``).  A solve that hits ``max_iter`` (3 n by default)
+    warns and returns the best of x0 and the iterates projected onto
+    x >= 0."""
     b = np.asarray(b, dtype=float)
     stacked = isinstance(a, _StackedOperator)
     a = a if stacked else np.asarray(a, dtype=float)

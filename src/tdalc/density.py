@@ -41,6 +41,11 @@ from scipy.special import ndtr, owens_t
 from .errors import ConfigurationError, ParameterError, SamplingError
 from .grid_basis import ParamMesh
 
+#: the nine fit parameters, in the order of packed vectors and of the rows of
+#: ``moment_weight_derivatives``: the support box's lower and upper bounds,
+#: the normal location and the lower Cholesky factor's entries
+PARAMETER_NAMES = ("a1", "a2", "b1", "b2", "mu1", "mu2", "l11", "l21", "l22")
+
 _SQRT2 = math.sqrt(2.0)
 # past a t / sqrt 2 = 1.5 an Owen tail is summed directly (``_owen_tail``):
 # the difference of owens_t values would lose more than a factor 30
@@ -396,8 +401,7 @@ def _cholesky_chain(a11, a12, a22, low) -> tuple:
 
 
 def moment_weight_derivatives(params: PopulationParams, pm1: ParamMesh, pm2: ParamMesh,
-                              weights: CellWeights | None = None
-                              ) -> dict[str, CellWeights]:
+                              weights: CellWeights | None = None) -> np.ndarray:
     """Analytic derivatives of the cell weights in every fit parameter.
 
     ``weights`` must be ``moment_weights(params, pm1, pm2)``; its line
@@ -417,8 +421,8 @@ def moment_weight_derivatives(params: PopulationParams, pm1: ParamMesh, pm2: Par
       for b_k and by 1 - s_k for a_k.
 
     The normalization by the box mass is differentiated last.  Returns one
-    CellWeights of derivatives per name a1, a2, b1, b2, mu1, mu2, l11, l21,
-    l22.
+    (9, 3, m1, m2) array: the derivatives of (p, w1, w2) in each parameter
+    of ``PARAMETER_NAMES``, in that order.
     """
     if weights is None:
         weights = moment_weights(params, pm1, pm2)
@@ -451,7 +455,7 @@ def moment_weight_derivatives(params: PopulationParams, pm1: ParamMesh, pm2: Par
          _along(e2[None, :] * h_norm) - grad2),
     )
     chained = [_cholesky_chain(*hess, low) for hess in second]
-    for n, name in enumerate(("l11", "l21", "l22")):
+    for n, name in enumerate(PARAMETER_NAMES[6:]):
         raw[name] = tuple(chain[n] for chain in chained)
     for k, (pm, moved) in enumerate(((pm1, (v_mass, v_q1, v_first)),
                                      (pm2, (h_mass, h_first, h_q2)))):
@@ -460,13 +464,10 @@ def moment_weight_derivatives(params: PopulationParams, pm1: ParamMesh, pm2: Par
         for name, weight in ((f"a{k + 1}", 1.0 - s), (f"b{k + 1}", s)):
             weight = weight[:, None] if k == 0 else weight[None, :]
             raw[name] = tuple(diff(weight * arr) for arr in moved)
-    names = list(raw)
-    d_raw = np.array([raw[name] for name in names])    # (names, 3, m1, m2)
+    d_raw = np.array([raw[name] for name in PARAMETER_NAMES])
     d_mass = d_raw[:, 0].sum(axis=(1, 2))
     base = np.stack([weights.p, weights.w1, weights.w2])
-    d_norm = (d_raw - base * d_mass[:, None, None, None]) / weights.mass
-    return {name: CellWeights(*d_norm[i], mass=float(d_mass[i]), _lines=())
-            for i, name in enumerate(names)}
+    return (d_raw - base * d_mass[:, None, None, None]) / weights.mass
 
 
 def sample(params: PopulationParams, count: int, seed) -> np.ndarray:

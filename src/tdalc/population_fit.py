@@ -54,30 +54,34 @@ _DEFAULT_MAX_ITER = 500
 _RIDGE = 1e-4    # floor of the start covariance's smallest eigenvalue
 
 
+def _active(fit_lower: bool) -> slice:
+    """The decision variables' slice of ``density.PARAMETER_NAMES``: all nine,
+    or all but the lower support bounds a1, a2, which are then held."""
+    return slice(0 if fit_lower else 2, None)
+
+
 def active_parameter_names(fit_lower: bool = False) -> tuple[str, ...]:
     """Order of the decision variables in packed vectors and gradients."""
-    base = ("b1", "b2", "mu1", "mu2", "l11", "l21", "l22")
-    return (("a1", "a2") + base) if fit_lower else base
+    return density.PARAMETER_NAMES[_active(fit_lower)]
 
 
 def pack_theta(params: PopulationParams, fit_lower: bool = False) -> np.ndarray:
     low = params.chol
-    base = [params.b[0], params.b[1], params.mu[0], params.mu[1],
-            low[0, 0], low[1, 0], low[1, 1]]
-    if fit_lower:
-        base = [params.a[0], params.a[1]] + base
-    return np.array(base)
+    return np.array([*params.a, *params.b, *params.mu, low[0, 0], low[1, 0],
+                     low[1, 1]])[_active(fit_lower)]
 
 
 def unpack_theta(theta: np.ndarray, a: np.ndarray,
                  fit_lower: bool = False) -> PopulationParams:
-    theta = np.asarray(theta, dtype=float)
-    if fit_lower:
-        a = theta[:2]
-        theta = theta[2:]
-    low = np.array([[theta[4], 0.0], [theta[5], theta[6]]])
-    return PopulationParams(a=np.asarray(a, dtype=float), b=theta[:2],
-                            mu=theta[2:4], sigma=low @ low.T)
+    """Inverse of ``pack_theta``; ``a`` gives the lower bounds when they are
+    held, and is not read otherwise."""
+    full = np.empty(len(density.PARAMETER_NAMES))
+    active = _active(fit_lower)
+    full[:active.start] = np.ravel(a)[:active.start]
+    full[active] = theta
+    low = np.array([[full[6], 0.0], [full[7], full[8]]])
+    return PopulationParams(a=full[:2], b=full[2:4], mu=full[4:6],
+                            sigma=low @ low.T)
 
 
 def _check_episodes(episodes: list[Episode], grid: DiscretizationGrid) -> None:
@@ -119,25 +123,15 @@ def cost(params: PopulationParams, episodes: list[Episode],
     return total
 
 
-def _weight_derivative_stack(params: PopulationParams, grid: DiscretizationGrid,
-                             weights: density.CellWeights,
-                             fit_lower: bool) -> np.ndarray:
-    """Stack (dp, dw1, dw2) per active parameter, flattened over cells."""
-    derivs = density.moment_weight_derivatives(
-        params, grid.pm1, grid.pm2, weights=weights)
-    return np.stack([
-        [derivs[name].p.ravel(order="F"), derivs[name].w1.ravel(order="F"),
-         derivs[name].w2.ravel(order="F")]
-        for name in active_parameter_names(fit_lower)])  # (n_par, 3, ncells)
-
-
 def _mean_kernel_derivatives(sys: forward_model.DiscreteTimeOps,
                              dw: np.ndarray, kern: np.ndarray,
                              dkern: np.ndarray) -> np.ndarray:
     """d h_l / d theta, shape (n_par, count), for the population kernel
     h = sum_c w2_c g(w1_c / p_c) with g the unit-gain cell kernel and dw the
-    weight derivative stack."""
-    d_p, d_w1, d_w2 = dw[:, 0, :], dw[:, 1, :], dw[:, 2, :]
+    derivatives of (p, w1, w2) per parameter, (n_par, 3, m1, m2)."""
+    # cells flattened with the first index fastest, as the assembly's
+    flat = dw.swapaxes(2, 3).reshape(*dw.shape[:2], -1)
+    d_p, d_w1, d_w2 = flat[:, 0], flat[:, 1], flat[:, 2]
     # zero-mass cells contribute nothing and their weight derivatives have
     # underflowed with them; freeze their conditional means
     alive = sys.p > 0.0
@@ -158,7 +152,8 @@ def cost_and_gradient(params: PopulationParams, episodes: list[Episode],
     kern, dkern = forward_model._spectral_kernel_derivatives(
         grid.spatial, sys.qbar1, grid.tau, _kernel_count(episodes))
     mean = (sys.p * sys.qbar2) @ kern
-    dw = _weight_derivative_stack(params, grid, weights, fit_lower)
+    dw = density.moment_weight_derivatives(params, grid.pm1, grid.pm2,
+                                           weights=weights)[_active(fit_lower)]
     d_mean = _mean_kernel_derivatives(sys, dw, kern, dkern)
     total = 0.0
     grad = np.zeros(d_mean.shape[0])
@@ -319,24 +314,18 @@ class FitResult:
                 }) + "\n")
 
 
-def _bounds(fit_lower: bool) -> list[tuple[float, float]]:
-    base = [(1e-2, 50.0), (1e-2, 50.0),      # support upper bounds
-            (-10.0, 10.0), (-10.0, 10.0),    # location
-            (1e-6, 10.0), (-10.0, 10.0), (1e-6, 10.0)]  # chol entries
-    if fit_lower:
-        base = [(0.0, 49.0), (0.0, 49.0)] + base
-    return base
+# L-BFGS-B's box per parameter of ``density.PARAMETER_NAMES``
+_BOUNDS = np.array([(0.0, 49.0), (0.0, 49.0),      # support lower bounds
+                    (1e-2, 50.0), (1e-2, 50.0),    # support upper bounds
+                    (-10.0, 10.0), (-10.0, 10.0),  # location
+                    (1e-6, 10.0), (-10.0, 10.0), (1e-6, 10.0)])  # chol entries
 
 
 def _projected_grad_norm(theta: np.ndarray, grad: np.ndarray,
-                         bounds: list[tuple[float, float]]) -> float:
-    pg = grad.copy()
-    for i, (lo, hi) in enumerate(bounds):
-        if theta[i] <= lo + 1e-12 and grad[i] > 0:
-            pg[i] = 0.0
-        if theta[i] >= hi - 1e-12 and grad[i] < 0:
-            pg[i] = 0.0
-    return float(np.max(np.abs(pg))) if pg.size else 0.0
+                         bounds: np.ndarray) -> float:
+    lo, hi = bounds.T
+    held = ((theta <= lo + 1e-12) & (grad > 0)) | ((theta >= hi - 1e-12) & (grad < 0))
+    return float(np.max(np.abs(np.where(held, 0.0, grad)))) if grad.size else 0.0
 
 
 def _data_energy(episodes: list[Episode]) -> float:
@@ -391,9 +380,8 @@ def fit_population(episodes: list[Episode], grid: DiscretizationGrid,
     if init is None:
         per_episode = [fit_episode_deterministic(ep, grid) for ep in episodes]
         init = initial_guess([f.q for f in per_episode])
-    bounds = _bounds(fit_lower)
-    theta0 = np.clip(pack_theta(init, fit_lower),
-                     [lo for lo, _ in bounds], [hi for _, hi in bounds])
+    bounds = _BOUNDS[_active(fit_lower)]
+    theta0 = np.clip(pack_theta(init, fit_lower), *bounds.T)
     fixed_a = init.a.copy()
     log: list[dict] = []
     cache: dict[str, object] = {}

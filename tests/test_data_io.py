@@ -249,3 +249,38 @@ class TestBuildEpisode:
     def test_too_short_span_rejected(self):
         with pytest.raises(ConfigurationError):
             build_episode("s", [], [], [0.0, 0.4], [0.0, 0.01], tau=1.0)
+
+    # one bad TAC series per case: (times, values, message, offending index)
+    BAD_SERIES = {
+        "two-dimensional": ([[0.0, 30.0, 60.0]], [[0.0, 0.02, 0.01]],
+                            "1-d of one length", None),
+        "lengths differ": ([0.0, 30.0, 60.0], [0.0, 0.02], "1-d of one length",
+                           None),
+        "nan value": ([0.0, 30.0, 60.0], [0.0, np.nan, 0.01], "non-finite value",
+                      1),
+        "infinite time": ([0.0, np.inf, 60.0], [0.0, 0.02, 0.01],
+                          "non-finite time", 1),
+        "negative time": ([-5.0, 30.0, 60.0], [0.0, 0.02, 0.01], "negative time",
+                          0),
+        "unsorted times": ([0.0, 60.0, 30.0], [0.0, 0.02, 0.01],
+                           "not after the previous", 2),
+        "duplicate times": ([0.0, 30.0, 30.0, 60.0], [0.0, 0.02, 0.02, 0.01],
+                            "not after the previous", 2),
+        "negative value": ([0.0, 30.0, 60.0], [0.0, -0.02, 0.01],
+                           "negative value", 1),
+    }
+
+    @pytest.mark.parametrize("case", BAD_SERIES)
+    def test_bad_series_rejected(self, case):
+        times, values, what, index = self.BAD_SERIES[case]
+        brac_t = np.array([0.0, 30.0, 60.0])
+        brac_v = np.array([0.0, 0.05, 0.0])
+        with pytest.raises(ConfigurationError, match=what) as info:
+            build_episode("bad", brac_t, brac_v, times, values, tau=1.0)
+        message = str(info.value)
+        assert "episode 'bad' tac" in message
+        if index is not None:
+            assert message.endswith(f"at index {index}")
+        # the BrAC channel gets the same checks under its own name
+        with pytest.raises(ConfigurationError, match="episode 'bad' brac"):
+            build_episode("bad", times, values, brac_t, brac_v, tau=1.0)

@@ -280,6 +280,23 @@ class TestNnls:
         assert res.converged
         assert scaled_kkt(a, b, res.x) <= 1e-8
 
+    def test_zero_step_entry_does_not_cycle(self):
+        # columns 0 and 2 have condition number 1e4; column 1 breaks the dual
+        # tolerance by rounding and solves negative beside them, so its entry
+        # moves x by a zero step; re-entering it ran to the cap (12, or 1000)
+        a = np.array([[-1.3700287996106297, 0.7691515785822234,
+                       0.5021353186606634, 2.3020698833701196],
+                      [-0.34465767986942786, 1.3381310251274214,
+                       0.12616278055386868, 0.6998559514741798]])
+        b = np.array([0.19762560714522448, -1.2829434465309564])
+        from scipy.optimize import nnls as scipy_nnls
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = nnls(a, b)
+        assert res.converged and res.iterations <= 12
+        ref = scipy_nnls(a, b)[0]
+        assert np.max(np.abs(res.x - ref)) <= 1e-6 * np.max(np.abs(ref))
+
     def test_duplicated_columns_fall_back(self, monkeypatch):
         # a free set holding a column twice has a singular Gram: the
         # pivoted factor stops short of full rank and holds the copy at zero

@@ -171,7 +171,7 @@ class TestMomentWeights:
                 for field in ("p", "w1", "w2"):
                     fd = (getattr(sides[0], field)
                           - getattr(sides[1], field)) / (2.0 * h)
-                    got = getattr(derivs[name], field)
+                    got = derivs[j, ("p", "w1", "w2").index(field)]
                     scale = np.maximum(np.abs(fd).max(), 1e-8)
                     assert np.allclose(got, fd, atol=2e-5 * scale), (name, field)
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tdalc import forward_model
+from tdalc import density, forward_model
 from tdalc.data_io import build_episode
 from tdalc.deconvolution import select_regularization
 from tdalc.density import PopulationParams
@@ -89,6 +89,24 @@ class TestPacking:
         theta = pack_theta(p, fit_lower=True)
         q = unpack_theta(theta, np.zeros(2), fit_lower=True)
         assert np.allclose(q.a, p.a)
+
+    def test_names_are_the_density_table(self):
+        assert population_fit.active_parameter_names(fit_lower=True) \
+            == density.PARAMETER_NAMES
+
+    @pytest.mark.parametrize("fit_lower", [False, True])
+    def test_round_trip_off_zero_lower_bounds(self, fit_lower):
+        # held lower bounds come from the argument, fitted ones from theta
+        p = PopulationParams(a=(0.1, 0.2), b=(1.5, 2.0), mu=(0.62, 1.0),
+                             sigma=((0.04, 0.008), (0.008, 0.09)))
+        theta = pack_theta(p, fit_lower)
+        names = population_fit.active_parameter_names(fit_lower)
+        assert theta.size == len(names) == (9 if fit_lower else 7)
+        q = unpack_theta(theta, None if fit_lower else p.a, fit_lower)
+        for part in ("a", "b", "mu"):
+            assert np.array_equal(getattr(q, part), getattr(p, part)), part
+        assert np.allclose(q.sigma, p.sigma, rtol=0.0, atol=1e-15)
+        assert np.array_equal(pack_theta(q, fit_lower), theta)
 
 
 class TestCost:
@@ -195,6 +213,19 @@ class TestGradient:
             rel = abs(g[j] - fd) / max(abs(fd), abs(g[j]), floor)
             assert rel < 1e-4, f"component {j}: adjoint {g[j]}, fd {fd}"
 
+
+    def test_held_lower_bounds_drop_the_leading_rows(self):
+        # at a = 0 holding a1, a2 leaves the other seven components as they are
+        p = make_params()
+        grid = DiscretizationGrid.from_params(p)
+        eps = episodes_from(p, grid)
+        probe = PopulationParams(a=p.a, b=(1.4, 1.9), mu=(0.7, 0.95),
+                                 sigma=((0.05, 0.004), (0.004, 0.07)))
+        val, held = cost_and_gradient(probe, eps, grid, fit_lower=False)
+        val_all, every = cost_and_gradient(probe, eps, grid, fit_lower=True)
+        assert val == val_all
+        assert held.shape == (7,) and every.shape == (9,)
+        assert np.allclose(held, every[2:], rtol=1e-12, atol=0.0)
 
     def test_dead_cells_masked(self):
         # a tight law leaves the tail cells with underflowed (zero) mass;
