@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -343,16 +343,20 @@ class _Adjoint:
         return self.op._rmatvec(np.asarray(v, dtype=float))
 
 
-def _gram_solve(gram: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """A free set's scaled Gram system solved; when a Cholesky pivot d^2 falls
-    to ``_BREAKDOWN``, a pivoted factor holds dependent columns at zero."""
+def _gram_solve(gram: np.ndarray, f: np.ndarray,
+                residual: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """A free set's scaled Gram system G z = f, solved and refined once on its
+    factor from ``residual(z)``, f - G z formed without squaring the design's
+    conditioning (Bjorck's corrected seminormal equations); a pivoted factor
+    holds dependent columns at zero when a pivot d^2 falls to ``_BREAKDOWN``."""
     low, info = dpotrf(gram, lower=1)
-    if info == 0 and np.all(np.diag(low) ** 2 > _BREAKDOWN):
-        return dpotrs(low, f, lower=1)[0]
-    z = np.zeros(f.size)
-    low, piv, rank, _ = dpstrf(gram, tol=_BREAKDOWN, lower=1)
-    if rank:
-        z[piv[:rank] - 1] = dpotrs(low[:rank, :rank], f[piv[:rank] - 1], lower=1)[0]
+    keep, z = np.arange(f.size), np.zeros(f.size)
+    if info != 0 or np.any(np.diag(low) ** 2 <= _BREAKDOWN):
+        low, piv, rank, _ = dpstrf(gram, tol=_BREAKDOWN, lower=1)
+        low, keep = low[:rank, :rank], piv[:rank] - 1
+    if keep.size:
+        z[keep] = dpotrs(low, f[keep], lower=1)[0]
+        z[keep] += dpotrs(low, residual(z)[keep], lower=1)[0]
     return z
 
 
@@ -399,9 +403,10 @@ class _Normal:
                 f"budget; use r1 > 0 or a coarser cell grid")
         cell, t = np.divmod(idx, self.pen.shape[1])
         dt = self.dt[idx]
-        gram = dt @ dt.T + np.where(cell[:, None] == cell,
-                                    self.pen[cell[:, None], t[:, None], t], 0.0)
-        x[0, idx] = _gram_solve(gram, self.f[idx])
+        pen = np.where(cell[:, None] == cell,
+                       self.pen[cell[:, None], t[:, None], t], 0.0)
+        x[0, idx] = _gram_solve(dt @ dt.T + pen, self.f[idx],
+                                lambda z: dt @ (self.t - z @ dt) - pen @ z)
         return x
 
     def _capacitance_solve(self, free: np.ndarray) -> np.ndarray | None:
@@ -466,7 +471,8 @@ class _Grams(NamedTuple):
         z = np.linalg.solve(sub, np.where(free & ok[:, None], self.f, 0.0)[..., None])
         for i in np.flatnonzero(~ok):
             idx = np.flatnonzero(free[i])
-            z[i, idx, 0] = _gram_solve(self.gram[i][np.ix_(idx, idx)], self.f[i, idx])
+            gram, f = self.gram[i][np.ix_(idx, idx)], self.f[i, idx]
+            z[i, idx, 0] = _gram_solve(gram, f, lambda v: f - gram @ v)
         return z[..., 0]
 
 
@@ -480,18 +486,15 @@ def _pivoting(normal: _Normal | _Grams, x: np.ndarray, max_iter: int,
     ``_BACKUP`` full exchanges that leave no fewer, a problem goes on alone
     from its best iterate (``descent``) by single exchanges that keep x
     feasible and lower the objective, so cannot cycle on a singular Gram
-    (Lawson and Hanson, 1974).  As in their safeguard, a column whose entry
-    moves x by a zero step (it solves negative on the new free set) may not
-    enter again until x moves, and the stop rule ignores its dual until
-    then.  A free column solved to exactly zero is bound.  Needing over
-    ``max_iter`` iterations, a problem stops unconverged at the best of its
-    start and projected iterates (in descent, its last).
+    (Lawson and Hanson, 1974).  A free column solved to exactly zero is
+    bound.  Needing over ``max_iter`` iterations, a problem stops
+    unconverged at the best of its start and projected iterates (in
+    descent, its last).
     Returns the scaled x, the converged flags and the iteration counts."""
     n_prob, n = x.shape
     out = np.empty((n_prob, n)), np.zeros(n_prob, bool), np.zeros(n_prob, int)
     rows, its = np.arange(n_prob), np.zeros(n_prob, dtype=int)
     free, done = x > 0.0, np.zeros(n_prob, dtype=bool)
-    barred = np.zeros(n, dtype=bool)    # in descent: entries that took a zero step
     best, best_obj = x, np.vecdot(x, normal.gx(x)) - np.vecdot(2.0 * normal.f, x)
     fewest, backup = its + (n + 1), its + _BACKUP
     while rows.size:
@@ -510,19 +513,15 @@ def _pivoting(normal: _Normal | _Grams, x: np.ndarray, max_iter: int,
         if descent and (neg := free & (z < 0.0)).any():
             # from the feasible x toward z until a variable hits zero
             ratio = x[neg] / (x[neg] - z[neg])
-            stuck = neg & (x == 0.0)    # entered, and x cannot move toward z
-            barred = barred | stuck if stuck.any() else np.zeros_like(barred)
             x = np.maximum(np.where(free, x + ratio.min() * (z - x), 0.0), 0.0)
             x[0, np.flatnonzero(neg)[ratio == ratio.min()]] = 0.0
             free = x > 0.0
             continue
-        if descent and (free & (x == 0.0)).any():   # an entry moves x
-            barred = np.zeros_like(barred)
         x, free, was = z, free & (z != 0.0), free
         dual = normal.s * (normal.gx(x) - normal.f)
         # in single exchanges a column just held at zero stays: 0 < 0 fails
         infeasible = np.where(was if descent else free, x < 0.0,
-                              dual < -normal.tol) & ~barred
+                              dual < -normal.tol)
         done = ~infeasible.any(axis=1)
         if descent:     # the bound variable of most negative dual enters
             infeasible = np.arange(n) == np.argmin(
@@ -549,16 +548,11 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None,
          x0: np.ndarray | None = None) -> NnlsResult:
     """Block principal pivoting (``_pivoting`` on ``_Normal``) for
     min ||a x - b|| s.t. x >= 0, to a dual (KKT) violation of at most
-    ``_DUAL_TOL`` (1e-9) times the norm of a^T b.  One exception: in the
-    single-exchange fallback, a column whose entry could not move x (it
-    solved negative, so the step toward the new solution had length zero)
-    is left out of that test, after Lawson and Hanson's safeguard; its dual
-    may break the tolerance by rounding on a near-singular free set.  ``a``
-    is a matrix or the stacked operator of ``solve_problem``; data that are
-    not finite raise ``ConfigurationError``.  The free set starts as x0 > 0
-    (empty without ``x0``).  A solve that hits ``max_iter`` (3 n by default)
-    warns and returns the best of x0 and the iterates projected onto
-    x >= 0."""
+    ``_DUAL_TOL`` (1e-9) times the norm of a^T b.  ``a`` is a matrix or the
+    stacked operator of ``solve_problem``; data that are not finite raise
+    ``ConfigurationError``.  The free set starts as x0 > 0 (empty without
+    ``x0``).  A solve that hits ``max_iter`` (3 n by default) warns and
+    returns the best of x0 and the iterates projected onto x >= 0."""
     b = np.asarray(b, dtype=float)
     stacked = isinstance(a, _StackedOperator)
     a = a if stacked else np.asarray(a, dtype=float)

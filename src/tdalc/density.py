@@ -502,13 +502,11 @@ def sample(params: PopulationParams, count: int, seed) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CredibleRadius:
-    """Radius of the centered credible disk; ``attained`` is False when even
-    the whole support holds less than the requested mass."""
+    """Radius of the centered credible disk and the mass it holds."""
 
     radius: float
     alpha: float
     mass: float
-    attained: bool
 
 
 #: QUADPACK's 21-point Kronrod rule (QK21) on [-1, 1]: the nodes in [0, 1]
@@ -643,14 +641,14 @@ def credible_region_radius(params: PopulationParams,
     Bisection of [0, farthest box corner's distance] on whether the disk
     mass ``_disk_mass``, which adaptive Gauss-Kronrod quadrature sums, is
     below alpha, until the midpoint equals an end; the upper end is
-    returned, so the radius is good to the last bit at any width.  When the
-    whole support box holds less than alpha - 1e-12 (mu far outside the
-    box), the radius covering the entire support is returned with
-    ``attained=False``.  The result is kept per process for the exact bits
-    of the law's nine values and alpha (``_kept_radius``), so every band and
-    interval set on one law, and the same law read back from its file,
-    reuse one computation.  An alpha outside (0, 1) is a run setting, not a
-    law, and raises ``ConfigurationError``.
+    returned, so the radius is good to the last bit at any width.  The disk
+    reaching the farthest corner covers the box and holds mass 1 to
+    rounding, so no radius exceeds that distance.  The result is kept per
+    process for the exact bits of the law's nine values and alpha
+    (``_kept_radius``), so every band and interval set on one law, and the
+    same law read back from its file, reuse one computation.  An alpha
+    outside (0, 1) is a run setting, not a law, and raises
+    ``ConfigurationError``.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
@@ -672,18 +670,14 @@ def _credible_radius(params: PopulationParams, alpha: float) -> CredibleRadius:
     corners = np.array([[params.a[0], params.a[1]], [params.a[0], params.b[1]],
                         [params.b[0], params.a[1]], [params.b[0], params.b[1]]])
     r_max = float(np.max(np.linalg.norm(corners - params.mu, axis=1)))
-    top = _disk_mass(params, r_max, z)
-    if top <= alpha:    # no radius inside the box reaches alpha
-        return CredibleRadius(radius=r_max, alpha=alpha, mass=top,
-                              attained=top >= alpha - 1e-12)
-    lo, hi, mass = 0.0, r_max, top
+    lo, hi, mass = 0.0, r_max, _disk_mass(params, r_max, z)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         mid_mass = _disk_mass(params, mid, z)
         if mid_mass < alpha:
             lo = mid
         else:
             hi, mass = mid, mid_mass
-    return CredibleRadius(radius=hi, alpha=alpha, mass=mass, attained=True)
+    return CredibleRadius(radius=hi, alpha=alpha, mass=mass)
 
 
 _PARAM_KEYS = ("a1", "a2", "b1", "b2", "mu1", "mu2", "s11", "s12", "s22")

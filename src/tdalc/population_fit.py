@@ -368,9 +368,10 @@ def fit_population(episodes: list[Episode], grid: DiscretizationGrid,
     parameter by more than 0.1 whatever the units (E when that gradient
     vanishes or cannot be evaluated).  Reported costs and gradients stay in
     data units.  An evaluation that raises is scored above every score seen
-    so far, flat, so the line search backtracks (``failed_evals`` counts
-    it).  When no starting point is supplied, each episode is first fit
-    deterministically and the estimates seed the population parameters.
+    so far, flat, so the line search backtracks; ``failed_evals`` counts
+    every evaluation that raised, the start's included.  When no starting
+    point is supplied, each episode is first fit deterministically and the
+    estimates seed the population parameters.
     """
     from scipy.optimize import minimize     # loaded by the fit alone
 
@@ -403,7 +404,7 @@ def fit_population(episodes: list[Episode], grid: DiscretizationGrid,
     try:
         scale = _projected_grad_norm(theta0, evaluate(theta0)[1], bounds) / _FIRST_STEP
     except failures:
-        scale = 0.0   # the optimizer's own first evaluation fails and counts
+        failed, scale = failed + 1, 0.0
     if not 0.0 < scale < math.inf:
         scale = energy
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import tdalc
 from tdalc import cli
 from tdalc.cli import main, read_config
+from tdalc.data_io import parse_episode
 from tdalc.deconvolution import RegularizationSearch
 from tdalc.density import PopulationParams, load_params, save_params
 from tdalc.errors import ConfigurationError
@@ -155,6 +156,37 @@ class TestSimulate:
         b = (out2 / "synth-000.csv").read_bytes()
         assert a != b
 
+    def test_template_and_scale_keys(self, tmp_path):
+        # every episode is the template scaled by amp = 2 in value and
+        # dur = 2 in time; --n-episodes overrides the config's 3
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(BASE_CONFIG + "input_times = 0, 30, 90\n"
+                       "input_values = 0, 0.05, 0\n"
+                       "amp_lo = 2\namp_hi = 2\ndur_lo = 2\ndur_hi = 2\n")
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out-dir", str(out),
+                     "--n-episodes", "2"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["n_episodes"] == "2"
+        assert [e["file"] for e in manifest["episodes"]] == \
+            ["synth-000.csv", "synth-001.csv"]
+        for entry in manifest["episodes"]:
+            ep = parse_episode(out / entry["file"])
+            assert np.array_equal(ep.brac_times, np.arange(0.0, 181.0, 30.0))
+            assert np.allclose(ep.brac_values,
+                               np.interp(ep.brac_times / 2.0, [0.0, 30.0, 90.0],
+                                         [0.0, 0.1, 0.0]), rtol=0.0, atol=1e-15)
+            assert ep.tac_times[-1] == 180.0
+
+    @pytest.mark.parametrize("key", ["input_times = 0, 30, 90",
+                                     "input_values = 0, 0.05, 0"])
+    def test_template_key_alone_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(BASE_CONFIG + key + "\n")
+        rc = main(["simulate", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "must be given together" in capsys.readouterr().err
+
 
 class TestFit:
     def test_writes_params_and_log(self, sim_dir, tmp_path):
@@ -223,6 +255,16 @@ class TestDeconvolve:
         assert meta["converged"] is True
         # the tq band reads the disk cells: no draws, no seed
         assert meta["samples"] is None and meta["seed"] is None
+
+    def test_no_band_samples_exits_3(self, sim_dir, tmp_path, capsys):
+        # no draw falls in the credible disk: a SamplingError
+        rho = write_rho(tmp_path / "rho.params")
+        rc = main(["deconvolve", str(sim_dir / "synth-000.csv"),
+                   "--rho", str(rho), "--r1", "1e-3", "--r2", "1e-3",
+                   "--variant", "scalar", "--samples", "0",
+                   "--out-prefix", str(tmp_path / "res")])
+        assert rc == 3
+        assert "no samples fell inside" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--r1", "--r2"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -496,6 +538,26 @@ class TestStats:
         assert rc == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == ",".join(STAT_NAMES)
+
+    def test_two_columns_with_header(self, tmp_path, capsys):
+        # a header row that is not numeric is skipped
+        t = np.arange(121.0)
+        v = np.where(t <= 60.0, 0.08 * t / 60.0,
+                     0.08 * (1.0 - (t - 60.0) / 60.0))
+        rows = "\n".join(f"{a},{b}" for a, b in zip(t, v)) + "\n"
+        (tmp_path / "plain.csv").write_text(rows)
+        (tmp_path / "head.csv").write_text("t,brac\n" + rows)
+        assert main(["stats", str(tmp_path / "plain.csv")]) == 0
+        plain = capsys.readouterr().out
+        assert main(["stats", str(tmp_path / "head.csv")]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_one_sample_rejected(self, tmp_path, capsys):
+        curve = tmp_path / "c.csv"
+        curve.write_text("0,0.01\n")
+        rc = main(["stats", str(curve)])
+        assert rc == 2
+        assert "at least two samples" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["stats", str(tmp_path / "absent.csv")])

@@ -281,9 +281,10 @@ class TestNnls:
         assert scaled_kkt(a, b, res.x) <= 1e-8
 
     def test_zero_step_entry_does_not_cycle(self):
-        # columns 0 and 2 have condition number 1e4; column 1 breaks the dual
-        # tolerance by rounding and solves negative beside them, so its entry
-        # moves x by a zero step; re-entering it ran to the cap (12, or 1000)
+        # columns 0 and 2 have condition number 1e4; unless their free-set
+        # solve is refined, column 1 breaks the dual tolerance by rounding and
+        # solves negative beside them, so its entry moves x by a zero step,
+        # and re-entering it runs to the cap (12, or 1000)
         a = np.array([[-1.3700287996106297, 0.7691515785822234,
                        0.5021353186606634, 2.3020698833701196],
                       [-0.34465767986942786, 1.3381310251274214,
@@ -296,6 +297,51 @@ class TestNnls:
         assert res.converged and res.iterations <= 12
         ref = scipy_nnls(a, b)[0]
         assert np.max(np.abs(res.x - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    def test_ill_conditioned_exact_fit_is_refined(self):
+        # the free set {0, 2, 3} has condition number 1.1e5, squared on its
+        # Gram: an unrefined solve leaves duals 120-224 times the tolerance
+        a = np.array([[-0.2690607808830497, -2.546221943457742,
+                       1.26648876134398, -0.6615677129365322,
+                       0.28999822338893305, -0.9733836481043466],
+                      [-0.3905410509769505, 0.599433247396696,
+                       -1.3127591071052762, 1.1804011180365657,
+                       -1.3219632104602548, 0.03072775035252521],
+                      [-1.3974495757189387, -0.3918950438583486,
+                       0.5358215555252785, 0.6685169843206893,
+                       1.1732292410375424, 0.18581842125795187]])
+        b = np.array([1.4126806481722638, -0.7377271634305704,
+                      -0.07876486961278573])
+        from scipy.optimize import nnls as scipy_nnls
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = nnls(a, b)
+        assert res.converged
+        assert scaled_kkt(a, b, res.x) <= 1e-8
+        ref = scipy_nnls(a, b)[0]
+        assert np.max(np.abs(res.x - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+    def test_column_solved_to_zero_is_held(self):
+        # columns 0 and 3 differ by about 1e-8 relative, so the pivoted factor
+        # holds column 0 at exactly zero on the free set {0, 3}; kept free, a
+        # held column escapes the dual test, and the solve stops "converged"
+        # at scaled KKT 3e-8 on the support {0, 1}
+        a = np.array([[0.7131727935387797, -0.36714270580216096,
+                       -0.8165231498130866, 0.7131727773308515],
+                      [1.5210992656234712, -0.06471761760733605,
+                       0.16424570391647705, 1.521099238886075],
+                      [0.33556060418864436, -0.3648423557472923,
+                       1.6748583617437256, 0.33556059475110145],
+                      [-0.9140452018706795, 0.28970937591250934,
+                       0.10501370662823215, -0.9140452392530216]])
+        b = np.array([0.1243152603984885, -0.3538646808771685,
+                      -0.7940525164906479, -1.0184071284356127])
+        from scipy.optimize import nnls as scipy_nnls
+        res = nnls(a, b)
+        assert res.converged
+        assert scaled_kkt(a, b, res.x) <= 1e-8
+        ref = scipy_nnls(a, b)[0]
+        assert np.array_equal(res.x > 0.0, ref > 0.0)
 
     def test_duplicated_columns_fall_back(self, monkeypatch):
         # a free set holding a column twice has a singular Gram: the

@@ -292,7 +292,6 @@ class TestCredibleRadius:
         p = PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0), mu=mu,
                              sigma=((sd ** 2, 0.0), (0.0, sd ** 2)))
         rad = credible_region_radius(p, 0.75)
-        assert rad.attained
         assert rad.radius == pytest.approx(sd * np.sqrt(-2.0 * np.log(0.25)),
                                            rel=1e-4)
 
@@ -374,7 +373,7 @@ class TestCredibleRadiusTable:
         # 1e-14 max(1, r_max) in the radius times the mass's slope
         params = RADIUS_LAWS[name]
         rad = density._credible_radius(params, alpha)
-        assert rad.attained and rad.alpha == alpha
+        assert rad.alpha == alpha
         mass, slope = polar_disk_mass(params, rad.radius)
         corners = np.array([[x, y] for x in (params.a[0], params.b[0])
                             for y in (params.a[1], params.b[1])])
@@ -398,7 +397,6 @@ class TestCredibleRadiusTable:
         below = density._credible_radius(law((0.62, -0.1 * k), (0.2, 0.1), 0.0), alpha)
         above = density._credible_radius(law((0.62, 2.0 + 0.1 * k), (0.2, 0.1), 0.0),
                                          alpha)
-        assert below.attained and above.attained
         assert below.radius == pytest.approx(above.radius, rel=1e-13, abs=0.0)
 
     def test_clipped_wide_law_at_half(self):
@@ -502,6 +500,22 @@ class TestSerialization:
         q = parse_params(dump_params(p))
         for name in ("a", "b", "mu", "sigma"):
             assert getattr(q, name).tobytes() == getattr(p, name).tobytes()
+
+    def test_comments_and_blank_lines_skipped(self):
+        p = make_params()
+        text = "# fitted law\n\n" + dump_params(p).replace("\n", "\n  # note\n", 1)
+        assert parse_params(text).as_dict() == p.as_dict()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t + "just words\n", "line 10: expected key=value"),
+        (lambda t: t + "s33=1\n", "line 10: unknown key 's33'"),
+        (lambda t: t + "mu1=0.5\n", "line 10: duplicate key 'mu1'"),
+        (lambda t: t.replace("s22=", "s22=x"), "line 9: value for 's22' is not"),
+        (lambda t: t.replace("a2=0\n", ""), "missing keys: a2$"),
+    ])
+    def test_malformed_text_rejected(self, edit, message):
+        with pytest.raises(ParameterError, match=message):
+            parse_params(edit(dump_params(make_params())))
 
     def test_file_round_trip(self, tmp_path):
         p = make_params()

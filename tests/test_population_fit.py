@@ -357,6 +357,14 @@ class TestInitialGuess:
         assert np.allclose(init.b, expect_b)
         assert np.allclose(init.a, 0.0)
 
+    def test_single_estimate(self):
+        # no sample covariance: the ridge alone, and the support mu + 4 sd
+        init = initial_guess([np.array([0.6, 1.1])])
+        assert np.array_equal(init.mu, [0.6, 1.1])
+        assert np.array_equal(init.sigma, 1e-4 * np.eye(2))
+        assert np.allclose(init.b, [0.64, 1.14], rtol=0.0, atol=1e-15)
+        assert np.array_equal(init.a, [0.0, 0.0])
+
     def test_ridge_on_degenerate_cloud(self):
         qs = [np.array([0.6, 1.0])] * 3
         init = initial_guess(qs)
@@ -437,7 +445,7 @@ class TestFitPopulation:
         iterates = [r for r in records if r["event"] == "iterate"]
         assert iterates and all(r["seconds"] >= 0.0 for r in iterates)
 
-    @pytest.mark.parametrize("call", [2, 3, 5])
+    @pytest.mark.parametrize("call", [1, 2, 3, 5])
     def test_failed_evaluation_backtracks(self, monkeypatch, call):
         # one failed evaluation is scored above every score seen, so the
         # line search backtracks and the fit goes on to converge; accuracy
