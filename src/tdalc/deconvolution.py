@@ -151,7 +151,9 @@ def _designs(kernels: np.ndarray, lags: _Lags) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DeconvolutionProblem:
-    """Assembled stacked least-squares data for one TAC signal."""
+    """Assembled stacked least-squares problem for one TAC signal, and its
+    matrix [design; block-diagonal penalty root] as a linear operator
+    (``shape``, ``problem @ v``, ``problem.T @ r``) that ``nnls`` reads."""
 
     tac: np.ndarray
     time_mesh: TimeMesh
@@ -180,6 +182,34 @@ class DeconvolutionProblem:
         """Population-mean input on the grid for coefficient vector x."""
         per_cell = x.reshape(self.cell_masses.size, self.time_mesh.m).T
         return self.sample @ (per_cell @ self.cell_masses)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return sum(self.design.shape), self.n_cols
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        pen = self.penalty_sqrt @ v.reshape(*self.penalty_sqrt.shape[:2], 1)
+        return np.concatenate([self.design @ v, pen.ravel()])
+
+    @property
+    def T(self) -> _Adjoint:
+        # built on access: an adjoint kept on the problem would form a
+        # reference cycle, and the design would wait for the cyclic collector
+        return _Adjoint(self)
+
+
+class _Adjoint:
+    """The transpose of a ``DeconvolutionProblem``."""
+
+    def __init__(self, problem: DeconvolutionProblem):
+        self.problem, self.shape = problem, problem.shape[::-1]
+
+    def __matmul__(self, r: np.ndarray) -> np.ndarray:
+        p, r = self.problem, np.asarray(r, dtype=float)
+        k, (cells, m, _) = p.design.shape[0], p.penalty_sqrt.shape
+        pen = np.swapaxes(p.penalty_sqrt, 1, 2) @ r[k:].reshape(cells, m, 1)
+        return p.design.T @ r[:k] + pen.ravel()
 
 
 def _snap_regs(r1: float, r2: float) -> tuple[float, float]:
@@ -263,12 +293,14 @@ def build_problem(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
 @dataclass(frozen=True)
 class NnlsResult:
     """NNLS solution; ``converged`` is False when the iteration cap hit
-    and the best feasible iterate was returned instead."""
+    and the best feasible iterate was returned instead.  ``void`` marks the
+    void columns (``_void``), whose coefficients are held at zero."""
 
     x: np.ndarray
     converged: bool
     iterations: int
     residual: float
+    void: np.ndarray
 
 
 #: stop rule of ``nnls``: dual (KKT) violation at most this times the norm
@@ -299,48 +331,11 @@ def _void(sq: np.ndarray) -> np.ndarray:
     return sq <= _VOID ** 2 * sq.max(axis=-1, keepdims=True)
 
 
-def _scales(diag: np.ndarray) -> np.ndarray:
-    """Column norms from a Gram diagonal; a zero column keeps scale 1."""
-    return np.where(diag > 0.0, np.sqrt(diag), 1.0)
-
-
-class _StackedOperator:
-    """The stacked matrix [design; block-diagonal penalty root] as a linear
-    operator on vectors: ``shape``, ``a @ v`` and ``a.T @ r``, never dense;
-    ``nnls`` solves on its blocks."""
-
-    def __init__(self, design: np.ndarray, roots: np.ndarray):
-        self.design, self.roots = design, roots
-        self.shape = (sum(design.shape), design.shape[1])
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self._matvec(np.asarray(v, dtype=float))
-
-    @property
-    def T(self) -> _Adjoint:
-        # built on access: an adjoint kept on the operator would form a
-        # reference cycle, and the design would wait for the cyclic collector
-        return _Adjoint(self)
-
-    def _matvec(self, v: np.ndarray) -> np.ndarray:
-        pen = self.roots @ v.reshape(*self.roots.shape[:2], 1)
-        return np.concatenate([self.design @ v, pen.ravel()])
-
-    def _rmatvec(self, v: np.ndarray) -> np.ndarray:
-        k, (cells, m, _) = self.design.shape[0], self.roots.shape
-        pen = np.swapaxes(self.roots, 1, 2) @ v[k:].reshape(cells, m, 1)
-        return self.design.T @ v[:k] + pen.ravel()
-
-
-class _Adjoint:
-    """The transpose of a ``_StackedOperator``, applied by its ``_rmatvec``."""
-
-    def __init__(self, op: _StackedOperator):
-        self.op = op
-        self.shape = op.shape[::-1]
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self.op._rmatvec(np.asarray(v, dtype=float))
+def _scaling(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kept (not ``_void``) columns of stacked problems from their squared
+    column norms (..., n), and the column scales: the norms, 1 where void."""
+    keep = ~_void(sq)
+    return keep, np.where(keep, np.sqrt(sq), 1.0)
 
 
 def _gram_solve(gram: np.ndarray, f: np.ndarray,
@@ -363,7 +358,8 @@ def _gram_solve(gram: np.ndarray, f: np.ndarray,
 class _Normal:
     """Column-scaled normal equations (D^T D + P) x = D^T t of a design D
     (K x n) and a penalty Gram P given by its diagonal blocks ``pen``
-    (cells x m x m), one problem for ``_pivoting``; D^T D is never formed.
+    (cells x m x m), void columns zeroed (``_scaling``), one problem for
+    ``_pivoting``; D^T D is never formed.
     A free set of at most K columns is solved on its scaled Gram; a larger
     one on the K x K capacitance system of the Woodbury identity,
     x_F = W (I + D_F W)^-1 t with W = P_FF^-1 D_F^T, when the penalty
@@ -375,11 +371,14 @@ class _Normal:
     capacitance system inaccurate."""
 
     def __init__(self, design: np.ndarray, pen: np.ndarray, t: np.ndarray):
-        self.s = _scales(np.einsum("kj,kj->j", design, design)
-                         + np.diagonal(pen, axis1=1, axis2=2).ravel())
-        block_s = self.s.reshape(pen.shape[0], -1, 1)
-        self.pen = pen / (block_s * np.swapaxes(block_s, 1, 2))
+        self.keep, self.s = _scaling(np.einsum("kj,kj->j", design, design)
+                                     + np.diagonal(pen, axis1=1, axis2=2).ravel())
+        block_s, block_keep = (v.reshape(pen.shape[0], -1, 1)
+                               for v in (self.s, self.keep))
+        self.pen = np.where(block_keep & np.swapaxes(block_keep, 1, 2),
+                            pen / (block_s * np.swapaxes(block_s, 1, 2)), 0.0)
         self.dt = np.ascontiguousarray((design / self.s).T)
+        self.dt[~self.keep] = 0.0     # void columns: their duals stay zero
         self.t, self.f = t, self.dt @ t
         self.tol = _DUAL_TOL * float(np.linalg.norm(self.s * self.f))
 
@@ -447,11 +446,10 @@ class _Grams(NamedTuple):
 
     @classmethod
     def of(cls, gram: np.ndarray, f: np.ndarray) -> _Grams:
-        if not (keep := ~_void(np.diagonal(gram, axis1=1, axis2=2))).all():
-            gram, f = gram * (keep[:, :, None] & keep[:, None, :]), f * keep
-        s = _scales(np.diagonal(gram, axis1=1, axis2=2))
-        return cls(gram / (s[:, :, None] * s[:, None, :]), f / s, s,
-                   _DUAL_TOL * np.linalg.norm(f, axis=1, keepdims=True), keep)
+        keep, s = _scaling(np.diagonal(gram, axis1=1, axis2=2))
+        f, both = f * keep, keep[:, :, None] & keep[:, None, :]
+        return cls(np.where(both, gram / (s[:, :, None] * s[:, None, :]), 0.0),
+                   f / s, s, _DUAL_TOL * np.linalg.norm(f, axis=1, keepdims=True), keep)
 
     def take(self, rows: np.ndarray) -> _Grams:
         return _Grams(*(v[rows] for v in self))
@@ -476,7 +474,7 @@ class _Grams(NamedTuple):
         return z[..., 0]
 
 
-def _pivoting(normal: _Normal | _Grams, x: np.ndarray, max_iter: int,
+def _pivoting(normal: _Normal | _Grams, x: np.ndarray, max_iter: int | None = None,
               descent: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Block principal pivoting on the scaled normal equations of a batch of
     problems (``_Normal`` or ``_Grams``) in lockstep, from feasible scaled
@@ -487,11 +485,12 @@ def _pivoting(normal: _Normal | _Grams, x: np.ndarray, max_iter: int,
     from its best iterate (``descent``) by single exchanges that keep x
     feasible and lower the objective, so cannot cycle on a singular Gram
     (Lawson and Hanson, 1974).  A free column solved to exactly zero is
-    bound.  Needing over ``max_iter`` iterations, a problem stops
-    unconverged at the best of its start and projected iterates (in
-    descent, its last).
+    bound.  Needing over ``max_iter`` iterations (3 n by default), a
+    problem stops unconverged at the best of its start and projected
+    iterates (in descent, its last).
     Returns the scaled x, the converged flags and the iteration counts."""
     n_prob, n = x.shape
+    max_iter = 3 * n if max_iter is None else max_iter
     out = np.empty((n_prob, n)), np.zeros(n_prob, bool), np.zeros(n_prob, int)
     rows, its = np.arange(n_prob), np.zeros(n_prob, dtype=int)
     free, done = x > 0.0, np.zeros(n_prob, dtype=bool)
@@ -548,13 +547,14 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None,
          x0: np.ndarray | None = None) -> NnlsResult:
     """Block principal pivoting (``_pivoting`` on ``_Normal``) for
     min ||a x - b|| s.t. x >= 0, to a dual (KKT) violation of at most
-    ``_DUAL_TOL`` (1e-9) times the norm of a^T b.  ``a`` is a matrix or the
-    stacked operator of ``solve_problem``; data that are not finite raise
-    ``ConfigurationError``.  The free set starts as x0 > 0 (empty without
-    ``x0``).  A solve that hits ``max_iter`` (3 n by default) warns and
-    returns the best of x0 and the iterates projected onto x >= 0."""
+    ``_DUAL_TOL`` (1e-9) times the norm of a^T b.  ``a`` is a matrix or a
+    ``DeconvolutionProblem``, read through its blocks; data that are not
+    finite raise ``ConfigurationError``.  Void columns (``_void``) are held
+    at zero and reported in ``void``.  The free set starts as x0 > 0 (empty
+    without ``x0``).  A solve that hits ``max_iter`` (3 n by default) warns
+    and returns the best of x0 and the iterates projected onto x >= 0."""
     b = np.asarray(b, dtype=float)
-    stacked = isinstance(a, _StackedOperator)
+    stacked = isinstance(a, DeconvolutionProblem)
     a = a if stacked else np.asarray(a, dtype=float)
     if len(a.shape) != 2 or b.ndim != 1 or a.shape[0] != b.size:
         raise ConfigurationError(f"incompatible nnls shapes {a.shape} and {b.shape}")
@@ -567,18 +567,19 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None,
             f"nnls start x0 must be finite, nonnegative and of shape "
             f"({n},); got shape {x0.shape}, min {np.min(x0, initial=0.0)}")
     if stacked:     # the target's penalty rows are zero
-        normal = _Normal(a.design, np.swapaxes(a.roots, 1, 2) @ a.roots,
+        roots = a.penalty_sqrt
+        normal = _Normal(a.design, np.swapaxes(roots, 1, 2) @ roots,
                          b[:a.design.shape[0]])
     else:           # a plain matrix is a design with a zero penalty
         normal = _Normal(a, np.zeros((1, n, n)), b)
     (x,), (converged,), (iterations,) = _pivoting(
-        normal, normal.s * x0[None], 3 * n if max_iter is None else max_iter)
+        normal, (normal.s * x0 * normal.keep)[None], max_iter)
     if not converged:
         warnings.warn("nnls hit the iteration cap; returning best feasible "
                       "iterate", RuntimeWarning, stacklevel=2)
     x = x / normal.s
-    return NnlsResult(x=x, converged=bool(converged), iterations=int(iterations),
-                      residual=float(np.linalg.norm(a @ x - b)))
+    return NnlsResult(x, bool(converged), int(iterations),
+                      float(np.linalg.norm(a @ x - b)), ~normal.keep)
 
 
 # ---------------------------------------------------------------------------
@@ -604,26 +605,11 @@ class DeconvolutionResult:
         return self.nnls.converged
 
 
-def solve_problem(problem: DeconvolutionProblem,
-                  x0: np.ndarray | None = None) -> NnlsResult:
-    """NNLS solution of the stacked problem, optionally warm-started from a
-    nonnegative full-length coefficient vector ``x0``; ``nnls`` reads the
-    matrix through its design and penalty blocks, never forming it."""
-    design, roots = problem.design, problem.penalty_sqrt
-    keep = ~_void(np.einsum("kj,kj->j", design, design)
-                  + np.einsum("cij,cij->cj", roots, roots).ravel())
-    if not np.all(keep):    # zeroed, their coefficients stay zero
-        design = design * keep
-        roots = roots * keep.reshape(roots.shape[0], 1, -1)
-        x0 = None if x0 is None else x0 * keep
-    return nnls(_StackedOperator(design, roots), problem.target, x0=x0)
-
-
 def deconvolve(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
                m: int | None = None, variant: str = "tq") -> DeconvolutionResult:
     """Reconstruct the input from a TAC series at fixed regularization."""
     problem = build_problem(ops, tac, r1, r2, m=m, variant=variant)
-    sol = solve_problem(problem)
+    sol = nnls(problem, problem.target)
     mm = problem.time_mesh.m
     if variant == "tq":
         # temporal index fastest, then the first cell index, then the second
@@ -645,7 +631,7 @@ def deconvolve_deterministic(det: DiscreteTimeOps, tac: np.ndarray,
                              ) -> tuple[np.ndarray, NnlsResult]:
     """Single-subject deconvolution: the scalar problem of the one-cell
     ``det`` (``deterministic_ops``) at a fixed parameter pair, built by
-    ``build_problem`` and solved by ``solve_problem``.
+    ``build_problem`` and solved by ``nnls``.
 
     Returns the reconstructed input on the tau grid plus the solver result;
     ``x0`` warm-starts the solver from nonnegative basis coefficients, such
@@ -655,7 +641,7 @@ def deconvolve_deterministic(det: DiscreteTimeOps, tac: np.ndarray,
     zero kernel) raises ``NumericalError``.
     """
     problem = build_problem(det, tac, r1, r2, m=m, variant="scalar")
-    sol = solve_problem(problem, x0=x0)
+    sol = nnls(problem, problem.target, x0=x0)
     return problem.sample @ sol.x, sol
 
 
@@ -683,8 +669,7 @@ def _warm_scalar_solves(q: np.ndarray, mesh: SpatialMesh, tac: np.ndarray,
                                            n_grid - 1), lags)
         normal = _Grams.of(designs @ np.swapaxes(designs, 1, 2) + root.T @ root,
                            designs @ tac)
-        x, converged[part], _ = _pivoting(normal, normal.s * x0 * normal.keep,
-                                          3 * sample.shape[1])
+        x, converged[part], _ = _pivoting(normal, normal.s * x0 * normal.keep, None)
         curves[part] = (x / normal.s) @ sample.T
     return curves, converged
 
@@ -708,7 +693,7 @@ class SearchEpisode:
         """Squared error of the estimated input against measured BrAC plus
         squared error of the refit TAC against measured TAC."""
         problem = self.problem.with_regs(r1, r2)
-        self.x = solve_problem(problem, x0=self.x).x
+        self.x = nnls(problem, problem.target, x0=self.x).x
         du = problem.mean_curve(self.x)[:-1] - self.brac[:-1]
         dy = (problem.design @ self.x)[1:] - problem.tac[1:]
         return float(du @ du) + float(dy @ dy)

@@ -73,6 +73,8 @@ def _disk_cells(result: DeconvolutionResult,
 
     A cell is in when the squared distances from mu to its interval on each
     axis sum to less than the squared radius; mu may lie outside the box.
+    A cell whose columns are all void (``result.nnls.void``) is left out:
+    its curve is zero by the solver's rule, not by the data.
     """
     radius = density.credible_region_radius(params, alpha).radius
     if result.variant != "tq":
@@ -85,10 +87,11 @@ def _disk_cells(result: DeconvolutionResult,
         mu = params.mu[axis]
         gap = np.maximum(np.maximum(edges[:-1] - mu, mu - edges[1:]), 0.0)
         dist2 = np.add.outer(dist2, gap ** 2)
-    inside = dist2 < radius ** 2
+    void = result.nnls.void.reshape(result.coeffs.shape, order="F")
+    inside = (dist2 < radius ** 2) & ~void.all(axis=0)
     if not inside.any():
         raise NumericalError(
-            f"no parameter cell meets the {alpha:g} credible disk")
+            f"no non-void parameter cell meets the {alpha:g} credible disk")
     return curves, inside
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tdalc
-from tdalc import cli
+from tdalc import cli, deconvolution
 from tdalc.cli import main, read_config
 from tdalc.data_io import parse_episode
 from tdalc.deconvolution import RegularizationSearch
@@ -187,6 +187,14 @@ class TestSimulate:
         assert rc == 2
         assert "must be given together" in capsys.readouterr().err
 
+    def test_non_numeric_template_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(BASE_CONFIG + "input_times = 0, half, 90\n"
+                       "input_values = 0, 0.05, 0\n")
+        rc = main(["simulate", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "bad numeric list '0, half, 90'" in capsys.readouterr().err
+
 
 class TestFit:
     def test_writes_params_and_log(self, sim_dir, tmp_path):
@@ -343,6 +351,28 @@ class TestDeconvolve:
                    "--rho", str(rho), "--auto-reg", "--r1", "1e-3",
                    "--train", str(sim_dir / "synth-001.csv")])
         assert rc == 2
+
+    def test_capped_solve_exits_3_with_artifacts(self, sim_dir, tmp_path,
+                                                 capsys, monkeypatch):
+        # an NNLS solve held to one iteration stops at the cap: it warns,
+        # the artifacts are written, and the command exits 3
+        rho = write_rho(tmp_path / "rho.params")
+        solve = deconvolution.nnls
+        monkeypatch.setattr(deconvolution, "nnls",
+                            lambda a, b, max_iter=None, x0=None:
+                            solve(a, b, max_iter=1, x0=x0))
+        prefix = tmp_path / "res"
+        with pytest.warns(RuntimeWarning, match="iteration cap"):
+            rc = main(["deconvolve", str(sim_dir / "synth-000.csv"),
+                       "--rho", str(rho), "--r1", "1e-3", "--r2", "1e-3",
+                       "--out-prefix", str(prefix)])
+        assert rc == 3
+        assert "solver hit its iteration cap" in capsys.readouterr().err
+        meta = json.loads((tmp_path / "res.meta.json").read_text())
+        assert meta["converged"] is False and meta["nnls_iterations"] == 1
+        assert any("iteration cap" in w for w in meta["warnings"])
+        for suffix in ("curve.csv", "stats.csv"):
+            assert (tmp_path / f"res.{suffix}").stat().st_size > 0
 
     def test_auto_reg_writes_search_record(self, sim_dir, tmp_path):
         rho = write_rho(tmp_path / "rho.params")
@@ -558,6 +588,26 @@ class TestStats:
         rc = main(["stats", str(curve)])
         assert rc == 2
         assert "at least two samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty curve file"), ("\n \n", "empty curve file"),
+        ("t,brac\n", "no data rows"),
+        ("t_minutes,mean_brac,lower_band\n", "no data rows"),
+        ("0,0\n1\n2,0\n", "short row '1'")])
+    def test_malformed_file_rejected(self, tmp_path, capsys, text, message):
+        curve = tmp_path / "c.csv"
+        curve.write_text(text)
+        assert main(["stats", str(curve)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_out_writes_file(self, tmp_path, capsys):
+        curve = tmp_path / "c.csv"
+        curve.write_text("0,0\n1,0.05\n2,0\n")
+        out = tmp_path / "s.csv"
+        assert main(["stats", str(curve), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert main(["stats", str(curve)]) == 0
+        assert out.read_text() == capsys.readouterr().out
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["stats", str(tmp_path / "absent.csv")])

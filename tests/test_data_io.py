@@ -46,6 +46,10 @@ class TestParse:
         assert ep.u is None
         assert ep.y.size == 61
 
+    def test_empty_text_rejected(self):
+        with pytest.raises(ParseError, match="empty episode file"):
+            parse_episode_text("", "x")
+
     def test_header_required(self):
         with pytest.raises(ParseError, match="header"):
             parse_episode_text("time,kind,val\n0,tac,0\n", "x")

@@ -11,11 +11,12 @@ from scipy.linalg import block_diag
 
 from tdalc import deconvolution, forward_model
 from tdalc.data_io import build_episode
-from tdalc.deconvolution import (SearchEpisode, build_problem, deconvolve,
+from tdalc.deconvolution import (DeconvolutionProblem, SearchEpisode,
+                                 build_problem, deconvolve,
                                  deconvolve_deterministic,
                                  default_basis_count, nnls,
-                                 select_regularization, solve_problem,
-                                 sqrtm_psd, write_result_csv)
+                                 select_regularization, sqrtm_psd,
+                                 write_result_csv)
 from tdalc.density import PopulationParams
 from tdalc.errors import ConfigurationError, NumericalError
 from tdalc.grid_basis import (DiscretizationGrid, SpatialMesh, TimeMesh,
@@ -46,6 +47,14 @@ def stacked(prob):
     """The problem's design rows over its block-diagonal penalty root,
     dense."""
     return np.vstack([prob.design, block_diag(*prob.penalty_sqrt)])
+
+
+def block_problem(design, roots):
+    """A problem of the given design and penalty-root blocks, for ``nnls``
+    and the operator products, which read nothing else."""
+    return DeconvolutionProblem(
+        tac=np.zeros(len(design)), time_mesh=None, sample=None, design=design,
+        penalty_sqrt=roots, r1=0.0, r2=0.0, cell_masses=np.ones(len(roots)))
 
 
 def scaled_kkt(a, b, x):
@@ -218,11 +227,11 @@ class TestNnls:
         # pivoting solve solves exactly: one curve for every start
         ops = make_ops(m1=8, m2=8)
         prob = build_problem(ops, make_tac(ops, pulse(163)), 1e-3, 1e-3)
-        cold = deconvolution.solve_problem(prob)
+        cold = nnls(prob, prob.target)
         curve = prob.mean_curve(cold.x)
         rng = np.random.default_rng(29)
         for x0 in (cold.x, rng.random(prob.n_cols) + 0.01):
-            warm = deconvolution.solve_problem(prob, x0=x0)
+            warm = nnls(prob, prob.target, x0=x0)
             assert warm.converged
             assert np.max(np.abs(prob.mean_curve(warm.x) - curve)) \
                 <= 1e-9 * np.max(curve)
@@ -343,6 +352,20 @@ class TestNnls:
         ref = scipy_nnls(a, b)[0]
         assert np.array_equal(res.x > 0.0, ref > 0.0)
 
+    def test_void_column_held_and_reported(self):
+        # a plain matrix gets the engine's void rule: a column at 1e-13 of
+        # the others that alone spans the target stays at zero from any
+        # start, and the result names it
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((12, 4))
+        void = np.linalg.svd(a[:, :3].T)[2][-1]     # orthogonal to the rest
+        a[:, 3] = 1e-13 * void
+        for x0 in (None, np.ones(4)):
+            res = nnls(a, void, x0=x0)
+            assert res.converged
+            assert res.void.tolist() == [False, False, False, True]
+            assert res.x[3] == 0.0
+
     def test_duplicated_columns_fall_back(self, monkeypatch):
         # a free set holding a column twice has a singular Gram: the
         # pivoted factor stops short of full rank and holds the copy at zero
@@ -388,7 +411,7 @@ class TestNnls:
             np.diag(np.logspace(0.0, -6.5, m))
             @ np.linalg.qr(rng.standard_normal((m, m)))[0].T
             for _ in range(cells)])
-        a = deconvolution._StackedOperator(design, roots)
+        a = block_problem(design, roots)
         b = np.concatenate([design @ rng.uniform(0.5, 1.5, cells * m),
                             np.zeros(cells * m)])
         res = nnls(a, b)
@@ -507,9 +530,9 @@ class TestBatchedPivoting:
         # one run of the engine on a batch of problems given by their
         # normal equations meets each problem's own nnls from the same
         # start: a duplicated column breaks its factor down, a zero target
-        # gives exact zeros, a void column is zeroed (as solve_problem
-        # does), and a cap of one iteration returns the best iterate.  The
-        # data carry noise: on an exact fit a coefficient that is zero in
+        # gives exact zeros, a void column is zeroed (as nnls zeroes it),
+        # and a cap of one iteration returns the best iterate.  The data
+        # carry noise: on an exact fit a coefficient that is zero in
         # truth comes out as +-1e-17, and its sign, which rounding decides,
         # decides whether one more exchange follows
         rng = np.random.default_rng(seed)
@@ -539,8 +562,8 @@ class TestBatchedPivoting:
 
     def test_void_column_stays_at_zero(self):
         # a column at 1e-13 of the others that alone spans the target: its
-        # dual breaks the stop rule, but zeroed (as solve_problem zeroes
-        # it) it stays at zero, while the other problem is solved
+        # dual breaks the stop rule, but zeroed (as nnls zeroes it) it
+        # stays at zero, while the other problem is solved
         rng = np.random.default_rng(3)
         a = rng.standard_normal((2, 12, 4))
         void = np.linalg.svd(a[0, :, :3].T)[2][-1]   # orthogonal to the rest
@@ -608,6 +631,12 @@ class TestBuildProblem:
         prob = build_problem(ops, tac, 1e-8, 1e-7)
         assert prob.r1 == 0.0 and prob.r2 == 0.0
 
+    def test_unknown_variant_rejected(self):
+        ops = make_ops()
+        with pytest.raises(ConfigurationError, match="unknown variant 'foo'"):
+            build_problem(ops, make_tac(ops, pulse(61)), 0.1, 0.1,
+                          variant="foo")
+
     def test_zero_kernels_rejected(self):
         ops = make_ops()
         dead = replace(ops, qbar2=np.zeros_like(ops.qbar2))
@@ -645,7 +674,7 @@ class TestStackedOperator:
     def test_products_match_dense_stacked(self):
         ops = make_ops()
         prob = build_problem(ops, make_tac(ops, pulse(121)), 2e-3, 5e-2)
-        a = deconvolution._StackedOperator(prob.design, prob.penalty_sqrt)
+        a = prob
         dense = stacked(prob)
         rng = np.random.default_rng(3)
         x, r = rng.standard_normal(a.shape[1]), rng.standard_normal(a.shape[0])
@@ -661,7 +690,7 @@ class TestStackedOperator:
         roots = rng.standard_normal((2, 3, 3))
         gc.disable()
         try:
-            op = deconvolution._StackedOperator(design, roots)
+            op = block_problem(design, roots)
             op.T @ (op @ np.ones(6))
             ref = weakref.ref(op)
             del op
@@ -790,10 +819,10 @@ class TestDeconvolve:
         assert warm.converged and warm.iterations < cold.iterations
         assert np.max(np.abs(warm.x - cold.x)) <= 1e-10
         assert np.max(np.abs(curve - cold_curve)) <= 1e-10
-        # both are build_problem's scalar problem through solve_problem
+        # both are build_problem's scalar problem through nnls
         problem = build_problem(det, tac, 1e-3, 1e-3, variant="scalar")
         for sol, x0 in ((cold, None), (warm, start.x)):
-            again = solve_problem(problem, x0=x0)
+            again = nnls(problem, problem.target, x0=x0)
             assert np.array_equal(sol.x, again.x)
             assert sol.iterations == again.iterations
 

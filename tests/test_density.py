@@ -85,6 +85,17 @@ class TestPopulationParams:
             PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0), mu=(0.6, 1.0),
                              sigma=((0.04, 0.2), (0.2, 0.09)))
 
+    @pytest.mark.parametrize("field", ["a", "b", "mu", "sigma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, field, value):
+        fields = {"a": (0.0, 0.0), "b": (1.5, 2.0), "mu": (0.6, 1.0),
+                  "sigma": ((0.04, 0.0), (0.0, 0.09))}
+        bad = np.array(fields[field])
+        bad.flat[0] = value
+        fields[field] = bad
+        with pytest.raises(ParameterError, match="must be finite"):
+            PopulationParams(**fields)
+
     def test_rejects_asymmetric_sigma(self):
         with pytest.raises(ParameterError):
             PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0), mu=(0.6, 1.0),
@@ -104,6 +115,14 @@ class TestPdf:
         assert pdf(p, (1.6, 1.0)) == 0.0
         assert pdf(p, (-0.1, 1.0)) == 0.0
         assert pdf(p, (0.6, 2.4)) == 0.0
+
+    def test_box_without_normal_mass_rejected(self):
+        # mu far beyond the box: no normal mass is left in double precision
+        far = law((60.0, 60.0), (0.1, 0.1), 0.0)
+        with pytest.raises(ParameterError, match="no normal mass"):
+            pdf(far, (0.6, 1.0))
+        with pytest.raises(ParameterError, match="no normal mass"):
+            moment_weights(far, ParamMesh(4, 0.0, 1.5), ParamMesh(4, 0.0, 2.0))
 
     def test_proportional_to_gaussian_inside(self):
         p = make_params()
@@ -248,6 +267,10 @@ class TestSampling:
             draws = sample(p, count, seed=1)
             assert draws.shape == (count, 2)
             assert np.all(draws >= p.a) and np.all(draws <= p.b)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ParameterError, match="nonnegative, got -1"):
+            sample(make_params(), -1, seed=1)
 
     def test_seed_determinism(self):
         p = make_params()
@@ -398,6 +421,16 @@ class TestCredibleRadiusTable:
         above = density._credible_radius(law((0.62, 2.0 + 0.1 * k), (0.2, 0.1), 0.0),
                                          alpha)
         assert below.radius == pytest.approx(above.radius, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.99])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_law_left_of_box_mirrors_law_right(self, k, alpha):
+        # mu k sd left of the box in q1: a disk short of the box's left edge
+        # holds no mass, as one short of the right edge does for the mirror
+        left = density._credible_radius(law((-0.1 * k, 1.0), (0.1, 0.2), 0.0), alpha)
+        right = density._credible_radius(law((1.5 + 0.1 * k, 1.0), (0.1, 0.2), 0.0),
+                                         alpha)
+        assert left.radius == pytest.approx(right.radius, rel=1e-13, abs=0.0)
 
     def test_clipped_wide_law_at_half(self):
         # the rim crosses the box's lower edge inside the integration range:

@@ -69,6 +69,26 @@ class TestAssembly:
         with pytest.raises(NumericalError):
             forward_model.assemble_from_weights(replace(w, p=bad), grid)
 
+    def test_grid_off_the_support_rejected(self):
+        params = make_params()
+        grid = DiscretizationGrid.from_params(params)
+        grid = DiscretizationGrid(grid.spatial, ParamMesh(4, 0.0, 1.4),
+                                  grid.pm2, grid.tau)
+        with pytest.raises(ConfigurationError, match="does not match"):
+            forward_model.assemble(params, grid)
+
+    @pytest.mark.parametrize("field", ["p", "w1", "w2"])
+    def test_nonfinite_weights_rejected(self, field):
+        params = make_params()
+        grid = DiscretizationGrid.from_params(params)
+        w = moment_weights(params, grid.pm1, grid.pm2)
+        bad = getattr(w, field).copy()
+        bad[1, 2] = np.nan
+        from dataclasses import replace
+        with pytest.raises(NumericalError, match="not finite"):
+            forward_model.assemble_from_weights(replace(w, **{field: bad}),
+                                                grid)
+
     def test_all_dead_rejected(self):
         params = make_params()
         grid = DiscretizationGrid.from_params(params)

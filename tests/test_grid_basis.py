@@ -35,6 +35,15 @@ class TestParamMesh:
         with pytest.raises(ConfigurationError):
             ParamMesh(4, 1.0, 1.0)
 
+    def test_rejects_bad_count(self):
+        with pytest.raises(ConfigurationError, match="cell count"):
+            ParamMesh(0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("x", [-0.01, 2.01, np.array([0.5, 2.5])])
+    def test_cell_index_outside_interval(self, x):
+        with pytest.raises(ValueError, match="outside parameter interval"):
+            ParamMesh(4, 0.0, 2.0).cell_index(x)
+
 
 class TestTimeMesh:
     def test_counts(self):
@@ -95,6 +104,11 @@ class TestHatBasis:
         assert hat_value(nodes, 2, 0.5) == pytest.approx(1.0)
         assert hat_value(nodes, 2, 0.25) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("j", [-1, 5])
+    def test_index_out_of_range(self, j):
+        with pytest.raises(IndexError, match="out of range for 5 nodes"):
+            hat_value(np.linspace(0.0, 1.0, 5), j, 0.5)
+
 
 class TestSpatialGram:
     def test_mass_matrix_closed_form(self):
@@ -116,6 +130,14 @@ class TestSpatialGram:
         expect = (np.diag([1.0] + [2.0] * (n - 1) + [1.0])
                   - np.diag(np.ones(n), 1) - np.diag(np.ones(n), -1)) * n
         assert np.allclose(gram.stiffness, expect, atol=1e-12)
+
+
+    @pytest.mark.parametrize("nodes, message", [
+        ([0.5], "at least two"), ([0.0, 0.5, 0.5, 1.0], "strictly increasing"),
+        ([0.0, 1.0, 0.5], "strictly increasing")])
+    def test_bad_nodes_rejected(self, nodes, message):
+        with pytest.raises(ConfigurationError, match=message):
+            assemble_1d_gram(np.array(nodes))
 
 
 class TestDiscretizationGrid:

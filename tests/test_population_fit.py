@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -345,7 +346,31 @@ class TestDeterministicFit:
         assert fit.boundary
 
 
+    def test_q_max_at_the_floor_rejected(self):
+        p = make_params()
+        grid = DiscretizationGrid.from_params(p)
+        ep = episodes_from(p, grid, n=1)[0]
+        with pytest.raises(ConfigurationError, match="q_max must exceed"):
+            fit_episode_deterministic(ep, grid, q_max=1e-3)
+
+    def test_no_usable_tac_instant_rejected(self):
+        # the grid ends with the BrAC at 2 min; the TAC samples at 0 and
+        # 100 min are the initial instant and beyond the grid
+        ep = build_episode("short", [0.0, 1.0, 2.0], [0.0, 0.05, 0.0],
+                           [0.0, 100.0], [0.0, 0.02])
+        assert ep.fit_indices.size == 0
+        grid = DiscretizationGrid.from_params(make_params())
+        with pytest.raises(ConfigurationError, match="no usable TAC instants"):
+            fit_episode_deterministic(ep, grid)
+        with pytest.raises(ConfigurationError, match="no usable TAC instants"):
+            fit_population([ep], grid, init=make_params())
+
+
 class TestInitialGuess:
+    def test_no_estimate_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one"):
+            initial_guess([])
+
     def test_sample_statistics(self):
         qs = [np.array([0.5, 1.0]), np.array([0.7, 1.2]),
               np.array([0.6, 0.8])]
@@ -444,6 +469,25 @@ class TestFitPopulation:
         assert records[-1]["failed_evals"] == 1
         iterates = [r for r in records if r["event"] == "iterate"]
         assert iterates and all(r["seconds"] >= 0.0 for r in iterates)
+
+    def test_failed_final_evaluation_reported(self, monkeypatch):
+        # every evaluation raises, the final one at the returned point too:
+        # the cost and gradient norm are infinite, the fit is not converged
+        # and every failure is counted
+        p = make_params()
+        grid = DiscretizationGrid.from_params(p)
+        eps = episodes_from(p, grid)
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(1)
+            raise NumericalError("injected")
+
+        monkeypatch.setattr(population_fit, "cost_and_gradient", broken)
+        res = fit_population(eps, grid, init=p, max_iter=3)
+        assert res.cost == math.inf and res.grad_norm == math.inf
+        assert not res.converged and res.stop is None
+        assert res.failed_evals == len(calls) >= 2
 
     @pytest.mark.parametrize("call", [1, 2, 3, 5])
     def test_failed_evaluation_backtracks(self, monkeypatch, call):

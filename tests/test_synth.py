@@ -154,6 +154,11 @@ class TestValidation:
             SynthConfig(rho_true=make_params(), grid=make_grid(),
                         n_episodes=0)
 
+    def test_template_lists_must_match(self):
+        with pytest.raises(ConfigurationError, match="matching time and value"):
+            SynthConfig(rho_true=make_params(), grid=make_grid(),
+                        input_profile=((0.0, 60.0, 240.0), (0.0, 0.05)))
+
     def test_template_must_increase(self):
         with pytest.raises(ConfigurationError, match="increase"):
             SynthConfig(rho_true=make_params(), grid=make_grid(),

@@ -215,6 +215,55 @@ class TestMeanOutsideBox:
             stats_credible_intervals(res, params, alpha=1e-7)
 
 
+@lru_cache(maxsize=None)
+def anisotropic_result():
+    """An anisotropic law whose credible disk meets two cells of almost no
+    mass, and its 8 x 8 tensor-variant estimate (K = 121) of a bump
+    simulated under the law, with white noise at 0.2% of peak."""
+    params = PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0), mu=(0.62, 1.01),
+                              sigma=((0.01, 0.0), (0.0, 1e-6)))
+    grid = DiscretizationGrid.from_params(params, m1=8, m2=8)
+    ops = forward_model.discrete_time(forward_model.assemble(params, grid))
+    t = np.arange(121.0)
+    rise = np.sin(0.5 * np.pi * np.clip(t / 30.0, 0.0, 1.0)) ** 2
+    fall = np.cos(0.5 * np.pi * np.clip((t - 30.0) / 70.0, 0.0, 1.0)) ** 2
+    u = 0.07 * np.where(t <= 30.0, rise, fall)
+    tac = np.concatenate([[0.0], forward_model.convolve(
+        forward_model.impulse_kernels(ops, 120), u[:-1])])
+    noise = np.random.default_rng(1).standard_normal(tac.size)
+    tac = np.clip(tac + 0.002 * tac.max() * noise, 0.0, None)
+    return params, deconvolve(ops, tac, 1e-3, 1e-3)
+
+
+class TestVoidCells:
+    def test_band_and_intervals_leave_out_void_cells(self):
+        # the disk (radius 0.115) meets cells (2, 3), (2, 4), (3, 3) and
+        # (3, 4); the first and third carry mass 2.1e-24 and 4.7e-24, so
+        # their columns are void and their curves zero by the solver's
+        # rule, and a band that read them would have a zero lower edge
+        params, res = anisotropic_result()
+        void = res.nnls.void.reshape(res.coeffs.shape, order="F").all(axis=0)
+        assert void[2, 3] and void[3, 3] and not void[2:4, 4].any()
+        _, inside = uncertainty._disk_cells(res, params, 0.75)
+        assert np.argwhere(inside).tolist() == [[2, 4], [3, 4]]
+        band = credible_band(res, params, alpha=0.75)
+        curves = cell_curves(res)[:, 2:4, 4]
+        assert np.array_equal(band.lower, curves.min(axis=1))
+        assert np.array_equal(band.upper, curves.max(axis=1))
+        assert band.lower.max() == pytest.approx(0.0662, abs=1e-4)
+        peak = stats_credible_intervals(res, params, 0.75).intervals["peak"]
+        assert peak == pytest.approx((0.0732, 0.0759), abs=1e-4)
+
+    def test_disk_of_void_cells_raises(self):
+        params, res = anisotropic_result()
+        all_void = replace(res, nnls=replace(
+            res.nnls, void=np.ones_like(res.nnls.void)))
+        with pytest.raises(NumericalError, match="non-void"):
+            credible_band(all_void, params)
+        with pytest.raises(NumericalError, match="non-void"):
+            stats_credible_intervals(all_void, params)
+
+
 class TestCredibleBandScalar:
     def test_contains_mean_parameter_curve(self):
         params = make_params()
