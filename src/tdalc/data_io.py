@@ -6,7 +6,8 @@ channel is ``brac`` (breath measurements, possibly absent) or ``tac``
 
 Model fitting and deconvolution both run on a uniform grid with step ``tau``
 (minutes).  Each channel is resampled onto that grid with a natural cubic
-spline through its samples, clamped at zero from below; the resampled BrAC
+spline through its samples, whose tridiagonal system the Thomas algorithm
+solves in numpy, clamped at zero from below; the resampled BrAC
 values double as the zero-order-hold input of the training recursion.  The
 grid covers [0, T_last] where T_last is the last instant covered by every
 channel present, so the spline never extrapolates.
@@ -18,7 +19,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import ConfigurationError, ParseError
 from .grid_basis import check_step
@@ -66,24 +66,38 @@ def check_training_episodes(episodes: list[Episode], tau: float) -> None:
                 f"episode {ep.ident!r} has tau {ep.tau}, the model has {tau}")
 
 
+def _thomas(off: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric tridiagonal system of diagonal ``diag`` and off
+    diagonal ``off`` (one entry shorter) for ``rhs`` by the Thomas algorithm:
+    Gaussian elimination without pivoting, which is stable on a diagonally
+    dominant matrix such as the spline's, then back substitution.  The
+    arithmetic is LAPACK's dgtsv where that takes no row interchange."""
+    d, r, c = diag.tolist(), rhs.tolist(), off.tolist()
+    for i, ci in enumerate(c):
+        fact = ci / d[i]
+        d[i + 1] -= fact * ci
+        r[i + 1] -= fact * r[i]
+    r[-1] /= d[-1]
+    for i in range(len(c) - 1, -1, -1):
+        r[i] = (r[i] - c[i] * r[i + 1]) / d[i]
+    return np.array(r)
+
+
 def _natural_spline(t: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The natural cubic spline through (t, v), at least three knots, at x.
 
     Its second derivatives M at the knots, zero at both ends, solve the
     tridiagonal continuity system h_i-1 M_i-1 + 2 (h_i-1 + h_i) M_i
-    + h_i M_i+1 = 6 (s_i - s_i-1) of the knot gaps h and chord slopes s.  On
-    piece i with A = (t_i+1 - x) / h_i and B = 1 - A it is A v_i + B v_i+1
-    + ((A^3 - A) M_i + (B^3 - B) M_i+1) h_i^2 / 6, so a knot returns its
-    value exactly; beyond the data the end pieces extrapolate.
+    + h_i M_i+1 = 6 (s_i - s_i-1) of the knot gaps h and chord slopes s
+    (``_thomas``).  On piece i with A = (t_i+1 - x) / h_i and B = 1 - A it
+    is A v_i + B v_i+1 + ((A^3 - A) M_i + (B^3 - B) M_i+1) h_i^2 / 6, so a
+    knot returns its value exactly; beyond the data the end pieces
+    extrapolate.
     """
     h = np.diff(t)
     slope = np.diff(v) / h
-    bands = np.zeros((3, t.size - 2))
-    bands[0, 1:] = h[1:-1]
-    bands[1] = 2.0 * (h[:-1] + h[1:])
-    bands[2, :-1] = h[1:-1]
     curv = np.zeros(t.size)
-    curv[1:-1] = solve_banded((1, 1), bands, 6.0 * np.diff(slope))
+    curv[1:-1] = _thomas(h[1:-1], 2.0 * (h[:-1] + h[1:]), 6.0 * np.diff(slope))
     i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, t.size - 2)
     gap = h[i]
     a = (t[i + 1] - x) / gap

@@ -9,7 +9,11 @@ penalty  r1 * \\int ||u||^2 + r2 * \\int ||u'||^2  contributes a second block
 through a positive-semidefinite square root, block diagonal over the
 parameter cells.  The stacked problem is solved under a nonnegativity
 constraint by block principal pivoting on its normal equations, read from
-the design and the penalty blocks without forming them (``nnls``).
+the design and the penalty blocks without forming them (``nnls``).  Its
+free-set solves run in numpy, except Grams wider than ``_NUMPY_COLS``
+columns and the pivoted factor of a dependent free set, which use LAPACK
+through scipy, loaded on first use, so a record's narrow free sets never
+load it.
 
 One builder, ``build_problem``, makes the stacked problem from kernel
 columns and cell masses: one per parameter cell in the tq variant; the
@@ -47,7 +51,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf
 
 from .data_io import Episode, check_training_episodes
 from .errors import ConfigurationError, NumericalError
@@ -322,6 +325,22 @@ _BACKUP = 3
 #: largest free-set Gram ``nnls`` forms, in bytes (8 n_F^2 for n_F columns)
 _GRAM_BUDGET = 1 << 30
 
+#: widest free-set Gram ``_gram_solve`` factors with numpy; wider ones, and
+#: the pivoted factor, go to LAPACK, whose scipy wrappers load on first use.
+#: numpy has no triangular solve, so its Cholesky test plus two LU solves
+#: are slower at every width: 2.1-3.1x dpotrf plus two dpotrs at 2-64
+#: columns (22-92 us against 10-31 us, 2-vCPU host), 3.0-3.4x at 64-96.
+#: There is no crossover; the width is a footprint trade.  A scalar
+#: record's free set is at most its basis count, six per hour
+#: (``default_basis_count``), so scalar records up to 10.7 h never pay
+#: scipy's import (30 MB and 0.3 s per process) for a few solves 10-60 us
+#: slower; the benchmark's records make 6-12 per op, 15-20 columns wide.  The
+#: benchmark's weight search (seeds 1-10) solves 235-285 per op: its 20-47
+#: of 30-64 columns cost it 1.1-4.6 ms more here (0.4-1.8% of the op),
+#: while its 165-215 of 75-121 columns, where numpy made the whole search
+#: 20-30% slower, stay on LAPACK.
+_NUMPY_COLS = 64
+
 
 def _void(sq: np.ndarray) -> np.ndarray:
     """Void columns of stacked problems from their squared column norms
@@ -340,10 +359,23 @@ def _scaling(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _gram_solve(gram: np.ndarray, f: np.ndarray,
                 residual: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """A free set's scaled Gram system G z = f, solved and refined once on its
-    factor from ``residual(z)``, f - G z formed without squaring the design's
-    conditioning (Bjorck's corrected seminormal equations); a pivoted factor
-    holds dependent columns at zero when a pivot d^2 falls to ``_BREAKDOWN``."""
+    """A free set's scaled Gram system G z = f, solved and refined once from
+    ``residual(z)``, f - G z formed without squaring the design's
+    conditioning (Bjorck's corrected seminormal equations).  Up to
+    ``_NUMPY_COLS`` columns numpy's Cholesky factor checks the pivots and
+    ``np.linalg.solve`` solves; wider systems are solved on LAPACK's factor.
+    A pivoted factor holds dependent columns at zero when a pivot d^2 falls
+    to ``_BREAKDOWN``."""
+    if f.size <= _NUMPY_COLS:
+        try:
+            full = np.all(np.diag(np.linalg.cholesky(gram)) ** 2 > _BREAKDOWN)
+        except np.linalg.LinAlgError:
+            full = False
+        if full:
+            z = np.linalg.solve(gram, f)
+            return z + np.linalg.solve(gram, residual(z))
+    from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf
+
     low, info = dpotrf(gram, lower=1)
     keep, z = np.arange(f.size), np.zeros(f.size)
     if info != 0 or np.any(np.diag(low) ** 2 <= _BREAKDOWN):

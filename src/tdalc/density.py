@@ -12,7 +12,9 @@ of the bivariate normal: four corner values of its distribution function
 Phi_2, from Owen's T function (Owen, Ann. Math. Stat. 27, 1956) with each
 cell reflected so that its leading corner's quadrant holds the cell's
 nearest point to the mean, which keeps masses far in a tail to full relative
-accuracy.  Since grad phi = -Sigma^-1 (q - mu) phi, the first moments and the
+accuracy.  Phi (``_ndtr``) and the Owen tails (``_owen_tail``) are summed
+here to full relative accuracy in both tails, so neither needs scipy.
+Since grad phi = -Sigma^-1 (q - mu) phi, the first moments and the
 derivatives in the location, the covariance and the support bounds reduce to
 integrals of phi along the mesh lines, phi_1(x) times a conditional normal
 interval probability, and to phi at the mesh nodes.  No quadrature is
@@ -24,7 +26,7 @@ the disk's chords across the disk, summed by a globally adaptive 21-point
 Gauss-Kronrod rule (QUADPACK's QK21 and its error estimate, at most 200
 pieces) written in numpy, and its radius is found by bisecting on that mass
 to full double precision, so a narrow law's radius is as good as a wide
-one's.  The module needs only numpy and ``scipy.special``.
+one's.  The module needs only numpy and the C library's erf and erfc.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
-from scipy.special import ndtr, owens_t
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, ParameterError, SamplingError
 from .grid_basis import ParamMesh
@@ -48,8 +50,12 @@ PARAMETER_NAMES = ("a1", "a2", "b1", "b2", "mu1", "mu2", "l11", "l21", "l22")
 
 _SQRT2 = math.sqrt(2.0)
 # past a t / sqrt 2 = 1.5 an Owen tail is summed directly (``_owen_tail``):
-# the difference of owens_t values would lose more than a factor 30
+# the difference of its near form would lose more than a factor 30
 _TAIL_START = 1.5
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+_ERF = np.frompyfunc(math.erf, 1, 1)
+# sqrt(1/2) as a head of 26 significant bits plus the rest
+_ROOT_HALF = (0.7071067839860916, -2.799544089368687e-09)
 # smallest normal double: a subnormal cell mass is flushed to zero
 _TINY = np.finfo(float).tiny
 
@@ -134,29 +140,88 @@ def _peak_breaks(lo: float, hi: float, center: float, sd: float) -> list:
     return [p for p in center + sd * np.array([-8.0, 0.0, 8.0]) if lo < p < hi]
 
 
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """The standard normal distribution function Phi to full relative
+    accuracy in both tails: 0.5 erfc(v) at v = -x / sqrt 2, from the C
+    library's erfc.  v is formed as u + e to twice double precision (x's
+    26-bit halves times a 26-bit head of sqrt(1/2) are exact), and erfc(u)
+    is carried to erfc(v) by its first-order change -(2/sqrt pi) exp(-u^2)
+    e, which is erfc(u) 2 u e to the accuracy needed where u > 0 and
+    negligible elsewhere; so rounding v, which would cost 2 u^2 ulps at
+    large u (1e-13 at x = -37), costs nothing."""
+    x = np.minimum(np.maximum(x, -40.0), 40.0)  # 0 or 1 to the last bit beyond
+    split = x * 134217729.0     # 2^27 + 1: Veltkamp's split of x
+    head = split - (split - x)
+    big = head * -_ROOT_HALF[0]
+    small = (x - head) * -_ROOT_HALF[0] - x * _ROOT_HALF[1]
+    u = big + small
+    e = (big - u) + small
+    return _ERFC(u).astype(float) * (0.5 - np.maximum(u, 0.0) * e)
+
+
 @cache
 def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
     """32-point Gauss-Laguerre nodes and weights, built on first use."""
     return laggauss(32)
 
 
+@cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Legendre nodes and weights on [0, 1], built on first
+    use."""
+    nodes, weights = leggauss(16)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+def _near_tail(t: np.ndarray, a: np.ndarray, at: np.ndarray,
+               upper: np.ndarray) -> np.ndarray:
+    """``_owen_tail`` for a >= 0 with a t / sqrt 2 at most ``_TAIL_START``,
+    given ``at`` = a t (0 at t = 0) and ``upper`` = Q(t), the upper normal
+    tail.
+
+    For a <= 1 it is Q(t)/2 - T(t, a).  With x = tan theta, T(h, b) =
+    exp(-h^2/2) / 2pi int_0^atan b exp(-h^2 tan^2 theta / 2) dtheta, whose
+    integrand is smooth as h tan theta <= 2.2 here: Gauss-Legendre sums it.
+    For a > 1, Owen's identity T(t, a) + T(a t, 1/a) = Q(t)/2 + Q(a t)/2 -
+    Q(t) Q(a t) turns it into T(a t, 1/a) - Q(a t) (1/2 - Q(t)), with 1/2 -
+    Q(t) = erf(t / sqrt 2) / 2, which keeps its digits at small t.
+    """
+    flip = a > 1.0
+    h = np.where(flip, at, t)
+    b = np.where(flip, 1.0 / np.maximum(a, 1.0), a)
+    nodes, weights = _legendre_rule()
+    theta = np.arctan(b)
+    inner = np.exp(-0.5 * np.square(h * np.tan(theta * nodes[:, None])))
+    owen = np.exp(-0.5 * h * h) / (2.0 * math.pi) * theta * (weights @ inner)
+    out = 0.5 * upper - owen
+    if flip.any():
+        mid = 0.5 * _ERF(t[flip] * math.sqrt(0.5)).astype(float)
+        out[flip] = owen[flip] - _ndtr(-h[flip]) * mid
+    return out
+
+
 def _owen_tail(t: np.ndarray, a: np.ndarray) -> np.ndarray:
     """T(t, inf) - T(t, a) for t >= 0 and any a, to full relative accuracy.
 
     Owen's T(t, a) is (1/2pi) int_0^a exp(-t^2 (1 + x^2)/2) / (1 + x^2) dx,
-    so this is the same integral from a to infinity.  With s = x t / sqrt 2 it
-    is exp(-t^2/2) / (pi sqrt(2) t) int_{s0}^inf exp(-s^2) / (1 + 2 s^2/t^2) ds,
-    s0 = a t / sqrt 2.  Up to s0 = ``_TAIL_START`` the difference of
-    ``owens_t`` values loses at most a factor 1/erfc(1.5) = 30; past it the
-    shift s = s0 + y / (2 s0) leaves exp(-y) times a smooth factor, which
-    Gauss-Laguerre sums with the leading exp(-t^2 (1 + a^2)/2) factored out.
+    so this is the same integral from a to infinity.  T is odd in a, so the
+    tail at a < 0 is Q(t) less that at -a, no less than Q(t)/2: only a >= 0
+    is summed.  With s = x t / sqrt 2 the tail is exp(-t^2/2) / (pi sqrt(2)
+    t) int_{s0}^inf exp(-s^2) / (1 + 2 s^2/t^2) ds, s0 = a t / sqrt 2.  Up to
+    s0 = ``_TAIL_START`` ``_near_tail`` loses at most a factor 1/erfc(1.5) =
+    30; past it the shift s = s0 + y / (2 s0) leaves exp(-y) times a smooth
+    factor, which Gauss-Laguerre sums with the leading exp(-t^2 (1 + a^2)/2)
+    factored out.
     """
+    b = np.abs(a)
     with np.errstate(invalid="ignore"):
-        s0 = a * t / _SQRT2    # nan at t = 0, a = +-inf: the direct branch
+        at = np.where(t > 0.0, b * t, 0.0)     # b t is nan at t = 0, b = inf
+    s0 = at / _SQRT2
     far = s0 > _TAIL_START
+    upper = _ndtr(-t)
     out = np.empty(t.shape)
     near = ~far
-    out[near] = 0.5 * ndtr(-t[near]) - owens_t(t[near], a[near])
+    out[near] = _near_tail(t[near], b[near], at[near], upper[near])
     if far.any():
         tf, sf = t[far], s0[far]
         nodes, weights = _laguerre_rule()
@@ -165,7 +230,7 @@ def _owen_tail(t: np.ndarray, a: np.ndarray) -> np.ndarray:
         f = np.exp(-y * y) * (0.5 * tf) / (0.5 * tf * tf + s * s)
         out[far] = (np.exp(-0.5 * tf * tf - sf * sf) / (2.0 * math.pi * _SQRT2 * sf)
                     * (weights @ f))
-    return out
+    return np.where(a < 0.0, upper - out, out)
 
 
 def _bvn_cdf(h: np.ndarray, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -289,7 +354,7 @@ class _Lines(NamedTuple):
         lo, hi = z[:, :-1], z[:, 1:]
         # the difference of upper tails where the interval lies above the mean
         up = lo > 0.0
-        cdf = ndtr(np.where(up, -lo, hi)) - ndtr(np.where(up, -hi, lo))
+        cdf = _ndtr(np.where(up, -lo, hi)) - _ndtr(np.where(up, -hi, lo))
         phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         return cls(offset, var, dens, mean, sd, slope, z, phi, cdf)
 

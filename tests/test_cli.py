@@ -497,16 +497,21 @@ class TestDeconvolve:
         assert cli.build_parser().parse_args(record_a).train == []
 
 
-#: what the per-record commands and the weight search must not load: the
-#: optimizers and what they bring with them
-_HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
-          "scipy.sparse")
-
+#: the per-record commands (simulate, deconvolve at fixed weights and with
+#: the scalar weight search, stats) load no scipy module at all, from the
+#: import on; the fit loads scipy.optimize
 _FOOTPRINT_RUN = """
 import json, sys
 from pathlib import Path
-from tdalc.cli import main
+import tdalc, tdalc.cli
 
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+
+after_import = scipy_modules()
+main = tdalc.cli.main
 work, rho = Path(sys.argv[1]), sys.argv[2]
 (work / "sim.cfg").write_text(sys.argv[3])
 assert main(["simulate", str(work / "sim.cfg"), "--out-dir", str(work / "eps")]) == 0
@@ -519,27 +524,28 @@ assert main(["deconvolve", record, "--rho", rho, "--auto-reg", "--train", record
              "--variant", "scalar", "--samples", "60",
              "--out-prefix", str(work / "auto")]) == 0
 assert main(["stats", str(work / "scalar.curve.csv")]) == 0
-loaded = [name for name in json.loads(sys.argv[4]) if name in sys.modules]
+loaded = scipy_modules()
 fit = main(["fit", record, "--out", str(work / "fit.txt"), "--max-iter", "2"])
-print(json.dumps({"loaded": loaded, "fit": fit,
+print(json.dumps({"after_import": after_import, "loaded": loaded, "fit": fit,
                   "optimize_after_fit": "scipy.optimize" in sys.modules}))
 """
 
 
 class TestFootprint:
     def test_record_commands_load_no_optimizer(self, tmp_path):
-        # in a fresh interpreter: this one holds scipy.integrate for oracles
+        # in a fresh interpreter: this one holds scipy for oracles
         rho = write_rho(tmp_path / "rho.params")
         config = BASE_CONFIG.replace("n_episodes = 3", "n_episodes = 1")
         src = str(Path(tdalc.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", _FOOTPRINT_RUN, str(tmp_path), str(rho),
-             config, json.dumps(_HEAVY)],
+             config],
             capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(
                 [src, os.environ.get("PYTHONPATH", "")])})
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["after_import"] == []
         assert report["loaded"] == []
         assert report["fit"] in (0, 3) and report["optimize_after_fit"]
 

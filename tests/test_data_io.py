@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdalc.data_io import (build_episode, dump_episode, parse_episode,
-                           parse_episode_text, resample, write_episode)
+from tdalc.data_io import (_thomas, build_episode, dump_episode,
+                           parse_episode, parse_episode_text, resample,
+                           write_episode)
 from tdalc.errors import ConfigurationError, ParseError
 
 SAMPLE = """t_minutes,channel,value
@@ -219,6 +220,25 @@ class TestResample:
                 <= 1e-13 * np.max(np.abs(v))
             # a knot on the grid returns its datum exactly
             assert np.array_equal(resample(t, v, t[1:-1]), v[1:-1])
+
+
+class TestThomas:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 200])
+    def test_matches_lapack_banded_solve(self, n):
+        # diagonally dominant like the spline's system: the elimination
+        # needs no row interchange, so it is LAPACK's own arithmetic
+        from scipy.linalg import solve_banded
+
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            off = rng.uniform(0.01, 5.0, n - 1)
+            diag = 2.0 * (np.r_[0.0, off] + np.r_[off, 0.0]) + rng.uniform(0.0, 1.0, n)
+            rhs = rng.standard_normal(n)
+            bands = np.zeros((3, n))
+            bands[0, 1:], bands[1], bands[2, :-1] = off, diag, off
+            want = solve_banded((1, 1), bands, rhs)
+            got = _thomas(off, diag, rhs)
+            assert np.max(np.abs(got - want)) <= 4e-16 * np.max(np.abs(want))
 
 
 class TestBuildEpisode:

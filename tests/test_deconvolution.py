@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, lapack
 
 from tdalc import deconvolution, forward_model
 from tdalc.data_io import build_episode
@@ -369,15 +369,16 @@ class TestNnls:
     def test_duplicated_columns_fall_back(self, monkeypatch):
         # a free set holding a column twice has a singular Gram: the
         # pivoted factor stops short of full rank and holds the copy at zero
+        # (``_gram_solve`` imports LAPACK's pivoted Cholesky on first use)
         breakdowns = []
-        pstrf = deconvolution.dpstrf
+        pstrf = lapack.dpstrf
 
         def spy(gram, **kwargs):
             out = pstrf(gram, **kwargs)
             breakdowns.append(out[2] < gram.shape[0])
             return out
 
-        monkeypatch.setattr(deconvolution, "dpstrf", spy)
+        monkeypatch.setattr(lapack, "dpstrf", spy)
         rng = np.random.default_rng(23)
         base = rng.standard_normal((40, 6))
         a = np.hstack([base, base[:, :3]])
@@ -388,6 +389,40 @@ class TestNnls:
             assert np.all(res.x >= 0.0)
             assert scaled_kkt(a, b, res.x) <= 1e-8
         assert any(breakdowns)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 33, 64])
+    def test_numpy_and_lapack_gram_solves_agree(self, monkeypatch, n):
+        # free sets up to _NUMPY_COLS columns are solved with numpy, wider
+        # ones with LAPACK's Cholesky factor; with the width set to 0 the
+        # same unit-diagonal SPD systems go to LAPACK
+        assert n <= deconvolution._NUMPY_COLS
+        rng = np.random.default_rng(n)
+        systems = []
+        for _ in range(5):
+            a = rng.standard_normal((2 * n, n)) * rng.uniform(0.1, 10.0, n)
+            gram = a.T @ a
+            s = np.sqrt(np.diag(gram))
+            systems.append((gram / np.outer(s, s), rng.standard_normal(n)))
+        calls = []
+        potrf = lapack.dpotrf
+
+        def spy(gram, **kwargs):
+            calls.append(gram.shape[0])
+            return potrf(gram, **kwargs)
+
+        monkeypatch.setattr(lapack, "dpotrf", spy)
+
+        def solve(gram, f):
+            return deconvolution._gram_solve(gram, f, lambda z: f - gram @ z)
+
+        narrow = [solve(*system) for system in systems]
+        assert calls == []
+        monkeypatch.setattr(deconvolution, "_NUMPY_COLS", 0)
+        wide = [solve(*system) for system in systems]
+        assert calls == [n] * len(systems)
+        for (gram, f), x, y in zip(systems, narrow, wide):
+            assert np.linalg.norm(x - y) <= 1e-13 * np.linalg.norm(y)
+            assert np.linalg.norm(gram @ x - f) <= 1e-14 * np.linalg.norm(f)
 
     def test_inaccurate_woodbury_solve_falls_back(self, monkeypatch):
         # free sets wider than the design go through the Woodbury

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from tdalc import density
 from tdalc.density import (PopulationParams, cell_masses,
@@ -68,6 +68,70 @@ def assert_conditional_means_inside(w, pm1, pm2):
     q1, q2 = w.w1[i, j] / w.p[i, j], w.w2[i, j] / w.p[i, j]
     assert np.all((pm1.edges[i] <= q1) & (q1 <= pm1.edges[i + 1]))
     assert np.all((pm2.edges[j] <= q2) & (q2 <= pm2.edges[j + 1]))
+
+
+def _scaled_errors(values, ref):
+    """|values - ref| relative to ref, or to the smallest normal double where
+    ref is subnormal or zero."""
+    return np.abs(values - ref) / np.maximum(ref, np.finfo(float).tiny)
+
+
+def _owen_tail_reference(mp, t: float, a: float):
+    """T(t, inf) - T(t, a) in mpmath, passed as ``mp``.  For a >= 0, x = a +
+    v / t in Owen's integral gives exp(-(t^2 + c^2)/2) / 2pi int_0^inf
+    exp(-c v - v^2/2) t / (t^2 + (c + v)^2) dv with c = a t, smooth and
+    decaying; a < 0 is Q(t) less the tail at -a, as T is odd in a."""
+    t = mp.mpf(t)
+    if a < 0.0:
+        return mp.ncdf(-t) - _owen_tail_reference(mp, t, -a)
+    if t == 0:
+        return mp.atan2(1, a) / (2 * mp.pi)
+    if a == math.inf:
+        return mp.mpf(0)
+    c = a * t
+    breaks = sorted({k / (c + 1) for k in (0.5, 2, 8, 32)} | {t, 10 * t})
+    return mp.exp(-(t * t + c * c) / 2) / (2 * mp.pi) * mp.quad(
+        lambda v: mp.exp(-c * v - v * v / 2) * t / (t * t + (c + v) ** 2),
+        [0, *breaks, mp.inf])
+
+
+class TestNormalTails:
+    """The numpy Phi and Owen tail against mpmath, each at least as close as
+    the same quantity from ``scipy.special`` (``ndtr``, ``owens_t``).  mpmath
+    is in the ``test`` extra; without it these two skip."""
+
+    EPS = np.finfo(float).eps
+
+    def test_phi_to_full_relative_accuracy(self):
+        mp = pytest.importorskip("mpmath")
+        x = np.linspace(-38.0, 38.0, 761)
+        with mp.workdps(30):
+            ref = np.array([float(mp.ncdf(v)) for v in x])
+        port = _scaled_errors(density._ndtr(x), ref)
+        assert port.max() <= _scaled_errors(ndtr(x), ref).max()
+        assert port.max() <= 4.0 * self.EPS
+
+    def test_owen_tail_over_the_bvn_domain(self):
+        # the slopes _bvn_cdf passes, infinite on an axis, at abscissae from
+        # the apex out past where the tail underflows; where a t / sqrt 2 >
+        # 1.5 both sides sum the tail by the same Gauss-Laguerre rule
+        mp = pytest.importorskip("mpmath")
+        ts = np.array([0.0, 1e-3, 0.5, 1.5, 3.0, 8.0, 20.0, 37.5, 40.0])
+        slopes = [math.inf, 1e3, 3.0, 1.5, 1.0, 0.7, 0.1, 1e-3, 0.0]
+        slopes = np.array(slopes + [-v for v in slopes[:-1]])
+        t, a = (g.ravel() for g in np.meshgrid(ts, slopes, indexing="ij"))
+        with mp.workdps(20):
+            ref = np.array([float(_owen_tail_reference(mp, *pair))
+                            for pair in zip(t.tolist(), a.tolist())])
+        port_values = density._owen_tail(t, a)
+        with np.errstate(invalid="ignore"):
+            laguerre = a * t / math.sqrt(2.0) > 1.5
+        special = np.where(laguerre, port_values, 0.5 * ndtr(-t) - owens_t(t, a))
+        port, scipy = _scaled_errors(port_values, ref), _scaled_errors(special, ref)
+        assert port.max() <= scipy.max()
+        # point by point, within the near form's factor-30 loss where scipy
+        # was closer
+        assert np.all(port <= np.maximum(scipy, 30.0 * self.EPS))
 
 
 class TestPopulationParams:
