@@ -41,7 +41,7 @@ import numpy as np
 from . import forward_model
 from .data_io import parse_episode, write_episode
 from .deconvolution import (deconvolve, select_regularization, write_result_csv)
-from .density import PopulationParams, load_params
+from .density import PopulationParams, credible_region_radius, load_params
 from .errors import (ConfigurationError, NumericalError, ParameterError,
                      ParseError, SamplingError)
 from .grid_basis import DiscretizationGrid, ParamMesh, SpatialMesh
@@ -206,6 +206,7 @@ def cmd_deconvolve(args) -> int:
 
 def _deconvolve(args, caught: list) -> int:
     params = load_params(args.rho)
+    credible_region_radius(params, args.alpha)    # checks alpha; kept for the band
     episode = parse_episode(args.tac, tau=args.tau)
     grid = DiscretizationGrid.from_params(params, n=args.n, m1=args.m1,
                                           m2=args.m2, tau=args.tau)
@@ -283,28 +284,31 @@ def _deconvolve(args, caught: list) -> int:
 def _read_curve(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a curve file: a deconvolution result table or two plain columns."""
     text = Path(path).read_text(encoding="ascii")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ConfigurationError(f"{path}: empty curve file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[0][1].split(",")]
     if "mean_brac" in header:
         t_col, v_col = header.index("t_minutes"), header.index("mean_brac")
         body = lines[1:]
     else:
         t_col, v_col = 0, 1
         try:
-            [float(tok) for tok in lines[0].split(",")[:2]]
+            [float(tok) for tok in lines[0][1].split(",")[:2]]
             body = lines
         except ValueError:
             body = lines[1:]
     if not body:
         raise ConfigurationError(f"{path}: no data rows")
     rows = []
-    for ln in body:
+    for lineno, ln in body:
         toks = ln.split(",")
         if len(toks) <= max(t_col, v_col):
-            raise ConfigurationError(f"{path}: short row {ln!r}")
-        rows.append((float(toks[t_col]), float(toks[v_col])))
+            raise ConfigurationError(f"{path}:{lineno}: short row {ln!r}")
+        try:
+            rows.append((float(toks[t_col]), float(toks[v_col])))
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
     arr = np.asarray(rows, dtype=float)
     return arr[:, 0], arr[:, 1]
 

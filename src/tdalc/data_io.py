@@ -130,25 +130,29 @@ def _snap_fit_indices(tac_times: np.ndarray, tau: float, n_grid: int) -> np.ndar
 
 
 def _check_channel(ident: str, channel: str, times: np.ndarray,
-                   values: np.ndarray) -> None:
+                   values: np.ndarray, lines: np.ndarray | None = None) -> None:
     """Reject a raw series the resampling cannot read: times and values must
     be 1-d of one length, finite and nonnegative, the times strictly
-    increasing.  ``ConfigurationError`` names the first offending index."""
+    increasing.  The first bad sample is named by the first rule below it
+    breaks, in a ``ConfigurationError``, or a ``ParseError`` at its ``lines``."""
     where = f"episode {ident!r} {channel}"
     if times.ndim != 1 or values.shape != times.shape:
         raise ConfigurationError(
             f"{where}: times and values must be 1-d of one length, got shapes "
             f"{times.shape} and {values.shape}")
-    rises = np.diff(times, prepend=-np.inf) > 0.0
-    for what, arr, bad in (("non-finite time", times, ~np.isfinite(times)),
-                           ("non-finite value", values, ~np.isfinite(values)),
-                           ("negative time", times, times < 0.0),
-                           ("time not after the previous one", times, ~rises),
-                           ("negative value", values, values < 0.0)):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ConfigurationError(
-                f"{where}: {what} {float(arr[i])!r} at index {i}")
+    rises = times > np.append(-np.inf, times[:-1])
+    rules = (("non-finite time", times, ~np.isfinite(times)),
+             ("non-finite value", values, ~np.isfinite(values)),
+             ("negative time", times, times < 0.0),
+             ("time not after the previous one", times, ~rises),
+             ("negative value", values, values < 0.0))
+    bad = np.stack([rule[2] for rule in rules], axis=1)     # sample x rule
+    if bad.any():
+        i, k = divmod(int(np.argmax(bad)), len(rules))
+        what, arr, _ = rules[k]
+        message = f"{where}: {what} {float(arr[i])!r} at index {i}"
+        raise (ConfigurationError(message) if lines is None
+               else ParseError(message, line=int(lines[i])))
 
 
 def build_episode(ident: str,
@@ -186,7 +190,8 @@ def build_episode(ident: str,
 
 
 def parse_episode_text(text: str, ident: str, tau: float = 1.0) -> Episode:
-    """Parse episode CSV content; error messages carry 1-based line numbers."""
+    """Parse episode CSV content; errors name the first bad line, 1-based: the
+    first unreadable row, or a bad value ``_check_channel`` finds before it."""
     rows = list(csv.reader(text.splitlines()))
     if not rows:
         raise ParseError("empty episode file")
@@ -194,41 +199,33 @@ def parse_episode_text(text: str, ident: str, tau: float = 1.0) -> Episode:
     if header != _HEADER:
         raise ParseError(
             f"expected header {','.join(_HEADER)!r}, got {','.join(rows[0])!r}", line=1)
-    series: dict[str, list[tuple[float, float]]] = {c: [] for c in _CHANNELS}
-    last_t = {c: -np.inf for c in _CHANNELS}
+    series: dict[str, list[tuple[int, float, float]]] = {c: [] for c in _CHANNELS}
+    faults = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
-        t_raw, channel, v_raw = (f.strip() for f in row)
-        channel = channel.lower()
-        if channel not in _CHANNELS:
-            raise ParseError(f"unknown channel {channel!r}", line=lineno)
+            faults.append(ParseError(f"expected 3 fields, got {len(row)}", line=lineno))
+            break
+        if (channel := row[1].strip().lower()) not in _CHANNELS:
+            faults.append(ParseError(f"unknown channel {channel!r}", line=lineno))
+            break
         try:
-            t = float(t_raw)
-            v = float(v_raw)
+            series[channel].append((lineno, float(row[0]), float(row[2])))
         except ValueError:
-            raise ParseError(f"non-numeric field in {row!r}", line=lineno) from None
-        if not np.isfinite(t) or not np.isfinite(v):
-            raise ParseError(f"non-finite value in {row!r}", line=lineno)
-        if t < 0:
-            raise ParseError(f"negative time {t}", line=lineno)
-        if v < 0:
-            raise ParseError(f"negative value {v}", line=lineno)
-        if t == last_t[channel]:
-            raise ParseError(f"duplicate {channel} timestamp {t}", line=lineno)
-        if t < last_t[channel]:
-            raise ParseError(
-                f"{channel} timestamps not increasing ({t} after {last_t[channel]})",
-                line=lineno)
-        last_t[channel] = t
-        series[channel].append((t, v))
+            faults.append(ParseError(f"non-numeric field in {row!r}", line=lineno))
+            break
+    cols = {c: np.array(s, dtype=float).reshape(-1, 3).T.copy() for c, s in series.items()}
+    for channel, (lines, t, v) in cols.items():
+        try:
+            _check_channel(ident, channel, t, v, lines)
+        except ParseError as err:
+            faults.append(err)
+    if faults:
+        raise min(faults, key=lambda err: err.line)
     if not series["tac"]:
         raise ParseError("episode has no tac rows")
-    brac = np.array(series["brac"], dtype=float).reshape(-1, 2)
-    tac = np.array(series["tac"], dtype=float).reshape(-1, 2)
-    return build_episode(ident, brac[:, 0], brac[:, 1], tac[:, 0], tac[:, 1], tau=tau)
+    return build_episode(ident, *cols["brac"][1:], *cols["tac"][1:], tau=tau)
 
 
 def parse_episode(path, tau: float = 1.0) -> Episode:

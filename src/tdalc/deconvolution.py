@@ -35,8 +35,8 @@ own exchanges (``_pivoting``, over a leading batch axis).
 Only the penalty depends on (r1, r2).  The weight search therefore builds
 each training episode's kernels, design and cell masses once, rebuilds only
 the penalty per candidate (r1, r2), and starts each solve from the free set
-of that episode's previous solution.  ``deconvolve`` solves at one (r1, r2)
-from an empty free set.
+of that episode's previous solution.  ``deconvolve`` and
+``deconvolve_deterministic`` solve at one (r1, r2) from an empty free set.
 
 Column ordering of the tq design follows the global convention: temporal
 index fastest, then the first parameter cell index, then the second.
@@ -658,22 +658,19 @@ def deconvolve(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
 
 
 def deconvolve_deterministic(det: DiscreteTimeOps, tac: np.ndarray,
-                             r1: float, r2: float, m: int | None = None,
-                             x0: np.ndarray | None = None
+                             r1: float, r2: float, m: int | None = None
                              ) -> tuple[np.ndarray, NnlsResult]:
     """Single-subject deconvolution: the scalar problem of the one-cell
     ``det`` (``deterministic_ops``) at a fixed parameter pair, built by
-    ``build_problem`` and solved by ``nnls``.
+    ``build_problem`` and solved by ``nnls`` from an empty free set.
 
-    Returns the reconstructed input on the tau grid plus the solver result;
-    ``x0`` warm-starts the solver from nonnegative basis coefficients, such
-    as ``sol.x`` of a nearby parameter pair on the same TAC.  As in
-    ``deconvolve``, a TAC that is not 1-d or has fewer than two samples
+    Returns the reconstructed input on the tau grid plus the solver result.
+    As in ``deconvolve``, a TAC that is not 1-d or has fewer than two samples
     raises ``ConfigurationError``, and a subject of zero gain (identically
     zero kernel) raises ``NumericalError``.
     """
     problem = build_problem(det, tac, r1, r2, m=m, variant="scalar")
-    sol = nnls(problem, problem.target, x0=x0)
+    sol = nnls(problem, problem.target)
     return problem.sample @ sol.x, sol
 
 
@@ -685,7 +682,7 @@ def _warm_scalar_solves(q: np.ndarray, mesh: SpatialMesh, tac: np.ndarray,
 
     Row i of the returned curves (n x K) and its converged flag are those of
     ``deconvolve_deterministic(deterministic_ops(q[i], mesh, tau), tac, r1,
-    r2, m, x0)``, up to rounding.  Groups of 8 K / m pairs (designs of at
+    r2, m)``, up to rounding.  Groups of 8 K / m pairs (designs of at
     most 8 K^2 entries) get one ``impulse_kernels`` call on their stack of
     one-cell systems, one product with the lag tensor for their designs and
     one run of ``nnls``'s exchanges on their Grams.
@@ -763,11 +760,13 @@ class RegularizationSearch:
 _GRID_NODES = 5
 #: the compass search stops once its step is below this many decades
 _STEP_TOL = 1e-3
+#: evaluations the compass search may add to the start grid's
+_COMPASS_EVALS = 60
 
 
 def select_regularization(ops: DiscreteTimeOps, episodes: list[Episode],
-                          m: int | None = None, variant: str = "tq",
-                          max_iter: int = 60) -> RegularizationSearch:
+                          m: int | None = None,
+                          variant: str = "tq") -> RegularizationSearch:
     """Pick (r1, r2) by direct search on training episodes with known BrAC.
 
     The search runs over the log10 weights inside the box ``_LOG_BOUNDS``.
@@ -778,8 +777,8 @@ def select_regularization(ops: DiscreteTimeOps, episodes: list[Episode],
     step away, clipped to the box, that scores strictly lower, and halves
     the step, from 1 decade, when none does, until it is below
     ``_STEP_TOL``.  As it only compares scores, its path does not depend on
-    the data's units.  No point is scored twice; ``max_iter`` bounds the
-    second stage's evaluations.  The box's lower edge is
+    the data's units.  No point is scored twice; ``_COMPASS_EVALS`` bounds
+    the second stage's evaluations.  The box's lower edge is
     log10(``REG_FLOOR``), so the selected weights are never below the floor
     and never zero; ``at_bound`` on the returned record says whether the
     selection lies on an edge of the box.  A search that runs out of
@@ -803,7 +802,7 @@ def select_regularization(ops: DiscreteTimeOps, episodes: list[Episode],
         for log_r1 in (nodes if i % 2 == 0 else nodes[::-1]):
             objective((log_r1, log_r2))
     best = min(scores, key=scores.get)
-    budget = len(scores) + max_iter
+    budget = len(scores) + _COMPASS_EVALS
     step, converged = 0.5 * (nodes[1] - nodes[0]), True
     while converged and step >= _STEP_TOL:
         for move in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):

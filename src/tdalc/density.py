@@ -466,7 +466,7 @@ def _cholesky_chain(a11, a12, a22, low) -> tuple:
 
 
 def moment_weight_derivatives(params: PopulationParams, pm1: ParamMesh, pm2: ParamMesh,
-                              weights: CellWeights | None = None) -> np.ndarray:
+                              weights: CellWeights) -> np.ndarray:
     """Analytic derivatives of the cell weights in every fit parameter.
 
     ``weights`` must be ``moment_weights(params, pm1, pm2)``; its line
@@ -489,8 +489,6 @@ def moment_weight_derivatives(params: PopulationParams, pm1: ParamMesh, pm2: Par
     (9, 3, m1, m2) array: the derivatives of (p, w1, w2) in each parameter
     of ``PARAMETER_NAMES``, in that order.
     """
-    if weights is None:
-        weights = moment_weights(params, pm1, pm2)
     raw_p, vert, horiz = weights._lines
     e1, e2 = pm1.edges, pm2.edges
     low = params.chol
@@ -755,11 +753,12 @@ def dump_params(params: PopulationParams) -> str:
 
 
 def parse_params(text: str) -> PopulationParams:
-    """Inverse of dump_params; rejects unknown and missing keys."""
+    """Inverse of dump_params (``#`` starts a comment); rejects unknown and
+    missing keys."""
     found: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ParameterError(f"line {lineno}: expected key=value, got {raw!r}")

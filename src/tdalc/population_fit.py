@@ -31,7 +31,7 @@ episode.  The input gain q2 enters the single-subject output linearly, so
 each seed fit is a variable-projection problem (Golub & Pereyra 1973): the
 best q2 for a given diffusivity q1 is one scalar least-squares value, and
 only q1 is searched, on a log grid (one batched kernel evaluation) refined
-by bounded Brent.
+by bounded Brent; both are capped at ``_Q_MAX``.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def cost_and_gradient(params: PopulationParams, episodes: list[Episode],
         grid.spatial, sys.qbar1, grid.tau, _kernel_count(episodes))
     mean = (sys.p * sys.qbar2) @ kern
     dw = density.moment_weight_derivatives(params, grid.pm1, grid.pm2,
-                                           weights=weights)[_active(fit_lower)]
+                                           weights)[_active(fit_lower)]
     d_mean = _mean_kernel_derivatives(sys, dw, kern, dkern)
     total = 0.0
     grad = np.zeros(d_mean.shape[0])
@@ -179,13 +179,14 @@ class DeterministicFit:
 
     q: np.ndarray
     cost: float
-    boundary: bool    # gain clipped to 0 or q_max, or q1 at a grid end
+    boundary: bool    # gain clipped to 0 or _Q_MAX, or q1 at a grid end
     ident: str = ""
 
 
 # log-spaced diffusivity nodes scanned before the 1-D refinement; the floor
 # keeps every modal rate positive (at q1 = 0 all but one vanish)
 _Q1_FLOOR = 1e-3
+_Q_MAX = 8.0    # caps both the diffusivity and the input gain
 _Q1_NODES = 48
 _BRENT_XATOL = 1e-9
 
@@ -200,47 +201,44 @@ def _unit_gain_outputs(ep: Episode, grid: DiscretizationGrid,
     return np.array([_model_tac(g, ep) for g in kern])
 
 
-def _project_gain(m: np.ndarray, y: np.ndarray,
-                  q_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best input gain per row of m, clipped to [0, q_max]; returns the gains,
+def _project_gain(m: np.ndarray,
+                  y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best input gain per row of m, clipped to [0, _Q_MAX]; returns the gains,
     the costs and whether the clip was active."""
     my = m @ y
     mm = np.einsum("ij,ij->i", m, m)
     free = np.divide(my, mm, out=np.zeros_like(my), where=mm > 0.0)
-    gain = np.clip(free, 0.0, q_max)
+    gain = np.clip(free, 0.0, _Q_MAX)
     resid = gain[:, None] * m - y[None, :]
     return gain, np.einsum("ij,ij->i", resid, resid), gain != free
 
 
-def fit_episode_deterministic(ep: Episode, grid: DiscretizationGrid,
-                              q_max: float = 8.0) -> DeterministicFit:
+def fit_episode_deterministic(ep: Episode,
+                              grid: DiscretizationGrid) -> DeterministicFit:
     """Fit the single-subject model to one episode by variable projection.
 
     The model TAC is q2 times the unit-gain output m(q1), so for a fixed
     diffusivity the best input gain is the scalar least-squares value
-    <m, y> / <m, m> clipped to [0, q_max], and the fit is a 1-D problem in q1
-    (Golub & Pereyra 1973).  The projected cost is scanned on a log grid of
-    q1 over [1e-3, q_max] (one batched kernel evaluation), then refined by
+    <m, y> / <m, m> clipped to [0, _Q_MAX], and the fit is a 1-D problem in
+    q1 (Golub & Pereyra 1973).  The projected cost is scanned on a log grid of
+    q1 over [1e-3, _Q_MAX] (one batched kernel evaluation), then refined by
     bounded Brent on log q1 between the best node's neighbours; the better of
     the refined point and the best node is kept.  A result on the boundary
-    (gain clipped to 0 or q_max, or q1 at either end of the grid) is flagged:
+    (gain clipped to 0 or _Q_MAX, or q1 at either end of the grid) is flagged:
     it usually means the TAC channel carries no usable signal.
     """
     from scipy.optimize import minimize_scalar     # loaded by the fit alone
 
     _check_episodes([ep], grid)
-    if not _Q1_FLOOR < q_max:
-        raise ConfigurationError(f"q_max must exceed {_Q1_FLOOR}, got {q_max}")
     y = ep.y[ep.fit_indices]
-    logs = np.linspace(math.log(_Q1_FLOOR), math.log(q_max), _Q1_NODES)
+    logs = np.linspace(math.log(_Q1_FLOOR), math.log(_Q_MAX), _Q1_NODES)
     gains, costs, clipped = _project_gain(
-        _unit_gain_outputs(ep, grid, np.exp(logs)), y, q_max)
+        _unit_gain_outputs(ep, grid, np.exp(logs)), y)
     i = int(np.argmin(costs))
     best = (logs[i], gains[i], costs[i], clipped[i])
 
     def projected(log_q1):
-        g, c, k = _project_gain(_unit_gain_outputs(ep, grid, math.exp(log_q1)),
-                                y, q_max)
+        g, c, k = _project_gain(_unit_gain_outputs(ep, grid, math.exp(log_q1)), y)
         return g[0], c[0], k[0]
 
     lo, hi = logs[max(i - 1, 0)], logs[min(i + 1, logs.size - 1)]

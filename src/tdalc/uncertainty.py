@@ -54,6 +54,8 @@ def kept_samples(params: density.PopulationParams, alpha: float,
     """Draw from the population density and keep the points inside the
     central credible disk.  The population mean is always appended so every
     band and interval contains the value at q = mu."""
+    if n_samples < 1:
+        raise ConfigurationError(f"need at least one sample, got {n_samples}")
     radius = density.credible_region_radius(params, alpha).radius
     draws = density.sample(params, n_samples, seed)
     inside = np.linalg.norm(draws - params.mu, axis=1) <= radius

@@ -265,14 +265,38 @@ class TestDeconvolve:
         assert meta["samples"] is None and meta["seed"] is None
 
     def test_no_band_samples_exits_3(self, sim_dir, tmp_path, capsys):
-        # no draw falls in the credible disk: a SamplingError
+        # no draw falls in a vanishing credible disk: a SamplingError
+        rho = write_rho(tmp_path / "rho.params")
+        rc = main(["deconvolve", str(sim_dir / "synth-000.csv"),
+                   "--rho", str(rho), "--r1", "1e-3", "--r2", "1e-3",
+                   "--variant", "scalar", "--samples", "5", "--alpha", "1e-9",
+                   "--out-prefix", str(tmp_path / "res")])
+        assert rc == 3
+        assert "no samples fell inside" in capsys.readouterr().err
+
+    def test_zero_samples_is_a_usage_error(self, sim_dir, tmp_path, capsys):
         rho = write_rho(tmp_path / "rho.params")
         rc = main(["deconvolve", str(sim_dir / "synth-000.csv"),
                    "--rho", str(rho), "--r1", "1e-3", "--r2", "1e-3",
                    "--variant", "scalar", "--samples", "0",
                    "--out-prefix", str(tmp_path / "res")])
-        assert rc == 3
-        assert "no samples fell inside" in capsys.readouterr().err
+        assert rc == 2
+        assert "at least one sample, got 0" in capsys.readouterr().err
+
+    def test_bad_alpha_rejected_before_any_solve(self, sim_dir, tmp_path,
+                                                 capsys, monkeypatch):
+        searches = []
+        monkeypatch.setattr(cli, "select_regularization",
+                            lambda *args, **kwargs: searches.append(args))
+        rho = write_rho(tmp_path / "rho.params")
+        rc = main(["deconvolve", str(sim_dir / "synth-000.csv"),
+                   "--rho", str(rho), "--auto-reg",
+                   "--train", str(sim_dir / "synth-001.csv"),
+                   "--alpha", "1.5", "--out-prefix", str(tmp_path / "res")])
+        assert rc == 2 and searches == []
+        out, err = capsys.readouterr()
+        assert out == "" and "alpha must lie in (0, 1)" in err
+        assert not list(tmp_path.glob("res.*"))
 
     @pytest.mark.parametrize("flag", ["--r1", "--r2"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -619,6 +643,13 @@ class TestStats:
         rc = main(["stats", str(tmp_path / "absent.csv")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_non_numeric_cell_names_file_and_line(self, tmp_path, capsys):
+        curve = tmp_path / "c.csv"
+        curve.write_text("t,brac\n0,0\n\n1,abc\n2,0\n")
+        assert main(["stats", str(curve)]) == 2
+        err = capsys.readouterr().err
+        assert f"{curve}:4: " in err and "'abc'" in err
 
     def test_nonuniform_grid_rejected(self, tmp_path, capsys):
         curve = tmp_path / "c.csv"

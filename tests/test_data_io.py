@@ -63,7 +63,7 @@ class TestParse:
 
     def test_nonmonotone_rejected(self):
         text = "t_minutes,channel,value\n0,tac,0\n30,tac,0.05\n20,tac,0.06\n"
-        with pytest.raises(ParseError, match="not increasing"):
+        with pytest.raises(ParseError, match="time not after the previous one"):
             parse_episode_text(text, "x")
 
     def test_negative_value_rejected(self):
@@ -85,6 +85,34 @@ class TestParse:
         text = "t_minutes,channel,value\n0,tac,zero\n"
         with pytest.raises(ParseError, match="non-numeric"):
             parse_episode_text(text, "x")
+
+    def test_first_bad_sample_named(self):
+        # a NaN time at index 4 comes after a negative value at index 1
+        times = [0.0, 30.0, 60.0, 90.0, np.nan, 150.0]
+        values = [0.0, -0.01, 0.02, 0.01, 0.005, 0.0]
+        text = "t_minutes,channel,value\n" + "".join(
+            f"{t},tac,{v}\n" for t, v in zip(times, values))
+        want = "episode 'x' tac: negative value -0.01 at index 1"
+        with pytest.raises(ConfigurationError) as built:
+            build_episode("x", [], [], times, values)
+        assert str(built.value) == want
+        with pytest.raises(ParseError) as parsed:
+            parse_episode_text(text, "x")
+        assert str(parsed.value) == f"line 3: {want}"
+
+    @pytest.mark.parametrize("rows, line, message", [
+        # a bad value before the first unreadable row is reported
+        (["0,tac,0", "30,brac,0", "20,brac,0", "10,tac,-1", "5,tac,zz"], 4,
+         "brac: time not after the previous one 20.0 at index 1"),
+        # reading stops at the unreadable row: the bad value after it waits
+        (["0,tac,0", "5,tac,zz", "30,brac,0", "20,brac,0"], 3,
+         "non-numeric field"),
+    ])
+    def test_first_bad_line_in_file_order(self, rows, line, message):
+        text = "t_minutes,channel,value\n" + "\n".join(rows) + "\n"
+        with pytest.raises(ParseError, match=message) as err:
+            parse_episode_text(text, "x")
+        assert err.value.line == line
 
     def test_no_tac_rejected(self):
         text = "t_minutes,channel,value\n0,brac,0\n30,brac,0.05\n"
@@ -173,6 +201,41 @@ class TestParseProperties:
             parse_episode_text("\n".join(lines) + "\n", "gen")
         assert err.value.line == at + 1
         assert str(err.value).startswith(f"line {at + 1}: ")
+
+
+# one fault per kind: the sample at index i, given its series so far
+FAULTS = {
+    "nan time": lambda t, v, i: t.__setitem__(i, np.nan),
+    "inf time": lambda t, v, i: t.__setitem__(i, np.inf),
+    "nan value": lambda t, v, i: v.__setitem__(i, np.nan),
+    "negative time": lambda t, v, i: t.__setitem__(i, -1.0 - t[i]),
+    "repeated time": lambda t, v, i: t.__setitem__(i, t[i - 1] if i else -1.0),
+    "negative value": lambda t, v, i: v.__setitem__(i, -0.5 - v[i]),
+}
+
+
+class TestRawSeriesRules:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 12), data=st.data())
+    def test_array_and_text_name_the_earliest_fault(self, n, data):
+        # faults applied in index order: each makes its own sample bad and
+        # leaves every earlier one as it was
+        where = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2,
+                                         max_size=min(n, 4))))
+        times = np.arange(n) * 15.0
+        values = np.array(data.draw(st.lists(st.floats(0.0, 0.1), min_size=n,
+                                             max_size=n)))
+        for i in where:
+            FAULTS[data.draw(st.sampled_from(sorted(FAULTS)))](times, values, i)
+        with pytest.raises(ConfigurationError) as built:
+            build_episode("f", [], [], times, values)
+        text = "t_minutes,channel,value\n" + "".join(
+            f"{t:.17g},tac,{v:.17g}\n" for t, v in zip(times, values))
+        with pytest.raises(ParseError) as parsed:
+            parse_episode_text(text, "f")
+        assert str(built.value).endswith(f" at index {where[0]}")
+        assert parsed.value.line == where[0] + 2
+        assert str(parsed.value) == f"line {where[0] + 2}: {built.value}"
 
 
 class TestResample:

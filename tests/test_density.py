@@ -241,7 +241,8 @@ class TestMomentWeights:
             p = PopulationParams(
                 a=a, b=(1.5, 2.0), mu=mu,
                 sigma=((s1 * s1, corr * s1 * s2), (corr * s1 * s2, s2 * s2)))
-            derivs = moment_weight_derivatives(p, *meshes(p))
+            derivs = moment_weight_derivatives(p, *meshes(p),
+                                               moment_weights(p, *meshes(p)))
             theta = pack_theta(p, fit_lower=True)
             h = 1e-6
             for j, name in enumerate(names):
@@ -601,6 +602,12 @@ class TestSerialization:
     def test_comments_and_blank_lines_skipped(self):
         p = make_params()
         text = "# fitted law\n\n" + dump_params(p).replace("\n", "\n  # note\n", 1)
+        assert parse_params(text).as_dict() == p.as_dict()
+
+    def test_trailing_comments_stripped(self):
+        # a law file takes the comments a config file does
+        p = make_params()
+        text = dump_params(p).replace("\n", "   # fitted\n")
         assert parse_params(text).as_dict() == p.as_dict()
 
     @pytest.mark.parametrize("edit, message", [

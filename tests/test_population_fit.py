@@ -329,9 +329,10 @@ class TestDeterministicFit:
         assert fit.cost == 0.0
         assert fit.boundary
 
-    def test_diffusivity_pinned_at_grid_end(self):
-        # the generating diffusivity 0.7 lies above q_max = 0.3, so the best
+    def test_diffusivity_pinned_at_grid_end(self, monkeypatch):
+        # the generating diffusivity 0.7 lies above a cap of 0.3, so the best
         # q1 on [1e-3, 0.3] is the grid's upper end; the gain stays inside
+        monkeypatch.setattr(population_fit, "_Q_MAX", 0.3)
         mesh = SpatialMesh(4)
         det = forward_model.deterministic_ops((0.7, 0.2), mesh, 1.0)
         t = np.arange(241, dtype=float)
@@ -340,18 +341,11 @@ class TestDeterministicFit:
         ep = build_episode("fast", t, u, t, np.concatenate([[0.0], y]),
                            tau=1.0)
         grid = DiscretizationGrid.from_params(make_params())
-        fit = fit_episode_deterministic(ep, grid, q_max=0.3)
+        fit = fit_episode_deterministic(ep, grid)
         assert fit.q[0] == pytest.approx(0.3, rel=1e-3)
         assert 0.0 < fit.q[1] < 0.3
         assert fit.boundary
 
-
-    def test_q_max_at_the_floor_rejected(self):
-        p = make_params()
-        grid = DiscretizationGrid.from_params(p)
-        ep = episodes_from(p, grid, n=1)[0]
-        with pytest.raises(ConfigurationError, match="q_max must exceed"):
-            fit_episode_deterministic(ep, grid, q_max=1e-3)
 
     def test_no_usable_tac_instant_rejected(self):
         # the grid ends with the BrAC at 2 min; the TAC samples at 0 and

@@ -57,11 +57,14 @@ class TestKeptSamples:
                 kept_samples(make_params(), alpha, 10, seed=0)
 
     def test_empty_disk_raises(self):
-        # a vanishing credible level shrinks the disk below any draw, and no
-        # draw at all leaves the disk empty at any level
-        for alpha, n_samples in ((1e-9, 5), (0.75, 0)):
-            with pytest.raises(SamplingError, match="n_samples"):
-                kept_samples(make_params(), alpha, n_samples, seed=1)
+        # a vanishing credible level shrinks the disk below any draw
+        with pytest.raises(SamplingError, match="n_samples"):
+            kept_samples(make_params(), 1e-9, 5, seed=1)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_no_draws_is_a_setting_error(self, n_samples):
+        with pytest.raises(ConfigurationError, match="at least one sample"):
+            kept_samples(make_params(), 0.75, n_samples, seed=1)
 
 
 class TestCredibleBand:
@@ -421,9 +424,10 @@ def per_sample_reference(tac, params, grid, r1, r2, n_samples, seed):
     curves, xs = [curve], [start.x]
     for q in kept[:-1]:
         det = forward_model.deterministic_ops(q, grid.spatial, grid.tau)
-        curve, sol = deconvolve_deterministic(det, tac, r1, r2, x0=start.x)
+        problem = deconvolution.build_problem(det, tac, r1, r2, variant="scalar")
+        sol = deconvolution.nnls(problem, problem.target, x0=start.x)
         assert sol.converged
-        curves.append(curve)
+        curves.append(problem.sample @ sol.x)
         xs.append(sol.x)
     return np.array(curves), np.array(xs)
 
