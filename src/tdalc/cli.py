@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import forward_model
-from .data_io import parse_episode, write_episode
+from .data_io import _check_channel, parse_episode, write_episode
 from .deconvolution import (deconvolve, select_regularization, write_result_csv)
 from .density import PopulationParams, credible_region_radius, load_params
 from .errors import (ConfigurationError, NumericalError, ParameterError,
@@ -281,8 +281,9 @@ def _deconvolve(args, caught: list) -> int:
     return rc
 
 
-def _read_curve(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a curve file: a deconvolution result table or two plain columns."""
+def _read_curve(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read a curve file, a deconvolution result table or two plain columns:
+    its times, values and each row's file line."""
     text = Path(path).read_text(encoding="ascii")
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
@@ -306,23 +307,26 @@ def _read_curve(path) -> tuple[np.ndarray, np.ndarray]:
         if len(toks) <= max(t_col, v_col):
             raise ConfigurationError(f"{path}:{lineno}: short row {ln!r}")
         try:
-            rows.append((float(toks[t_col]), float(toks[v_col])))
+            rows.append((float(toks[t_col]), float(toks[v_col]), lineno))
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
-    arr = np.asarray(rows, dtype=float)
-    return arr[:, 0], arr[:, 1]
+    times, values, lines = np.asarray(rows, dtype=float).T
+    return times, values, lines.astype(int)
 
 
 def cmd_stats(args) -> int:
-    times, values = _read_curve(args.curve)
+    times, values, lines = _read_curve(args.curve)
+    where = f"curve {args.curve}"
+    _check_channel(where, times, values, lines)
     if times.size < 2:
-        raise ConfigurationError("curve needs at least two samples")
+        raise ConfigurationError(f"{where}: needs at least two samples")
+    if times[0] != 0.0:     # the statistics count time from index 0
+        raise ParseError(f"{where}: first time {float(times[0])!r} is not 0",
+                         line=int(lines[0]))
     steps = np.diff(times)
-    if not np.all(np.isfinite(times)) or np.any(steps <= 0):
-        raise ConfigurationError("curve times must be finite and strictly increasing")
     tau = float(steps[0])
     if np.any(np.abs(steps - tau) > 1e-9 * max(tau, 1.0)):
-        raise ConfigurationError("curve times must be uniformly spaced")
+        raise ConfigurationError(f"{where}: times must be uniformly spaced")
     stats = episode_stats(values, tau, args.threshold)
     payload = ",".join(STAT_NAMES) + "\n" + format_stats_row(stats) + "\n"
     if args.out == "-":

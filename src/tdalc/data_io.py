@@ -129,13 +129,14 @@ def _snap_fit_indices(tac_times: np.ndarray, tau: float, n_grid: int) -> np.ndar
     return np.unique(idx)
 
 
-def _check_channel(ident: str, channel: str, times: np.ndarray,
-                   values: np.ndarray, lines: np.ndarray | None = None) -> None:
-    """Reject a raw series the resampling cannot read: times and values must
-    be 1-d of one length, finite and nonnegative, the times strictly
-    increasing.  The first bad sample is named by the first rule below it
-    breaks, in a ``ConfigurationError``, or a ``ParseError`` at its ``lines``."""
-    where = f"episode {ident!r} {channel}"
+def _check_channel(where: str, times: np.ndarray, values: np.ndarray,
+                   lines: np.ndarray | None = None) -> None:
+    """Reject a raw series, labelled ``where`` in messages, that the program
+    cannot read: times and values must be 1-d of one length, finite and
+    nonnegative, the times strictly increasing.  Every series read (episode
+    channels, synthetic BrAC templates, ``tdalc stats`` curves) passes here.
+    The first bad sample is named by the first rule below it breaks, in a
+    ``ConfigurationError``, or a ``ParseError`` at its ``lines``."""
     if times.ndim != 1 or values.shape != times.shape:
         raise ConfigurationError(
             f"{where}: times and values must be 1-d of one length, got shapes "
@@ -167,8 +168,8 @@ def build_episode(ident: str,
     brac_values = np.asarray(brac_values, dtype=float)
     tac_times = np.asarray(tac_times, dtype=float)
     tac_values = np.asarray(tac_values, dtype=float)
-    _check_channel(ident, "brac", brac_times, brac_values)
-    _check_channel(ident, "tac", tac_times, tac_values)
+    _check_channel(f"episode {ident!r} brac", brac_times, brac_values)
+    _check_channel(f"episode {ident!r} tac", tac_times, tac_values)
     if tac_times.size < 2:
         raise ConfigurationError(
             f"episode {ident!r} needs at least two TAC samples, got {tac_times.size}")
@@ -218,7 +219,7 @@ def parse_episode_text(text: str, ident: str, tau: float = 1.0) -> Episode:
     cols = {c: np.array(s, dtype=float).reshape(-1, 3).T.copy() for c, s in series.items()}
     for channel, (lines, t, v) in cols.items():
         try:
-            _check_channel(ident, channel, t, v, lines)
+            _check_channel(f"episode {ident!r} {channel}", t, v, lines)
         except ParseError as err:
             faults.append(err)
     if faults:

@@ -506,7 +506,7 @@ class _Grams(NamedTuple):
         return z[..., 0]
 
 
-def _pivoting(normal: _Normal | _Grams, x: np.ndarray, max_iter: int | None = None,
+def _pivoting(normal: _Normal | _Grams, x: np.ndarray, max_iter: int | None,
               descent: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Block principal pivoting on the scaled normal equations of a batch of
     problems (``_Normal`` or ``_Grams``) in lockstep, from feasible scaled
@@ -517,7 +517,7 @@ def _pivoting(normal: _Normal | _Grams, x: np.ndarray, max_iter: int | None = No
     from its best iterate (``descent``) by single exchanges that keep x
     feasible and lower the objective, so cannot cycle on a singular Gram
     (Lawson and Hanson, 1974).  A free column solved to exactly zero is
-    bound.  Needing over ``max_iter`` iterations (3 n by default), a
+    bound.  Needing over ``max_iter`` iterations (3 n when None), a
     problem stops unconverged at the best of its start and projected
     iterates (in descent, its last).
     Returns the scaled x, the converged flags and the iteration counts."""
@@ -575,7 +575,7 @@ def _pivoting(normal: _Normal | _Grams, x: np.ndarray, max_iter: int | None = No
     return out
 
 
-def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None,
+def nnls(a: np.ndarray, b: np.ndarray,
          x0: np.ndarray | None = None) -> NnlsResult:
     """Block principal pivoting (``_pivoting`` on ``_Normal``) for
     min ||a x - b|| s.t. x >= 0, to a dual (KKT) violation of at most
@@ -583,7 +583,7 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None,
     ``DeconvolutionProblem``, read through its blocks; data that are not
     finite raise ``ConfigurationError``.  Void columns (``_void``) are held
     at zero and reported in ``void``.  The free set starts as x0 > 0 (empty
-    without ``x0``).  A solve that hits ``max_iter`` (3 n by default) warns
+    without ``x0``).  A solve that hits the cap of 3 n iterations warns
     and returns the best of x0 and the iterates projected onto x >= 0."""
     b = np.asarray(b, dtype=float)
     stacked = isinstance(a, DeconvolutionProblem)
@@ -605,7 +605,7 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None,
     else:           # a plain matrix is a design with a zero penalty
         normal = _Normal(a, np.zeros((1, n, n)), b)
     (x,), (converged,), (iterations,) = _pivoting(
-        normal, (normal.s * x0 * normal.keep)[None], max_iter)
+        normal, (normal.s * x0 * normal.keep)[None], None)
     if not converged:
         warnings.warn("nnls hit the iteration cap; returning best feasible "
                       "iterate", RuntimeWarning, stacklevel=2)

@@ -35,8 +35,8 @@ each sampling interval, which makes the discrete flow map a true semigroup
 builds its matrices lazily, and ``state_trajectory`` and ``simulate`` march
 it; the tests compare the spectral kernels against it.
 
-A 1-d input ``u`` is common to every cell, a (steps, n_cells) one gives each
-cell its own; any other shape raises ``ConfigurationError``.
+An input ``u`` is 1-d, common to every cell; any other shape raises
+``ConfigurationError``.
 """
 
 from __future__ import annotations
@@ -201,14 +201,11 @@ def deterministic_ops(q, mesh: SpatialMesh, tau: float) -> DiscreteTimeOps:
                            p=np.ones(q1.size), qbar1=q1, qbar2=q2)
 
 
-def _check_input(u: np.ndarray, n_cells: int) -> np.ndarray:
-    """``u`` as floats: 1-d (one input common to every cell) or
-    (steps, n_cells) (one input per cell)."""
+def _check_input(u: np.ndarray) -> np.ndarray:
+    """``u`` as floats, 1-d: one input common to every cell."""
     u = np.asarray(u, dtype=float)
-    if u.ndim != 1 and (u.ndim != 2 or u.shape[1] != n_cells):
-        raise ConfigurationError(
-            f"input must have shape (steps,) or (steps, {n_cells}), "
-            f"got {u.shape}")
+    if u.ndim != 1:
+        raise ConfigurationError(f"input must have shape (steps,), got {u.shape}")
     return u
 
 
@@ -219,15 +216,14 @@ def state_trajectory(ops: DiscreteTimeOps,
     Returns (states, y): states[j] is the block state before step j's output,
     j = 0..steps, and y[k-1] is the observed output after k steps, k = 1..steps.
     """
-    u = _check_input(u, ops.n_cells)
-    steps = u.shape[0]
-    drives = (u[:, None] if u.ndim == 1 else u)[:, :, None]
+    u = _check_input(u)
+    steps = u.size
     nc, nb = ops.bhat.shape
     states = np.zeros((steps + 1, nc, nb))
     y = np.zeros(steps)
     x = np.zeros((nc, nb))
     for j in range(steps):
-        x = np.einsum("cij,cj->ci", ops.ahat, x) + ops.bhat * drives[j]
+        x = np.einsum("cij,cj->ci", ops.ahat, x) + ops.bhat * u[j]
         states[j + 1] = x
         y[j] = float(np.sum(ops.c_out * x))
     return states, y
@@ -254,21 +250,17 @@ def impulse_kernels(ops: DiscreteTimeOps, count: int) -> np.ndarray:
 def convolve(kernels: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Evaluate the output by kernel convolution instead of state marching.
 
-    y_k = sum_{l=1..k} h_l u_{k-l}: one ``np.convolve`` with the mean kernel
-    (the rows of ``kernels`` summed) for a 1-d ``u``, one per cell, summed,
-    for a (steps, n_cells) ``u``.
+    y_k = sum_{l=1..k} h_l u_{k-l}: one ``np.convolve`` with the mean kernel,
+    the rows of ``kernels`` summed.
     """
-    u = _check_input(u, kernels.shape[0])
-    steps = u.shape[0]
+    u = _check_input(u)
+    steps = u.size
     if steps > kernels.shape[1]:
         raise ConfigurationError(
             f"need {steps} kernels for {steps} steps, have {kernels.shape[1]}")
     if steps == 0:
         return np.zeros(0)
-    if u.ndim == 1:
-        kernels, u = kernels.sum(axis=0, keepdims=True), u[:, None]
-    return np.sum([np.convolve(kernels[c, :steps], u[:, c])[:steps]
-                   for c in range(u.shape[1])], axis=0)
+    return np.convolve(kernels.sum(axis=0)[:steps], u)[:steps]
 
 
 def simulate_deterministic(det: DiscreteTimeOps, u: np.ndarray) -> np.ndarray:

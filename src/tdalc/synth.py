@@ -12,7 +12,7 @@ reading at the end of the record.
 Each episode perturbs the BrAC template in amplitude and duration so a
 collection of episodes excites the model more richly than one repeated
 record.  Gaussian measurement noise is added to the TAC samples and clamped
-at zero, since the sensor never reports a negative value; the clamp is a
+at zero, since the sensor reads no alcohol below zero; the clamp is a
 deliberate deviation from the plain additive-noise model.
 
 Randomness derives from a single seed: a root SeedSequence is spawned once
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density
-from .data_io import Episode, build_episode
+from .data_io import Episode, _check_channel, build_episode
 from .errors import ConfigurationError
 from .forward_model import (assemble, convolve, deterministic_ops,
                             impulse_kernels)
@@ -44,10 +44,11 @@ class SynthConfig:
     """Generation settings.
 
     ``input_profile`` is a piecewise-linear BrAC template given as
-    (times, values) in minutes and percent alcohol; it must start and end at
-    zero so every episode is a complete excursion.  ``amp_range`` and
-    ``dur_range`` bound the per-episode scale factors; set both to (1, 1)
-    for identical template copies.
+    (times, values) in minutes and percent alcohol, a raw series
+    (``data_io._check_channel``) of at least two points from t = 0; its
+    BrAC must be zero at both ends so every episode is a complete
+    excursion.  ``amp_range`` and ``dur_range`` bound the per-episode scale
+    factors, finite; set both to (1, 1) for identical template copies.
     """
 
     rho_true: density.PopulationParams
@@ -64,21 +65,17 @@ class SynthConfig:
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.noise_sigma < 0:
+        if not 0 <= self.noise_sigma < np.inf:
             raise ConfigurationError(
-                f"noise_sigma must be >= 0, got {self.noise_sigma}")
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.n_episodes < 1:
             raise ConfigurationError(
                 f"n_episodes must be >= 1, got {self.n_episodes}")
         times, values = (np.asarray(v, dtype=float) for v in self.input_profile)
-        if times.ndim != 1 or times.size < 2 or times.size != values.size:
-            raise ConfigurationError("input_profile needs matching time and "
-                                     "value lists with at least two points")
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-            raise ConfigurationError(
-                "template times must start at 0 and increase")
-        if np.any(values < 0):
-            raise ConfigurationError("template values must be >= 0")
+        _check_channel("input_profile", times, values)
+        if times.size < 2 or times[0] != 0.0:
+            raise ConfigurationError("input_profile needs at least two points "
+                                     "and a first time of 0")
         edge = 1e-9 * max(1.0, float(values.max()))
         if values[0] > edge or values[-1] > edge:
             raise ConfigurationError(
@@ -86,9 +83,9 @@ class SynthConfig:
         for name, rng_pair in (("amp_range", self.amp_range),
                                ("dur_range", self.dur_range)):
             lo, hi = rng_pair
-            if not 0 < lo <= hi:
+            if not 0 < lo <= hi < np.inf:
                 raise ConfigurationError(
-                    f"{name} must satisfy 0 < lo <= hi, got {rng_pair}")
+                    f"{name} must satisfy 0 < lo <= hi < inf, got {rng_pair}")
 
 
 def _template_on_grid(cfg: SynthConfig, amp: float, dur: float,

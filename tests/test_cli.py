@@ -195,6 +195,35 @@ class TestSimulate:
         assert rc == 2
         assert "bad numeric list '0, half, 90'" in capsys.readouterr().err
 
+    def test_infinite_template_time_rejected(self, tmp_path, capsys):
+        # an inf time passed the template's own order test and overflowed
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(BASE_CONFIG + "input_times = 0, 60, inf\n"
+                       "input_values = 0, 0.05, 0\n")
+        rc = main(["simulate", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert ("input_profile: non-finite time inf at index 2"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_bad_noise_sigma_rejected(self, tmp_path, capsys, value):
+        # a NaN sigma once wrote noise-free episodes and exited 0
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(BASE_CONFIG.replace("noise_sigma = 0\n",
+                                           f"noise_sigma = {value}\n"))
+        out = tmp_path / "o"
+        assert main(["simulate", str(cfg), "--out-dir", str(out)]) == 2
+        assert "noise_sigma must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["amp", "dur"])
+    def test_infinite_scale_range_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(BASE_CONFIG + f"{key}_lo = 1\n{key}_hi = inf\n")
+        rc = main(["simulate", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{key}_range must satisfy" in capsys.readouterr().err
+
 
 class TestFit:
     def test_writes_params_and_log(self, sim_dir, tmp_path):
@@ -381,10 +410,11 @@ class TestDeconvolve:
         # an NNLS solve held to one iteration stops at the cap: it warns,
         # the artifacts are written, and the command exits 3
         rho = write_rho(tmp_path / "rho.params")
-        solve = deconvolution.nnls
-        monkeypatch.setattr(deconvolution, "nnls",
-                            lambda a, b, max_iter=None, x0=None:
-                            solve(a, b, max_iter=1, x0=x0))
+        pivoting = deconvolution._pivoting
+        monkeypatch.setattr(deconvolution, "_pivoting",
+                            lambda normal, x, cap, descent=False:
+                            pivoting(normal, x, 1 if cap is None else cap,
+                                     descent))
         prefix = tmp_path / "res"
         with pytest.warns(RuntimeWarning, match="iteration cap"):
             rc = main(["deconvolve", str(sim_dir / "synth-000.csv"),
@@ -664,6 +694,22 @@ class TestStats:
         rc = main(["stats", str(curve)])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_stats_curve_must_start_at_zero(self, tmp_path, capsys):
+        # the statistics count time from the first sample: this curve,
+        # which peaks at 31 min, once reported a peak time of 1 min
+        curve = tmp_path / "c.csv"
+        curve.write_text("30,0\n31,0.05\n32,0\n")
+        assert main(["stats", str(curve)]) == 2
+        assert (f"line 1: curve {curve}: first time 30.0 is not 0"
+                in capsys.readouterr().err)
+
+    def test_negative_value_names_file_and_line(self, tmp_path, capsys):
+        curve = tmp_path / "c.csv"
+        curve.write_text("t,brac\n0,0\n\n1,-0.01\n2,0\n")
+        assert main(["stats", str(curve)]) == 2
+        assert (f"line 4: curve {curve}: negative value -0.01 at index 1"
+                in capsys.readouterr().err)
 
     def test_nonfinite_time_rejected(self, tmp_path, capsys):
         # NaN steps pass a spacing test whose comparisons are all False

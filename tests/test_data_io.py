@@ -1,12 +1,21 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdalc.cli import main
 from tdalc.data_io import (_thomas, build_episode, dump_episode,
                            parse_episode, parse_episode_text, resample,
                            write_episode)
+from tdalc.density import PopulationParams
 from tdalc.errors import ConfigurationError, ParseError
+from tdalc.grid_basis import DiscretizationGrid
+from tdalc.synth import SynthConfig
 
 SAMPLE = """t_minutes,channel,value
 0,brac,0
@@ -203,30 +212,42 @@ class TestParseProperties:
         assert str(err.value).startswith(f"line {at + 1}: ")
 
 
+TRUTH = PopulationParams(a=(0.0, 0.0), b=(1.5, 2.0), mu=(0.62, 1.0),
+                         sigma=((0.01, 0.002), (0.002, 0.03)))
+GRID = DiscretizationGrid.from_params(TRUTH)
+
 # one fault per kind: the sample at index i, given its series so far
 FAULTS = {
     "nan time": lambda t, v, i: t.__setitem__(i, np.nan),
     "inf time": lambda t, v, i: t.__setitem__(i, np.inf),
     "nan value": lambda t, v, i: v.__setitem__(i, np.nan),
+    "inf value": lambda t, v, i: v.__setitem__(i, np.inf),
     "negative time": lambda t, v, i: t.__setitem__(i, -1.0 - t[i]),
     "repeated time": lambda t, v, i: t.__setitem__(i, t[i - 1] if i else -1.0),
     "negative value": lambda t, v, i: v.__setitem__(i, -0.5 - v[i]),
 }
 
 
+def faulty_series(n, data, min_faults):
+    """A uniform-step series of n samples with faults at min_faults to four
+    drawn indices, applied in index order: each makes its own sample bad
+    and leaves every earlier one as it was.  Returns times, values and the
+    sorted fault indices."""
+    where = sorted(data.draw(st.sets(st.integers(0, n - 1),
+                                     min_size=min_faults, max_size=min(n, 4))))
+    times = np.arange(n) * 15.0
+    values = np.array(data.draw(st.lists(st.floats(0.0, 0.1), min_size=n,
+                                         max_size=n)))
+    for i in where:
+        FAULTS[data.draw(st.sampled_from(sorted(FAULTS)))](times, values, i)
+    return times, values, where
+
+
 class TestRawSeriesRules:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(n=st.integers(3, 12), data=st.data())
     def test_array_and_text_name_the_earliest_fault(self, n, data):
-        # faults applied in index order: each makes its own sample bad and
-        # leaves every earlier one as it was
-        where = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2,
-                                         max_size=min(n, 4))))
-        times = np.arange(n) * 15.0
-        values = np.array(data.draw(st.lists(st.floats(0.0, 0.1), min_size=n,
-                                             max_size=n)))
-        for i in where:
-            FAULTS[data.draw(st.sampled_from(sorted(FAULTS)))](times, values, i)
+        times, values, where = faulty_series(n, data, 2)
         with pytest.raises(ConfigurationError) as built:
             build_episode("f", [], [], times, values)
         text = "t_minutes,channel,value\n" + "".join(
@@ -236,6 +257,30 @@ class TestRawSeriesRules:
         assert str(built.value).endswith(f" at index {where[0]}")
         assert parsed.value.line == where[0] + 2
         assert str(parsed.value) == f"line {where[0] + 2}: {built.value}"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 12), data=st.data())
+    def test_every_reader_names_the_same_fault(self, n, data):
+        # an episode channel, a `tdalc stats` curve and a synthetic BrAC
+        # template all go through one check: the same rule, value and index
+        times, values, where = faulty_series(n, data, 1)
+        with pytest.raises(ConfigurationError) as built:
+            build_episode("f", [], [], times, values)
+        fault = str(built.value).split(": ", 1)[1]
+        assert fault.endswith(f" at index {where[0]}")
+        with tempfile.TemporaryDirectory() as tmp:
+            curve = Path(tmp) / "c.csv"
+            curve.write_text("t_minutes,brac\n" + "".join(
+                f"{t:.17g},{v:.17g}\n" for t, v in zip(times, values)))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["stats", str(curve)]) == 2
+        assert err.getvalue() == (f"error: line {where[0] + 2}: "
+                                  f"curve {curve}: {fault}\n")
+        with pytest.raises(ConfigurationError) as template:
+            SynthConfig(rho_true=TRUTH, grid=GRID,
+                        input_profile=(times, values))
+        assert str(template.value) == f"input_profile: {fault}"
 
 
 class TestResample:

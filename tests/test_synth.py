@@ -155,14 +155,19 @@ class TestValidation:
                         n_episodes=0)
 
     def test_template_lists_must_match(self):
-        with pytest.raises(ConfigurationError, match="matching time and value"):
+        with pytest.raises(ConfigurationError, match="1-d of one length"):
             SynthConfig(rho_true=make_params(), grid=make_grid(),
                         input_profile=((0.0, 60.0, 240.0), (0.0, 0.05)))
 
     def test_template_must_increase(self):
-        with pytest.raises(ConfigurationError, match="increase"):
+        with pytest.raises(ConfigurationError, match="time not after the previous one"):
             SynthConfig(rho_true=make_params(), grid=make_grid(),
                         input_profile=((0.0, 60.0, 50.0), (0.0, 0.05, 0.0)))
+
+    def test_template_starts_at_zero(self):
+        with pytest.raises(ConfigurationError, match="first time of 0"):
+            SynthConfig(rho_true=make_params(), grid=make_grid(),
+                        input_profile=((10.0, 60.0, 240.0), (0.0, 0.05, 0.0)))
 
     def test_template_endpoints_zero(self):
         with pytest.raises(ConfigurationError, match="end at zero"):
@@ -170,7 +175,7 @@ class TestValidation:
                         input_profile=((0.0, 60.0, 240.0), (0.0, 0.05, 0.01)))
 
     def test_template_nonnegative(self):
-        with pytest.raises(ConfigurationError, match=">= 0"):
+        with pytest.raises(ConfigurationError, match="negative value"):
             SynthConfig(rho_true=make_params(), grid=make_grid(),
                         input_profile=((0.0, 60.0, 240.0), (0.0, -0.05, 0.0)))
 
