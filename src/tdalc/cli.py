@@ -15,7 +15,9 @@ to converge.  The deconvolve ``meta.json`` also lists the RuntimeWarning
 texts raised during the command and, under ``search``, the weight search's
 record (``converged``, ``evals``, ``at_bound`` and the ``path`` of
 (log10 r1, log10 r2, score) per evaluation); ``search`` is null without
-``--auto-reg``.
+``--auto-reg``.  Its ``tac_rows`` counts the TAC rows the fit used (every
+grid row for scalar; row 0 and the sensor's measured instants for tq), and
+``residual`` is the TAC misfit on the whole grid.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment.  Any
 flag with the same name overrides the config value.  All randomness in a
@@ -229,7 +231,12 @@ def _deconvolve(args, caught: list) -> int:
                 "need --r1 and --r2, or --auto-reg with --train episodes")
         search = None
         r1, r2 = args.r1, args.r2
-    result = deconvolve(ops, episode.y, r1, r2, m=args.m, variant=args.variant)
+    # tq fits the sensor's own instants.  scalar keeps the spline's grid
+    # rows: its band's single-subject solves run on them, and the benchmark's
+    # records check rebuilds those solves from the spline
+    rows = episode.fit_indices if args.variant == "tq" else None
+    result = deconvolve(ops, episode.y, r1, r2, m=args.m, variant=args.variant,
+                        rows=rows)
     if args.variant == "tq":
         band = credible_band(result, params, alpha=args.alpha)
         intervals = stats_credible_intervals(result, params, alpha=args.alpha,
@@ -258,6 +265,7 @@ def _deconvolve(args, caught: list) -> int:
             "alpha": args.alpha, "samples": samples, "seed": seed,
             "converged": bool(result.converged),
             "residual": float(result.residual),
+            "tac_rows": int(result.tac_rows),
             "nnls_iterations": int(result.nnls.iterations),
             "band_dropped": int(band.dropped),
             "search": None if search is None else {
@@ -305,28 +313,34 @@ def _read_curve(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for lineno, ln in body:
         toks = ln.split(",")
         if len(toks) <= max(t_col, v_col):
-            raise ConfigurationError(f"{path}:{lineno}: short row {ln!r}")
+            raise ParseError(f"short row {ln!r}", line=lineno, path=path)
         try:
             rows.append((float(toks[t_col]), float(toks[v_col]), lineno))
         except ValueError as exc:
-            raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
+            raise ParseError(str(exc), line=lineno, path=path) from None
     times, values, lines = np.asarray(rows, dtype=float).T
     return times, values, lines.astype(int)
 
 
 def cmd_stats(args) -> int:
-    times, values, lines = _read_curve(args.curve)
-    where = f"curve {args.curve}"
-    _check_channel(where, times, values, lines)
+    """Statistics of a curve file; a bad cell or sample is a ``ParseError``
+    named "PATH:LINE: ..."."""
+    path = args.curve
+    times, values, lines = _read_curve(path)
+    _check_channel("curve", times, values, lines, path=path)
     if times.size < 2:
-        raise ConfigurationError(f"{where}: needs at least two samples")
+        raise ConfigurationError(f"{path}: curve needs at least two samples")
     if times[0] != 0.0:     # the statistics count time from index 0
-        raise ParseError(f"{where}: first time {float(times[0])!r} is not 0",
-                         line=int(lines[0]))
+        raise ParseError(f"curve: first time {float(times[0])!r} is not 0",
+                         line=int(lines[0]), path=path)
     steps = np.diff(times)
     tau = float(steps[0])
-    if np.any(np.abs(steps - tau) > 1e-9 * max(tau, 1.0)):
-        raise ConfigurationError(f"{where}: times must be uniformly spaced")
+    off = np.flatnonzero(np.abs(steps - tau) > 1e-9 * max(tau, 1.0))
+    if off.size:
+        i = int(off[0]) + 1
+        raise ParseError(f"curve: time {float(times[i])!r} at index {i} is "
+                         f"off the uniform step {tau!r}", line=int(lines[i]),
+                         path=path)
     stats = episode_stats(values, tau, args.threshold)
     payload = ",".join(STAT_NAMES) + "\n" + format_stats_row(stats) + "\n"
     if args.out == "-":

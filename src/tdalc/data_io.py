@@ -130,13 +130,15 @@ def _snap_fit_indices(tac_times: np.ndarray, tau: float, n_grid: int) -> np.ndar
 
 
 def _check_channel(where: str, times: np.ndarray, values: np.ndarray,
-                   lines: np.ndarray | None = None) -> None:
+                   lines: np.ndarray | None = None,
+                   path: str | None = None) -> None:
     """Reject a raw series, labelled ``where`` in messages, that the program
     cannot read: times and values must be 1-d of one length, finite and
     nonnegative, the times strictly increasing.  Every series read (episode
     channels, synthetic BrAC templates, ``tdalc stats`` curves) passes here.
     The first bad sample is named by the first rule below it breaks, in a
-    ``ConfigurationError``, or a ``ParseError`` at its ``lines``."""
+    ``ConfigurationError``, or a ``ParseError`` at its ``lines`` of the
+    file ``path``."""
     if times.ndim != 1 or values.shape != times.shape:
         raise ConfigurationError(
             f"{where}: times and values must be 1-d of one length, got shapes "
@@ -153,7 +155,7 @@ def _check_channel(where: str, times: np.ndarray, values: np.ndarray,
         what, arr, _ = rules[k]
         message = f"{where}: {what} {float(arr[i])!r} at index {i}"
         raise (ConfigurationError(message) if lines is None
-               else ParseError(message, line=int(lines[i])))
+               else ParseError(message, line=int(lines[i]), path=path))
 
 
 def build_episode(ident: str,

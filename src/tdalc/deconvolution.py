@@ -32,6 +32,13 @@ they run in batches (``_warm_scalar_solves``), each batch's kernels one
 ``impulse_kernels`` call on a stack of one-cell systems, through ``nnls``'s
 own exchanges (``_pivoting``, over a leading batch axis).
 
+The problem fits the TAC at grid row 0 and the rows it is given, each
+weighted by sqrt(dt / tau) for the time dt since the previous kept row
+(``_fit_rows``), so its misfit is a quadrature of the time integral of the
+squared TAC error.  The tq variant fits the sensor's measured instants
+(``Episode.fit_indices``), the scalar variant every grid row of the spline
+resample.
+
 Only the penalty depends on (r1, r2).  The weight search therefore builds
 each training episode's kernels, design and cell masses once, rebuilds only
 the penalty per candidate (r1, r2), and starts each solve from the free set
@@ -158,10 +165,10 @@ class DeconvolutionProblem:
     matrix [design; block-diagonal penalty root] as a linear operator
     (``shape``, ``problem @ v``, ``problem.T @ r``) that ``nnls`` reads."""
 
-    tac: np.ndarray
+    tac: np.ndarray           # TAC at the fitted rows, weighted (``_fit_rows``)
     time_mesh: TimeMesh
     sample: np.ndarray        # grid evaluation of the temporal basis, K x m
-    design: np.ndarray        # TAC model rows, K x n_cols
+    design: np.ndarray        # TAC model at the fitted rows, weighted, rows x n_cols
     penalty_sqrt: np.ndarray  # diagonal blocks of the penalty root, cells x m x m
     r1: float
     r2: float
@@ -258,13 +265,16 @@ def _time_mesh(n_grid: int, tau: float, m: int | None) -> TimeMesh:
 
 
 def build_problem(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
-                  m: int | None = None, variant: str = "tq") -> DeconvolutionProblem:
+                  m: int | None = None, variant: str = "tq",
+                  rows: np.ndarray | None = None) -> DeconvolutionProblem:
     """Assemble the stacked problem for a TAC series on the ops' tau grid.
 
     ``tac`` holds the resampled signal at 0, tau, ..., including the leading
     t = 0 sample.  The tq variant has one design block per parameter cell
     and a penalty block weighted by the cell's mass; the scalar variant is
-    the one-cell case, the mean kernel on a cell of unit mass.
+    the one-cell case, the mean kernel on a cell of unit mass.  The problem
+    fits the TAC at grid rows 0 and ``rows`` (``_fit_rows``), at every grid
+    row without them.
     """
     r1, r2 = _snap_regs(r1, r2)
     tac = np.asarray(tac, dtype=float)
@@ -283,10 +293,37 @@ def build_problem(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
     # column c's block of m design columns is the design of kernel c
     design = np.ascontiguousarray(
         _designs(kernels, _mesh_lags(tm)).reshape(-1, tac.size).T)
-    return DeconvolutionProblem(tac=tac, time_mesh=tm,
-                                sample=_time_basis(tm)[2], design=design,
-                                penalty_sqrt=_penalty_sqrt(tm, masses, r1, r2),
-                                r1=r1, r2=r2, cell_masses=masses)
+    return _fit_rows(DeconvolutionProblem(
+        tac=tac, time_mesh=tm, sample=_time_basis(tm)[2], design=design,
+        penalty_sqrt=_penalty_sqrt(tm, masses, r1, r2), r1=r1, r2=r2,
+        cell_masses=masses), rows)
+
+
+def _fit_rows(problem: DeconvolutionProblem,
+              rows: np.ndarray | None) -> DeconvolutionProblem:
+    """A grid problem fitting its TAC only at grid row 0 and ``rows``, grid
+    indices strictly increasing in [1, K-1], such as the measured instants
+    ``Episode.fit_indices``.  A kept row is weighted by sqrt(dt / tau), dt
+    the time since the previous kept row (tau for row 0), so the misfit
+    stays a quadrature of the integral of (y - y_hat)^2 dt / tau and r1 and
+    r2 keep their meaning.  Every grid row, or None, leaves the problem as
+    it is."""
+    if rows is None:
+        return problem
+    n_grid, rows = problem.tac.size, np.asarray(rows)
+    if (rows.ndim != 1 or rows.size == 0 or rows.dtype.kind not in "iu"
+            or rows[0] < 1 or rows[-1] > n_grid - 1
+            or np.any(np.diff(rows) <= 0)):
+        raise ConfigurationError(
+            f"fit rows must be one or more grid indices, strictly increasing, "
+            f"in [1, {n_grid - 1}] (the measured TAC instants on the grid); "
+            f"got {rows}")
+    if rows.size == n_grid - 1:
+        return problem
+    keep = np.concatenate([[0], rows])
+    weight = np.sqrt(np.diff(keep, prepend=-1))
+    return replace(problem, tac=weight * problem.tac[keep],
+                   design=weight[:, None] * problem.design[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +664,9 @@ class DeconvolutionResult:
     r2: float
     coeffs: np.ndarray        # (m,) scalar variant; (m, m1, m2) tq variant
     mean_curve: np.ndarray    # population-mean input on the grid
-    fitted_tac: np.ndarray    # model TAC reproduced from the estimate
-    residual: float           # TAC misfit norm
+    fitted_tac: np.ndarray    # model TAC reproduced from the estimate, on the grid
+    residual: float           # TAC misfit norm on the grid
+    tac_rows: int             # TAC rows the fit used: K, or 1 + the rows given
     nnls: NnlsResult
     time_mesh: TimeMesh
 
@@ -638,9 +676,13 @@ class DeconvolutionResult:
 
 
 def deconvolve(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
-               m: int | None = None, variant: str = "tq") -> DeconvolutionResult:
-    """Reconstruct the input from a TAC series at fixed regularization."""
-    problem = build_problem(ops, tac, r1, r2, m=m, variant=variant)
+               m: int | None = None, variant: str = "tq",
+               rows: np.ndarray | None = None) -> DeconvolutionResult:
+    """Reconstruct the input from a TAC series at fixed regularization,
+    fitting the TAC at grid rows 0 and ``rows`` (``build_problem``).  The
+    fitted TAC and its residual are the model's on the whole grid."""
+    on_grid = build_problem(ops, tac, r1, r2, m=m, variant=variant)
+    problem = _fit_rows(on_grid, rows)
     sol = nnls(problem, problem.target)
     mm = problem.time_mesh.m
     if variant == "tq":
@@ -649,11 +691,12 @@ def deconvolve(ops: DiscreteTimeOps, tac: np.ndarray, r1: float, r2: float,
     else:
         coeffs = sol.x.copy()
     mean_curve = problem.mean_curve(sol.x)
-    fitted = problem.design @ sol.x
-    residual = float(np.linalg.norm(fitted - problem.tac))
+    fitted = on_grid.design @ sol.x
+    residual = float(np.linalg.norm(fitted - on_grid.tac))
     return DeconvolutionResult(variant=variant, r1=problem.r1, r2=problem.r2,
                                coeffs=coeffs, mean_curve=mean_curve,
                                fitted_tac=fitted, residual=residual,
+                               tac_rows=problem.design.shape[0],
                                nnls=sol, time_mesh=problem.time_mesh)
 
 
@@ -709,18 +752,23 @@ class SearchEpisode:
     The (r1, r2)-independent part of its problem (impulse kernels, design,
     temporal matrices, cell masses) is built once; each score rebuilds only
     the penalty and warm-starts NNLS from the previous score's solution.
+    The tq problem fits the TAC at the episode's measured instants
+    (``Episode.fit_indices``), as ``tdalc deconvolve`` does, so the search
+    scores the problem its weights are applied to.
     """
 
     def __init__(self, ops: DiscreteTimeOps, episode: Episode,
                  m: int | None = None, variant: str = "tq"):
+        rows = episode.fit_indices if variant == "tq" else None
         self.problem = build_problem(ops, episode.y, 0.0, 0.0, m=m,
-                                     variant=variant)
+                                     variant=variant, rows=rows)
         self.brac = episode.u
         self.x: np.ndarray | None = None    # latest solution, next start
 
     def score(self, r1: float, r2: float) -> float:
         """Squared error of the estimated input against measured BrAC plus
-        squared error of the refit TAC against measured TAC."""
+        squared error of the refit TAC against measured TAC, at the fitted
+        rows with their weights."""
         problem = self.problem.with_regs(r1, r2)
         self.x = nnls(problem, problem.target, x0=self.x).x
         du = problem.mean_curve(self.x)[:-1] - self.brac[:-1]

@@ -10,11 +10,14 @@ class ConfigurationError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed episode or config file.  Carries a line number when known."""
+    """Malformed episode, config or curve file.  Carries a line number when
+    known, named "PATH:LINE: ..." when the reader has the file's path too."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None,
+                 path: str | None = None):
         if line is not None:
-            message = f"line {line}: {message}"
+            message = (f"line {line}: " if path is None
+                       else f"{path}:{line}: ") + message
         super().__init__(message)
         self.line = line
 

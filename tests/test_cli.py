@@ -293,6 +293,39 @@ class TestDeconvolve:
         # the tq band reads the disk cells: no draws, no seed
         assert meta["samples"] is None and meta["seed"] is None
 
+    def test_meta_counts_the_tac_rows_fitted(self, sim_dir, tmp_path):
+        # synth's sensor reads every 5 minutes: tq fits those instants,
+        # scalar every grid row; both report the fitted TAC and its
+        # residual on the whole grid
+        rho = write_rho(tmp_path / "rho.params")
+        record = sim_dir / "synth-000.csv"
+        episode = parse_episode(record)
+        expect = {"tq": 1 + episode.fit_indices.size, "scalar": episode.n_grid}
+        assert expect["tq"] < expect["scalar"]
+        for variant, rows in expect.items():
+            prefix = tmp_path / variant
+            assert main(["deconvolve", str(record), "--rho", str(rho),
+                         "--r1", "1e-3", "--r2", "1e-3", "--variant", variant,
+                         "--samples", "60", "--out-prefix", str(prefix)]) == 0
+            meta = json.loads(Path(f"{prefix}.meta.json").read_text())
+            assert meta["tac_rows"] == rows
+            table = np.loadtxt(f"{prefix}.curve.csv", delimiter=",",
+                               skiprows=1)
+            assert table.shape[0] == episode.n_grid
+            assert meta["residual"] == pytest.approx(
+                np.linalg.norm(table[:, 4] - table[:, 5]), rel=1e-12)
+
+    def test_tq_needs_a_measured_instant_on_the_grid(self, tmp_path, capsys):
+        # the grid ends at 2 min; the reading at 2.6 min rounds past it
+        record = tmp_path / "r.csv"
+        record.write_text("t_minutes,channel,value\n0,tac,0\n2.6,tac,0.01\n")
+        rho = write_rho(tmp_path / "rho.params")
+        args = ["deconvolve", str(record), "--rho", str(rho), "--r1", "1e-3",
+                "--r2", "1e-3", "--samples", "20"]
+        assert main(args) == 2
+        assert "measured TAC instants on the grid" in capsys.readouterr().err
+        assert main(args + ["--variant", "scalar"]) == 0
+
     def test_no_band_samples_exits_3(self, sim_dir, tmp_path, capsys):
         # no draw falls in a vanishing credible disk: a SamplingError
         rho = write_rho(tmp_path / "rho.params")
@@ -508,8 +541,9 @@ class TestDeconvolve:
                 "--samples", "150", "--seed", "4"]
         assert main(args + ["--out-prefix", str(tmp_path / "a")]) == 0
         assert main(args + ["--out-prefix", str(tmp_path / "b")]) == 0
-        assert (tmp_path / "a.curve.csv").read_bytes() == \
-            (tmp_path / "b.curve.csv").read_bytes()
+        for suffix in (".curve.csv", ".stats.csv", ".meta.json"):
+            assert (tmp_path / f"a{suffix}").read_bytes() == \
+                (tmp_path / f"b{suffix}").read_bytes()
 
     def test_repeat_in_one_process(self, sim_dir, tmp_path, capsys):
         # one process keeps its parser, radii and lag blocks: record A,
@@ -688,6 +722,23 @@ class TestStats:
         assert rc == 2
         assert "uniform" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, line, fault", [
+        ("t,brac\n0,0\n\n1,abc\n", 4,
+         "could not convert string to float: 'abc'"),
+        ("t,brac\n0,0\n1\n2,0\n", 3, "short row '1'"),
+        ("t,brac\n0,0\n1,0.02\n\n2,-0.01\n", 5,
+         "curve: negative value -0.01 at index 2"),
+        ("t,brac\n0,0\n1,0.02\n2,0.03\n\n3.5,0\n4,0\n", 6,
+         "curve: time 3.5 at index 3 is off the uniform step 1.0")])
+    def test_positions_named_path_colon_line(self, tmp_path, capsys, text,
+                                             line, fault):
+        # a cell that is not a number, a short row, a bad sample and the
+        # first time off the uniform step are named in one format
+        curve = tmp_path / "c.csv"
+        curve.write_text(text)
+        assert main(["stats", str(curve)]) == 2
+        assert capsys.readouterr().err == f"error: {curve}:{line}: {fault}\n"
+
     def test_nonfinite_value_rejected(self, tmp_path, capsys):
         curve = tmp_path / "c.csv"
         curve.write_text("0,0\n1,nan\n2,0.02\n")
@@ -701,14 +752,14 @@ class TestStats:
         curve = tmp_path / "c.csv"
         curve.write_text("30,0\n31,0.05\n32,0\n")
         assert main(["stats", str(curve)]) == 2
-        assert (f"line 1: curve {curve}: first time 30.0 is not 0"
+        assert (f"{curve}:1: curve: first time 30.0 is not 0"
                 in capsys.readouterr().err)
 
     def test_negative_value_names_file_and_line(self, tmp_path, capsys):
         curve = tmp_path / "c.csv"
         curve.write_text("t,brac\n0,0\n\n1,-0.01\n2,0\n")
         assert main(["stats", str(curve)]) == 2
-        assert (f"line 4: curve {curve}: negative value -0.01 at index 1"
+        assert (f"{curve}:4: curve: negative value -0.01 at index 1"
                 in capsys.readouterr().err)
 
     def test_nonfinite_time_rejected(self, tmp_path, capsys):

@@ -275,8 +275,8 @@ class TestRawSeriesRules:
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 assert main(["stats", str(curve)]) == 2
-        assert err.getvalue() == (f"error: line {where[0] + 2}: "
-                                  f"curve {curve}: {fault}\n")
+        assert err.getvalue() == (f"error: {curve}:{where[0] + 2}: "
+                                  f"curve: {fault}\n")
         with pytest.raises(ConfigurationError) as template:
             SynthConfig(rho_true=TRUTH, grid=GRID,
                         input_profile=(times, values))

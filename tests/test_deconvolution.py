@@ -23,6 +23,7 @@ from tdalc.density import PopulationParams
 from tdalc.errors import ConfigurationError, NumericalError
 from tdalc.grid_basis import (DiscretizationGrid, SpatialMesh, TimeMesh,
                               temporal_basis_matrices)
+from tdalc.synth import SynthConfig, generate
 
 
 def make_params():
@@ -1038,6 +1039,119 @@ class TestSearchEpisode:
             prob = build_problem(ops, ep.y, r1, r2)
             assert scaled_kkt(stacked(prob), prob.target, search.x) <= 1e-8, \
                 (r1, r2)
+
+
+class TestFitRows:
+    """The tq problem fits the TAC at the sensor's measured instants."""
+
+    @staticmethod
+    def minute_episode(ops, k=121):
+        u = pulse(k)
+        t = np.arange(k, dtype=float)
+        return build_episode("minute", t, u, t, make_tac(ops, u), tau=1.0)
+
+    @staticmethod
+    def sensor_record(seed):
+        """A 5-minute sensor record of the tight law, K = 181, noise sd 2e-4."""
+        law = make_params()
+        cfg = SynthConfig(
+            rho_true=law, grid=DiscretizationGrid.from_params(law),
+            input_profile=((0.0, 30.0, 60.0, 90.0, 120.0, 150.0, 180.0),
+                           (0.0, 0.05, 0.08, 0.06, 0.035, 0.012, 0.0)),
+            noise_sigma=2e-4, n_episodes=1, seed=seed, amp_range=(0.8, 1.2),
+            dur_range=(1.0, 1.0))
+        return generate(cfg)[0]
+
+    def test_every_grid_row_is_the_grid_problem(self):
+        # on 1-minute data every row is measured and every weight is 1
+        ops = make_ops()
+        ep = self.minute_episode(ops)
+        assert ep.fit_indices.tolist() == list(range(1, ep.n_grid))
+        grid = build_problem(ops, ep.y, 1e-3, 1e-2)
+        rows = build_problem(ops, ep.y, 1e-3, 1e-2, rows=ep.fit_indices)
+        for name in ("tac", "design", "penalty_sqrt", "sample", "cell_masses"):
+            assert np.array_equal(getattr(rows, name), getattr(grid, name)), name
+        a, b = nnls(grid, grid.target), nnls(rows, rows.target)
+        assert np.array_equal(a.x, b.x) and a.iterations == b.iterations
+        assert np.array_equal(grid.mean_curve(a.x), rows.mean_curve(b.x))
+        res = deconvolve(ops, ep.y, 1e-3, 1e-2, rows=ep.fit_indices)
+        ref = deconvolve(ops, ep.y, 1e-3, 1e-2)
+        for name in ("mean_curve", "fitted_tac", "coeffs"):
+            assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+        assert res.residual == ref.residual and res.tac_rows == ep.n_grid
+
+    def test_search_scores_bit_identical_on_minute_data(self):
+        ops = make_ops()
+        ep = self.minute_episode(ops)
+        measured = SearchEpisode(ops, ep)
+        spline = SearchEpisode(ops, ep)
+        spline.problem = build_problem(ops, ep.y, 0.0, 0.0)
+        for r1, r2 in ((1e-1, 1.0), (1e-3, 1e-2), (1e-8, 1e-1), (1e2, 1e-4)):
+            assert measured.score(r1, r2) == spline.score(r1, r2), (r1, r2)
+            assert np.array_equal(measured.x, spline.x)
+
+    def test_rows_weighted_by_the_time_since_the_previous_row(self):
+        ep = self.sensor_record(1)
+        ops = make_ops(m1=2, m2=2)
+        grid = build_problem(ops, ep.y, 1e-3, 1e-3)
+        prob = build_problem(ops, ep.y, 1e-3, 1e-3, rows=ep.fit_indices)
+        keep = np.concatenate([[0], ep.fit_indices])
+        gaps = np.diff(keep, prepend=-1)
+        assert gaps[0] == 1 and set(gaps[1:-1].tolist()) == {5}
+        weight = np.sqrt(gaps)
+        assert np.array_equal(prob.tac, weight * grid.tac[keep])
+        assert np.array_equal(prob.design, weight[:, None] * grid.design[keep])
+        assert np.array_equal(prob.penalty_sqrt, grid.penalty_sqrt)
+        # the squared misfit is a right-endpoint sum of (y - y_hat)^2 dt / tau
+        x = np.random.default_rng(0).uniform(0.0, 1.0, prob.n_cols)
+        resid = (grid.design @ x - grid.tac)[keep]
+        assert np.linalg.norm(prob.design @ x - prob.tac) ** 2 == \
+            pytest.approx(float(gaps @ resid ** 2), rel=1e-12)
+
+    def test_search_episode_fits_measured_rows(self):
+        ep = self.sensor_record(2)
+        ops = make_ops(m1=2, m2=2)
+        tq = SearchEpisode(ops, ep)
+        assert tq.problem.design.shape[0] == 1 + ep.fit_indices.size
+        scalar = SearchEpisode(ops, ep, variant="scalar")
+        assert scalar.problem.design.shape[0] == ep.n_grid
+
+    def test_measured_rows_keep_the_spline_answer(self):
+        # seeded 5-minute records, tq on 8 x 8 cells; measured: relative L2
+        # moves by at most 1.2e-4, the curves by at most 0.7% of peak
+        ops = make_ops(m1=8, m2=8)
+        for seed in range(1, 11):
+            ep = self.sensor_record(seed)
+            spline = deconvolve(ops, ep.y, 1e-3, 1e-3)
+            rows = deconvolve(ops, ep.y, 1e-3, 1e-3, rows=ep.fit_indices)
+            assert rows.converged and rows.tac_rows == 1 + ep.fit_indices.size
+            assert rows.tac_rows < ep.n_grid // 4
+            assert rows.fitted_tac.shape == rows.mean_curve.shape == (ep.n_grid,)
+            assert rows.residual == pytest.approx(
+                np.linalg.norm(rows.fitted_tac - ep.y), rel=1e-12)
+            err = [np.linalg.norm(r.mean_curve - ep.u) / np.linalg.norm(ep.u)
+                   for r in (spline, rows)]
+            assert abs(err[1] - err[0]) <= 0.005, (seed, err)
+            peak = spline.mean_curve.max()
+            assert np.max(np.abs(rows.mean_curve - spline.mean_curve)) \
+                <= 0.02 * peak, seed
+
+    @pytest.mark.parametrize("rows", [[3, 2], [2, 2], [2, 3, 3], [0, 3],
+                                      [3, 61], [-1], [], [[1, 2]], [1.0, 2.0]])
+    def test_bad_rows_rejected(self, rows):
+        ops = make_ops()
+        tac = make_tac(ops, pulse(61))
+        with pytest.raises(ConfigurationError, match="fit rows"):
+            build_problem(ops, tac, 0.1, 0.1, rows=np.array(rows))
+        with pytest.raises(ConfigurationError, match="fit rows"):
+            deconvolve(ops, tac, 0.1, 0.1, rows=np.array(rows))
+
+    def test_last_grid_row_accepted(self):
+        ops = make_ops()
+        tac = make_tac(ops, pulse(61))
+        prob = build_problem(ops, tac, 0.1, 0.1, rows=[30, 60])
+        assert prob.design.shape[0] == 3
+        assert np.array_equal(prob.tac, tac[[0, 30, 60]] * np.sqrt([1, 30, 30]))
 
 
 class TestResultCsv:

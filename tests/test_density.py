@@ -430,13 +430,15 @@ def polar_disk_mass(params, radius):
         kinks += [math.atan2(vec[1], vec[0]), math.atan2(-vec[1], -vec[0])]
     edges = np.unique(np.clip(kinks + [-math.pi, math.pi], -math.pi, math.pi))
 
-    def total(f, *args):
-        return sum(integrate.quad(f, lo, hi, args=args, epsabs=1e-16,
-                                  epsrel=1e-13, limit=500)[0]
+    def total(f, *args, box=1.0, epsabs=1e-16):
+        return sum(integrate.quad(lambda t: f(t, *args) / box, lo, hi,
+                                  epsabs=epsabs, epsrel=1e-13, limit=500)[0]
                    for lo, hi in zip(edges[:-1], edges[1:]))
 
-    box = total(mass, np.inf)
-    return total(mass, radius) / box, total(rim) / box
+    # the box mass to relative accuracy alone, as it falls below any fixed
+    # absolute tolerance past about 8 sd; then the disk's share of it
+    box = total(mass, np.inf, epsabs=0.0)
+    return total(mass, radius, box=box), total(rim, box=box)
 
 
 RADIUS_LAWS = {
@@ -447,9 +449,13 @@ RADIUS_LAWS = {
     "narrow": law((0.62, 0.9), (1e-6, 1e-6), 0.0),
     "anisotropic": law((0.62, 1.0), (1e-4, 0.2), 0.0),
     "correlated": law((0.62, 1.0), (0.2, 0.3), 0.95),
-    # mu 7 sd below the box and its mirror image 7 sd above
+    # mu 7, 8 and 9 sd below the box and their mirror images above
     "mu below": law((0.62, -0.7), (0.2, 0.1), 0.0),
     "mu above": law((0.62, 2.7), (0.2, 0.1), 0.0),
+    "mu 8 sd below": law((0.62, -0.8), (0.2, 0.1), 0.0),
+    "mu 8 sd above": law((0.62, 2.8), (0.2, 0.1), 0.0),
+    "mu 9 sd below": law((0.62, -0.9), (0.2, 0.1), 0.0),
+    "mu 9 sd above": law((0.62, 2.9), (0.2, 0.1), 0.0),
 }
 
 
